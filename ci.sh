@@ -64,8 +64,10 @@ if [ "$quick" -eq 0 ]; then
     cargo build --release
 fi
 
-echo "==> cargo test -q -p coral-obs"
-cargo test -q -p coral-obs
+# Every crate's own unit, integration and property tests; the root
+# package's suite runs next.
+echo "==> cargo test -q --workspace --exclude coral-pie"
+cargo test -q --workspace --exclude coral-pie
 
 echo "==> cargo test -q"
 cargo test -q
@@ -87,16 +89,17 @@ done
 # store dark for 30 s of sim time) must be journaled, fail the orphaned
 # cameras over onto the survivor, heal within twice the heartbeat-miss
 # deadline, and lose no committed trajectory edge — per pinned fault
-# seed. The byte-identity test pins `FederationConfig`'s single-region
-# default to the pre-federation event stream; the replica-convergence
-# proptests prove the union view is delivery-order-insensitive; the ops
-# test pins /healthz flipping CRITICAL for exactly the dead region.
+# seed (seed a also matches a literal two-region fingerprint). The pinned
+# single-region fingerprint holds a one-region chaos run to literal
+# delivery, event and storage counts; the replica-convergence proptests
+# prove the union view is delivery-order-insensitive; the ops test pins
+# /healthz flipping CRITICAL for exactly the dead region.
 for seed in a b c; do
     echo "==> federation chaos matrix: fault seed ${seed}"
     cargo test -q --test federation_chaos "region_kill_seed_${seed}"
 done
-echo "==> federation single-region byte-identity"
-cargo test -q --test federation_chaos single_region_federation_is_byte_identical
+echo "==> pinned single-region fingerprint"
+cargo test -q --test federation_chaos single_region_fingerprint_is_pinned
 echo "==> federation replica-convergence proptests"
 cargo test -q -p coral-storage --test proptest_replica_convergence
 echo "==> federation ops visibility"
@@ -186,6 +189,14 @@ fi
 
 # Criterion smoke: compile and run every bench once in test mode so the
 # perf harness cannot rot silently.
+# The benchmark's own tests: metric arithmetic, argument parsing and a
+# smoke run of every workload, checked against BENCHMARK.json. Skipped in
+# --quick (release build of a separate package).
+if [ "$quick" -eq 0 ]; then
+    echo "==> perfbench tests (release)"
+    cargo test -q --release --manifest-path perfbench/Cargo.toml
+fi
+
 echo "==> criterion smoke: vision_micro + full_tick"
 cargo bench -p coral-bench --bench vision_micro -- --test
 cargo bench -p coral-bench --bench full_tick -- --test

@@ -17,8 +17,9 @@
 //! - [`stepper`] — the deterministic scoped worker pool that fans each
 //!   tick's per-camera analysis across threads and merges results in
 //!   `CameraId` order, keeping parallel runs byte-identical.
-//! - [`telemetry`] — run measurements and the [`TelemetrySink`] observer
-//!   seam.
+//! - [`telemetry`] — run measurements and the [`TelemetrySink`] trait
+//!   through which the runtime feeds them to [`Telemetry`] and
+//!   [`CoreObs`].
 //! - [`obs`] — the workspace observability glue: protocol counters in the
 //!   shared metrics registry plus per-vehicle causal traces
 //!   (detect → track → inform → transport hop → re-id) exported as Chrome
@@ -64,7 +65,7 @@ pub mod stepper;
 pub mod system;
 pub mod telemetry;
 
-pub use deploy::{CameraSpec, Deployment, FederationConfig, SystemConfig};
+pub use deploy::{CameraSpec, Deployment, SystemConfig};
 pub use metrics::{
     event_detection_accuracy, reid_accuracy, transitions_from_passages, Accuracy, Passage,
     Transition,

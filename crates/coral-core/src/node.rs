@@ -111,9 +111,9 @@ impl FrameAnalysis {
 }
 
 /// A cross-camera trajectory edge committed this frame, with everything a
-/// federated runtime needs to replicate it to the upstream camera's
-/// region store (see `DESIGN.md` §13). Single-region deployments ignore
-/// these records entirely.
+/// multi-region runtime needs to replicate it to the upstream camera's
+/// region store (see `DESIGN.md` §13). With one region every upstream
+/// camera is local, so nothing is replicated.
 #[derive(Debug, Clone)]
 pub struct HandoffEdge {
     /// The upstream vertex the edge leaves from.
@@ -243,11 +243,10 @@ impl CameraNode {
 
     /// Advances the frame counter for a tick on which the runtime's
     /// occupancy oracle proved no vehicle is near this camera *and* the
-    /// tracker holds no live tracks. Produces exactly the [`FrameAnalysis`]
-    /// that [`CameraNode::analyze_frame`]'s empty-scene fast path would —
-    /// without building a scene, and (like that fast path) without drawing
-    /// from the detector's clutter RNG — so sparse and dense stepping stay
-    /// byte-identical.
+    /// tracker holds no live tracks. It is [`CameraNode::analyze_frame`]'s
+    /// empty-scene fast path, callable without building a scene; it draws
+    /// nothing from the detector's clutter RNG, so sparse and dense
+    /// stepping stay byte-identical.
     pub fn advance_idle_frame(&mut self) -> FrameAnalysis {
         debug_assert_eq!(
             self.ident.live_track_count(),
@@ -287,19 +286,14 @@ impl CameraNode {
     /// tracker and the frame sequence counter), so analyses of different
     /// cameras are independent and may run concurrently.
     pub fn analyze_frame(&mut self, scene: &Scene) -> FrameAnalysis {
-        let frame_id = FrameId(self.frame_seq);
-        self.frame_seq += 1;
         // Fast path: an empty scene with no live tracks cannot produce
         // detections, matches or expirations — skip rendering/inference.
         // (A camera watching an empty street spends its cycles idling.)
         if scene.actors.is_empty() && self.ident.live_track_count() == 0 {
-            return FrameAnalysis {
-                frame_id,
-                completed: Vec::new(),
-                stored: None,
-                detected: Vec::new(),
-            };
+            return self.advance_idle_frame();
         }
+        let frame_id = FrameId(self.frame_seq);
+        self.frame_seq += 1;
         if self.store_frames {
             // Render once, analyse the same pixels, and carry the raw
             // frame with its annotations to the commit phase for the edge

@@ -48,9 +48,9 @@ pub struct NodeDriver<T: Transport> {
     node: CameraNode,
     transport: T,
     obs: Option<NodeObs>,
-    /// Where this camera's heartbeats go. `Endpoint::TopologyServer` in
-    /// single-region deployments; the home (or, under failover, adoptive)
-    /// region server endpoint in federated ones.
+    /// Where this camera's heartbeats go: its home region's server
+    /// ([`region_endpoint`]), or an adoptive region's while a failover is
+    /// in effect.
     parent: Endpoint,
 }
 
@@ -279,8 +279,8 @@ pub struct ServerDriver<T: Transport> {
     transport: T,
     obs: Option<ServerObs>,
     /// This server's own network address — the `from` of every update it
-    /// sends. `Endpoint::TopologyServer` unless rebound to a federated
-    /// region server endpoint.
+    /// sends. `Endpoint::TopologyServer` unless rebound to another
+    /// region's server endpoint.
     endpoint: Endpoint,
 }
 
@@ -300,8 +300,8 @@ impl<T: Transport> ServerDriver<T> {
         self.endpoint
     }
 
-    /// Rebinds the address updates are sent from (federated region
-    /// servers).
+    /// Rebinds the address updates are sent from (the servers of regions
+    /// other than region 0).
     pub fn set_endpoint(&mut self, endpoint: Endpoint) {
         self.endpoint = endpoint;
     }
@@ -448,15 +448,36 @@ fn endpoint_seed(endpoint: Endpoint) -> u64 {
     }
 }
 
-/// The heartbeat/topology endpoint of federated region `region`. Region 0
-/// keeps the single-region [`Endpoint::TopologyServer`] address, so a
-/// 1-region federation is byte-identical to no federation at all.
+/// The heartbeat/topology endpoint of region `region`. Region 0 answers at
+/// [`Endpoint::TopologyServer`] — the classic single-server address, which
+/// also seeds its reliability jitter.
 pub fn region_endpoint(region: u16) -> Endpoint {
     if region == 0 {
         Endpoint::TopologyServer
     } else {
         Endpoint::RegionServer(region)
     }
+}
+
+/// The region whose topology server answers at `endpoint` (the inverse of
+/// [`region_endpoint`]); `None` for any other endpoint.
+fn server_region(endpoint: Endpoint) -> Option<u16> {
+    match endpoint {
+        Endpoint::TopologyServer => Some(0),
+        Endpoint::RegionServer(r) if r > 0 => Some(r),
+        _ => None,
+    }
+}
+
+/// The parentage permit of the server at `endpoint`: it admits the live
+/// cameras whose heartbeats go there, so only a camera's current parent
+/// region sends it topology updates.
+fn parented_by<'a>(
+    alive: &'a BTreeSet<CameraId>,
+    drivers: &'a BTreeMap<CameraId, NodeDriver<SimLink>>,
+    endpoint: Endpoint,
+) -> impl Fn(CameraId) -> bool + 'a {
+    move |c| alive.contains(&c) && drivers.get(&c).is_some_and(|d| d.parent() == endpoint)
 }
 
 /// Builds the [`SimLink`] stack for `endpoint` per the deployment config:
@@ -520,60 +541,44 @@ struct RegionRecoveryTracker {
     outstanding: BTreeSet<CameraId>,
 }
 
-/// Runtime state of a federated deployment (`FederationConfig::regions`
-/// above 1). Every region runs its own topology server and edge store; all
-/// live region servers process every heartbeat (the direct receiver
-/// first, then an in-process replica relay in ascending region order), so
-/// their MDCS tables and update version counters evolve in lockstep and a
-/// camera can re-parent onto any surviving region without version skew.
-struct FederationPlane {
-    /// Region servers for regions `1..R` at index `region - 1`; region 0
-    /// is `SimWorld::server` (the single-region `TopologyServer`
-    /// endpoint).
-    servers: Vec<ServerDriver<SimLink>>,
-    /// Per-region trajectory stores behind one shared vertex/edge-seq
-    /// allocator. `stores.node(0)` is the same store as
-    /// `SimWorld::storage`.
-    stores: FederatedStores,
-    /// Receive links of `Endpoint::EdgeStore(r)` — the replication ingest
-    /// points. Pulled through the reliability stack so replication sends
-    /// are acked, retried, and eventually abandoned against a dead
-    /// region.
-    store_links: Vec<SimLink>,
-    /// Camera → home region: the static contiguous-stripe partition.
-    home: BTreeMap<CameraId, u16>,
-    /// Camera → current parent region (diverges from `home` only while a
-    /// failover is in effect).
-    parent: BTreeMap<CameraId, u16>,
-    /// Per-region liveness (a dead region's endpoints consume raw and
-    /// never ack).
-    alive: Vec<bool>,
-    /// Open partitions: region → kill time.
-    outages: BTreeMap<u16, SimTime>,
-    /// Fail-backs awaiting their first direct post-heal heartbeats.
-    recoveries: Vec<RegionRecoveryTracker>,
-    /// Replicate boundary-crossing edges to the upstream region's store.
-    replication: bool,
-    /// Re-parent cameras whose region server stops acking heartbeats.
-    failover: bool,
-}
-
-impl FederationPlane {
-    fn regions(&self) -> usize {
-        self.alive.len()
-    }
-}
-
 /// The discrete-event world: every deployed actor, the simulated network,
 /// ground-truth traffic and the accumulated telemetry.
 ///
 /// Built by `Deployment::build` and driven by [`SimRuntime`]; the facade
 /// `CoralPieSystem` exposes it between runs.
+///
+/// A deployment is a federation of one or more regions. Every region runs
+/// its own topology server and edge store; all live region servers process
+/// every heartbeat (the direct receiver first, then an in-process replica
+/// relay in ascending region order), so their MDCS tables and update
+/// version counters evolve in lockstep and a camera can re-parent onto any
+/// surviving region without version skew.
 pub struct SimWorld {
     config: SystemConfig,
     net: SimNet,
-    server: ServerDriver<SimLink>,
-    storage: EdgeStorageNode,
+    /// Topology servers, indexed by region. Region 0 answers at
+    /// [`Endpoint::TopologyServer`], region `r > 0` at
+    /// [`Endpoint::RegionServer`]`(r)` (see [`region_endpoint`]).
+    servers: Vec<ServerDriver<SimLink>>,
+    /// Trajectory stores, indexed by region.
+    stores: FederatedStores,
+    /// Receive links of `Endpoint::EdgeStore(r)` — the replication ingest
+    /// points, pulled through the reliability stack so replication sends
+    /// are acked, retried, and eventually abandoned against a dead region.
+    /// Empty with one region: every handoff is then region-local, so there
+    /// is nothing to replicate.
+    store_links: Vec<SimLink>,
+    /// Camera → home region: the static contiguous-stripe partition. The
+    /// current parent region is the driver's heartbeat endpoint (it
+    /// diverges from home only while a failover is in effect).
+    home: BTreeMap<CameraId, u16>,
+    /// Per-region liveness (a dead region's endpoints consume raw and
+    /// never ack).
+    region_alive: Vec<bool>,
+    /// Open partitions: region → kill time.
+    region_outages: BTreeMap<u16, SimTime>,
+    /// Fail-backs awaiting their first direct post-heal heartbeats.
+    region_recoveries: Vec<RegionRecoveryTracker>,
     traffic: TrafficModel,
     arrivals: Option<PoissonArrivals>,
     drivers: BTreeMap<CameraId, NodeDriver<SimLink>>,
@@ -582,7 +587,6 @@ pub struct SimWorld {
     last_traffic_step: SimTime,
     telemetry: Telemetry,
     obs: CoreObs,
-    sinks: Vec<Box<dyn TelemetrySink + Send>>,
     in_fov: HashMap<CameraId, HashSet<GroundTruthId>>,
     ground_truth: GroundTruthLog,
     recovery_trackers: Vec<RecoveryTracker>,
@@ -602,10 +606,6 @@ pub struct SimWorld {
     /// the default checked ingest the stream is dup-free and every step is
     /// a structural no-op, so runs stay byte-identical.
     last_compact_s: u64,
-    /// Federated multi-region state; `None` for single-region deployments
-    /// (every federation hook is then a no-op, keeping the default path
-    /// byte-identical).
-    federation: Option<FederationPlane>,
 }
 
 impl std::fmt::Debug for SimWorld {
@@ -614,7 +614,7 @@ impl std::fmt::Debug for SimWorld {
             .field("cameras", &self.drivers.len())
             .field("alive", &self.alive)
             .field("net", &self.net)
-            .field("sinks", &self.sinks.len())
+            .field("regions", &self.servers.len())
             .finish()
     }
 }
@@ -622,38 +622,71 @@ impl std::fmt::Debug for SimWorld {
 const SIM_SEND: &str = "sim transport sends cannot fail";
 
 impl SimWorld {
+    /// Builds the world over one topology server and one store per
+    /// region (`servers[r]` and `stores.node(r)` serve region `r`). Every
+    /// camera starts parented at its home region.
     pub(crate) fn new(
         config: SystemConfig,
         net: SimNet,
-        server: TopologyServer,
-        storage: EdgeStorageNode,
+        servers: Vec<TopologyServer>,
+        stores: FederatedStores,
+        home: BTreeMap<CameraId, u16>,
         traffic: TrafficModel,
         mut drivers: BTreeMap<CameraId, NodeDriver<SimLink>>,
     ) -> Self {
+        let regions = stores.regions();
+        assert_eq!(servers.len(), regions, "one topology server per region");
         let roster: BTreeSet<CameraId> = drivers.keys().copied().collect();
         let obs = CoreObs::new();
         obs.set_handoff_deadline_ms(HANDOFF_DEADLINE_MS);
-        if config.health_checks {
-            obs.install_health_rules(default_health_rules(
-                config.heartbeat_interval.as_millis(),
-                u64::from(config.miss_threshold),
-                HANDOFF_DEADLINE_MS,
-                config.sparse_stepping,
-            ));
+        let heartbeat_ms = config.heartbeat_interval.as_millis();
+        let miss_threshold = u64::from(config.miss_threshold);
+        let mut rules = default_health_rules(
+            heartbeat_ms,
+            miss_threshold,
+            HANDOFF_DEADLINE_MS,
+            config.sparse_stepping,
+        );
+        // Region contact only means something when a region has peers; one
+        // region keeps the classic rule set and metric surface.
+        if regions > 1 {
+            rules.extend(region_health_rules(heartbeat_ms, miss_threshold));
+            obs.registry().describe(
+                "region_last_contact_ms",
+                "Per-region sim-clock timestamp of the last directly received heartbeat",
+            );
         }
-        storage.instrument(obs.registry());
+        if config.health_checks {
+            obs.install_health_rules(rules);
+        }
+        for store in stores.nodes() {
+            store.instrument(obs.registry());
+        }
         for (&id, driver) in drivers.iter_mut() {
             driver.set_obs(NodeObs::new(&obs, id));
         }
-        let mut server = ServerDriver::new(
-            server,
-            sim_link(
-                &config,
-                net.handle(Endpoint::TopologyServer),
-                Endpoint::TopologyServer,
-            ),
-        );
-        server.set_obs(ServerObs::new(&obs));
+        let mut servers: Vec<ServerDriver<SimLink>> = servers
+            .into_iter()
+            .enumerate()
+            .map(|(r, server)| {
+                let endpoint = region_endpoint(r as u16);
+                let mut driver =
+                    ServerDriver::new(server, sim_link(&config, net.handle(endpoint), endpoint));
+                driver.set_endpoint(endpoint);
+                driver.set_obs(ServerObs::new(&obs));
+                driver
+            })
+            .collect();
+        let mut store_links: Vec<SimLink> = if regions > 1 {
+            (0..regions)
+                .map(|r| {
+                    let endpoint = Endpoint::EdgeStore(r as u32);
+                    sim_link(&config, net.handle(endpoint), endpoint)
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
         // Chaos and retry counters, published only when the corresponding
         // layer is live (passthrough layers would just pin zeros into
         // every metrics snapshot).
@@ -662,7 +695,8 @@ impl SimWorld {
             let links = drivers
                 .values_mut()
                 .map(NodeDriver::transport_mut)
-                .chain(std::iter::once(server.transport_mut()));
+                .chain(servers.iter_mut().map(ServerDriver::transport_mut))
+                .chain(store_links.iter_mut());
             for link in links {
                 if config.reliability.is_some() {
                     link.instrument(registry);
@@ -692,9 +726,14 @@ impl SimWorld {
             occupancy.add_camera(view.position, view.range_m);
         }
         Self {
-            server,
+            servers,
+            stores,
+            store_links,
+            home,
+            region_alive: vec![true; regions],
+            region_outages: BTreeMap::new(),
+            region_recoveries: Vec::new(),
             net,
-            storage,
             traffic,
             arrivals: None,
             alive: roster.clone(),
@@ -703,7 +742,6 @@ impl SimWorld {
             last_traffic_step: SimTime::ZERO,
             telemetry: Telemetry::default(),
             obs,
-            sinks: Vec::new(),
             in_fov: HashMap::new(),
             ground_truth: GroundTruthLog::new(),
             recovery_trackers: Vec::new(),
@@ -712,106 +750,8 @@ impl SimWorld {
             vehicle_states: Vec::new(),
             last_health_eval_s: 0,
             last_compact_s: 0,
-            federation: None,
             config,
         }
-    }
-
-    /// Builds a federated world: region 0 rides the single-region wiring
-    /// (its server keeps the `TopologyServer` endpoint, its store is
-    /// `SimWorld::storage`); regions `1..R` get their own server drivers,
-    /// and every region an `EdgeStore(r)` receive link for replication.
-    /// Every camera starts parented at its home region.
-    pub(crate) fn new_federated(
-        config: SystemConfig,
-        net: SimNet,
-        mut servers: Vec<TopologyServer>,
-        stores: FederatedStores,
-        home: BTreeMap<CameraId, u16>,
-        traffic: TrafficModel,
-        drivers: BTreeMap<CameraId, NodeDriver<SimLink>>,
-    ) -> Self {
-        let regions = stores.regions();
-        assert!(regions >= 2, "federated world needs at least two regions");
-        assert_eq!(servers.len(), regions, "one topology server per region");
-        let server0 = servers.remove(0);
-        let mut world = Self::new(
-            config,
-            net,
-            server0,
-            stores.node(0).clone(),
-            traffic,
-            drivers,
-        );
-        if world.config.health_checks {
-            let mut rules = default_health_rules(
-                world.config.heartbeat_interval.as_millis(),
-                u64::from(world.config.miss_threshold),
-                HANDOFF_DEADLINE_MS,
-                world.config.sparse_stepping,
-            );
-            rules.extend(region_health_rules(
-                world.config.heartbeat_interval.as_millis(),
-                u64::from(world.config.miss_threshold),
-            ));
-            world.obs.install_health_rules(rules);
-        }
-        world.obs.registry().describe(
-            "region_last_contact_ms",
-            "Per-region sim-clock timestamp of the last directly received heartbeat",
-        );
-        let mut extra = Vec::new();
-        for (i, server) in servers.into_iter().enumerate() {
-            let endpoint = Endpoint::RegionServer((i + 1) as u16);
-            let mut driver = ServerDriver::new(
-                server,
-                sim_link(&world.config, world.net.handle(endpoint), endpoint),
-            );
-            driver.set_endpoint(endpoint);
-            driver.set_obs(ServerObs::new(&world.obs));
-            extra.push(driver);
-        }
-        let mut store_links: Vec<SimLink> = (0..regions)
-            .map(|r| {
-                let endpoint = Endpoint::EdgeStore(r as u32);
-                sim_link(&world.config, world.net.handle(endpoint), endpoint)
-            })
-            .collect();
-        // Same per-link instrumentation the single-region constructor
-        // applies: chaos and retry counters only when the layer is live.
-        {
-            let registry = world.obs.registry();
-            let links = extra
-                .iter_mut()
-                .map(ServerDriver::transport_mut)
-                .chain(store_links.iter_mut());
-            for link in links {
-                if world.config.reliability.is_some() {
-                    link.instrument(registry);
-                    link.set_journal(world.obs.journal().clone());
-                }
-                if world.config.faults.is_some() {
-                    link.inner_mut().instrument(registry);
-                    link.inner_mut().set_journal(world.obs.journal().clone());
-                }
-            }
-        }
-        for r in 1..regions {
-            stores.node(r).instrument(world.obs.registry());
-        }
-        world.federation = Some(FederationPlane {
-            servers: extra,
-            store_links,
-            parent: home.clone(),
-            home,
-            alive: vec![true; regions],
-            outages: BTreeMap::new(),
-            recoveries: Vec::new(),
-            replication: world.config.federation.replication,
-            failover: world.config.federation.failover,
-            stores,
-        });
-        world
     }
 
     /// The system configuration.
@@ -834,86 +774,49 @@ impl SimWorld {
         self.arrivals = Some(arrivals);
     }
 
-    /// Installs an additional telemetry sink.
-    pub fn add_sink(&mut self, sink: impl TelemetrySink + Send + 'static) {
-        self.sinks.push(Box::new(sink));
-    }
-
-    /// The shared storage node (region 0's store in a federated world).
+    /// Region 0's trajectory store (the only one in a single-region
+    /// deployment).
     pub fn storage(&self) -> &EdgeStorageNode {
-        &self.storage
+        self.stores.node(0)
     }
 
-    /// Number of federated regions (`1` for single-region deployments).
+    /// Number of regions.
     pub fn regions(&self) -> usize {
-        self.federation.as_ref().map_or(1, FederationPlane::regions)
-    }
-
-    /// Region `region`'s trajectory store, if deployed.
-    pub fn region_store(&self, region: u16) -> Option<&EdgeStorageNode> {
-        match &self.federation {
-            Some(plane) => (usize::from(region) < plane.regions())
-                .then(|| plane.stores.node(usize::from(region))),
-            None => (region == 0).then_some(&self.storage),
-        }
-    }
-
-    /// The home region of `cam` (always 0 when single-region).
-    pub fn home_region_of(&self, cam: CameraId) -> u16 {
-        self.federation
-            .as_ref()
-            .and_then(|p| p.home.get(&cam).copied())
-            .unwrap_or(0)
+        self.servers.len()
     }
 
     /// The region currently parenting `cam`'s heartbeats (diverges from
     /// the home region only while a failover is in effect).
     pub fn parent_region_of(&self, cam: CameraId) -> u16 {
-        self.federation
-            .as_ref()
-            .and_then(|p| p.parent.get(&cam).copied())
+        self.drivers
+            .get(&cam)
+            .and_then(|d| server_region(d.parent()))
             .unwrap_or(0)
     }
 
     /// Whether region `region` is currently alive.
     pub fn region_alive(&self, region: u16) -> bool {
-        self.federation.as_ref().map_or(region == 0, |p| {
-            p.alive.get(usize::from(region)).copied().unwrap_or(false)
-        })
+        self.region_alive
+            .get(usize::from(region))
+            .copied()
+            .unwrap_or(false)
     }
 
-    /// Runs `f` over the deployment-wide trajectory graph: the store's
-    /// flat graph when single-region, the owner-preferring union of every
-    /// region store when federated. Replicated copies deduplicate under
-    /// the union (keep-first ingest), so the federated view converges to
-    /// what a single-region run would hold.
+    /// Runs `f` over the deployment-wide trajectory graph: the
+    /// owner-preferring union of every region store (with one region, the
+    /// store's cached flat graph). Replicated copies deduplicate under the
+    /// union (keep-first ingest), so a multi-region view converges to what
+    /// a single-region run would hold.
     pub fn with_trajectory_graph<R>(&self, f: impl FnOnce(&TrajectoryGraph) -> R) -> R {
-        match &self.federation {
-            Some(plane) => {
-                let home = &plane.home;
-                let union = plane
-                    .stores
-                    .union(|c| usize::from(home.get(&c).copied().unwrap_or(0)));
-                f(&union)
-            }
-            None => self.storage.with_graph(f),
-        }
+        let home = &self.home;
+        self.stores
+            .with_union(|c| usize::from(home.get(&c).copied().unwrap_or(0)), f)
     }
 
-    /// The topology server (region 0's server in a federated world).
+    /// Region 0's topology server (every live region server holds the same
+    /// replicated state).
     pub fn server(&self) -> &TopologyServer {
-        self.server.server()
-    }
-
-    /// Region `region`'s topology server, if deployed.
-    pub fn region_server(&self, region: u16) -> Option<&TopologyServer> {
-        if region == 0 {
-            return Some(self.server.server());
-        }
-        self.federation
-            .as_ref()
-            .and_then(|p| p.servers.get(usize::from(region) - 1))
-            .map(ServerDriver::server)
+        self.servers[0].server()
     }
 
     /// A camera node, if deployed.
@@ -965,9 +868,6 @@ impl SimWorld {
     fn emit(&mut self, record: impl Fn(&mut dyn TelemetrySink)) {
         record(&mut self.telemetry);
         record(&mut self.obs);
-        for sink in &mut self.sinks {
-            record(sink.as_mut());
-        }
     }
 
     fn on_tick(&mut self, now: SimTime) {
@@ -1171,45 +1071,35 @@ impl SimWorld {
             for r in &out.reids {
                 self.obs.observe_reid(id, r, now);
             }
-            // Federation: a re-identification whose upstream camera lives
-            // in another region committed a boundary-crossing edge in this
-            // region's store. Replicate it to the upstream home region's
-            // store over the same reliability stack as everything else.
-            if let Some(plane) = &self.federation {
-                if plane.replication {
-                    let local = plane.home.get(&id).copied().unwrap_or(0);
-                    let sends: Vec<Envelope> = out
-                        .handoffs
-                        .iter()
-                        .filter_map(|h| {
-                            let up = plane.home.get(&h.from_camera).copied().unwrap_or(0);
-                            (up != local).then(|| Envelope {
-                                from: Endpoint::Camera(id),
-                                to: Endpoint::EdgeStore(u32::from(up)),
-                                message: Message::Replicate {
-                                    from: h.from_vertex,
-                                    event: h.event.clone(),
-                                    first_ms: h.first_ms,
-                                    distance: h.distance,
-                                },
-                            })
-                        })
-                        .collect();
-                    if !sends.is_empty() {
-                        let driver = self.drivers.get_mut(&id).expect("alive node exists");
-                        for env in sends {
-                            driver.transport_mut().send(now, env).expect(SIM_SEND);
-                        }
+            let driver = self.drivers.get_mut(&id).expect("alive node exists");
+            // A re-identification whose upstream camera lives in another
+            // region committed a boundary-crossing edge in this region's
+            // store. Replicate it to the upstream home region's store over
+            // the same reliability stack as everything else.
+            if !out.handoffs.is_empty() {
+                let home = &self.home;
+                let local = home.get(&id).copied().unwrap_or(0);
+                for h in &out.handoffs {
+                    let up = home.get(&h.from_camera).copied().unwrap_or(0);
+                    if up == local {
+                        continue;
                     }
+                    let envelope = Envelope {
+                        from: Endpoint::Camera(id),
+                        to: Endpoint::EdgeStore(u32::from(up)),
+                        message: Message::Replicate {
+                            from: h.from_vertex,
+                            event: h.event.clone(),
+                            first_ms: h.first_ms,
+                            distance: h.distance,
+                        },
+                    };
+                    driver.transport_mut().send(now, envelope).expect(SIM_SEND);
                 }
             }
             // Drive the reliability stack's timers (retransmissions of
             // unacked frames). A no-op on passthrough links.
-            self.drivers
-                .get_mut(&id)
-                .expect("alive node exists")
-                .transport_mut()
-                .tick(now);
+            driver.transport_mut().tick(now);
         }
         self.obs.note_tick(
             tick_start.elapsed(),
@@ -1238,14 +1128,8 @@ impl SimWorld {
             let second = now.as_millis() / 1_000;
             if second > self.last_compact_s {
                 self.last_compact_s = second;
-                self.storage.compact_step();
-                // Every region's store compacts on the same cadence.
-                // (`self.storage` aliases region 0's store in federated
-                // deployments, so start at 1.)
-                if let Some(plane) = &self.federation {
-                    for r in 1..plane.regions() {
-                        plane.stores.node(r).compact_step();
-                    }
+                for store in self.stores.nodes() {
+                    store.compact_step();
                 }
             }
         }
@@ -1265,37 +1149,31 @@ impl SimWorld {
     /// unreachable — re-parent onto the next live region (ascending, with
     /// wrap-around) and start writing events to its store. Requires a live
     /// reliability layer (`SystemConfig::reliability`); passthrough links
-    /// never queue, so they never trigger a failover.
+    /// never queue, so they never trigger a failover. A single region has
+    /// no other region to adopt the camera, so it never fails over.
     fn maybe_fail_over(&mut self, cam: CameraId, now: SimTime) {
         let threshold = u64::from(self.config.miss_threshold) + 1;
-        let Some(plane) = &mut self.federation else {
-            return;
-        };
-        if !plane.failover {
-            return;
-        }
-        let Some(&current) = plane.parent.get(&cam) else {
-            return;
-        };
         let Some(driver) = self.drivers.get_mut(&cam) else {
             return;
         };
-        let pending = driver.transport().pending_len_for(region_endpoint(current)) as u64;
-        if pending < threshold {
+        let Some(current) = server_region(driver.parent()) else {
             return;
-        }
-        let regions = plane.regions() as u16;
+        };
+        let regions = self.region_alive.len() as u16;
         let Some(next) = (1..regions)
             .map(|step| (current + step) % regions)
-            .find(|&r| plane.alive[usize::from(r)])
+            .find(|&r| self.region_alive[usize::from(r)])
         else {
             return; // no surviving region to adopt this camera
         };
+        let pending = driver.transport().pending_len_for(driver.parent()) as u64;
+        if pending < threshold {
+            return;
+        }
         driver.set_parent(region_endpoint(next));
         driver
             .node_mut()
-            .set_storage(plane.stores.node(usize::from(next)).clone());
-        plane.parent.insert(cam, next);
+            .set_storage(self.stores.node(usize::from(next)).clone());
         self.obs.journal().record(
             JournalKind::HealthChange,
             Severity::Warn,
@@ -1310,51 +1188,24 @@ impl SimWorld {
         );
     }
 
+    /// The liveness sweep: every live region server scans at the same
+    /// instant, in ascending region order, each sending updates only to the
+    /// cameras it currently parents. Because all live servers process the
+    /// same heartbeat stream (see [`SimWorld::region_receive`]) their
+    /// eviction decisions and version counters agree; the sweep order only
+    /// sequences the outgoing update envelopes.
     fn on_liveness_check(&mut self, now: SimTime) {
-        if self.federation.is_some() {
-            self.on_liveness_check_federated(now);
-            return;
-        }
-        // Drive the server link's retransmission timers on the liveness
-        // cadence. A no-op on passthrough links.
-        self.server.transport_mut().tick(now);
-        let alive = &self.alive;
-        let outcome = self
-            .server
-            .check_liveness(now, |c| alive.contains(&c))
-            .expect(SIM_SEND);
-        self.resolve_removed(outcome.removed, &outcome.recipients, now);
-    }
-
-    /// The federated liveness sweep: every live region server scans at the
-    /// same instant, in ascending region order, each sending updates only
-    /// to the cameras it currently parents. Because all live servers
-    /// process the same heartbeat stream (see [`SimWorld::region_receive`])
-    /// their eviction decisions and version counters agree; the sweep
-    /// order only sequences the outgoing update envelopes.
-    fn on_liveness_check_federated(&mut self, now: SimTime) {
-        let regions = self.regions();
         let mut removed: BTreeSet<CameraId> = BTreeSet::new();
         let mut recipients: BTreeSet<CameraId> = BTreeSet::new();
-        for r in 0..regions as u16 {
-            let plane = self.federation.as_mut().expect("federated world");
-            if !plane.alive[usize::from(r)] {
+        for (r, server) in self.servers.iter_mut().enumerate() {
+            if !self.region_alive[r] {
                 continue;
             }
-            let FederationPlane {
-                servers, parent, ..
-            } = plane;
-            let alive = &self.alive;
-            let permit = |c: CameraId| alive.contains(&c) && parent.get(&c).copied() == Some(r);
-            let outcome = if r == 0 {
-                self.server.transport_mut().tick(now);
-                self.server.check_liveness(now, permit)
-            } else {
-                let driver = &mut servers[usize::from(r) - 1];
-                driver.transport_mut().tick(now);
-                driver.check_liveness(now, permit)
-            }
-            .expect(SIM_SEND);
+            // Drive the server link's retransmission timers on the
+            // liveness cadence. A no-op on passthrough links.
+            server.transport_mut().tick(now);
+            let permit = parented_by(&self.alive, &self.drivers, server.endpoint());
+            let outcome = server.check_liveness(now, permit).expect(SIM_SEND);
             removed.extend(outcome.removed);
             recipients.extend(outcome.recipients);
         }
@@ -1393,44 +1244,23 @@ impl SimWorld {
 
     fn deliver_one(&mut self, endpoint: Endpoint, now: SimTime) {
         match endpoint {
-            Endpoint::TopologyServer => {
-                if self.federation.is_some() && !self.region_alive(0) {
+            Endpoint::TopologyServer | Endpoint::RegionServer(_) => {
+                let region = server_region(endpoint).filter(|&r| self.region_alive(r));
+                let Some(region) = region else {
                     // A partitioned region's server can never ack: consume
                     // the frame raw, off the reliability stack, so senders
                     // see silence (and eventually fail over).
                     let _ = self.net.handle(endpoint).poll(now);
                     return;
-                }
+                };
                 // Polled through the reliability stack: acks are consumed
                 // (and generated) inside it, so a due slot may legally
                 // yield nothing.
-                let Some(envelope) = self.server.transport_mut().poll(now) else {
+                let server = &mut self.servers[usize::from(region)];
+                let Some(envelope) = server.transport_mut().poll(now) else {
                     return;
                 };
-                if self.federation.is_some() {
-                    self.region_receive(0, envelope, now);
-                } else {
-                    let alive = &self.alive;
-                    self.server
-                        .on_envelope(envelope, now, |c| alive.contains(&c))
-                        .expect(SIM_SEND);
-                }
-            }
-            Endpoint::RegionServer(r) => {
-                let live = self
-                    .federation
-                    .as_ref()
-                    .is_some_and(|p| usize::from(r) >= 1 && usize::from(r) < p.regions());
-                if !live || !self.region_alive(r) {
-                    let _ = self.net.handle(endpoint).poll(now);
-                    return;
-                }
-                let plane = self.federation.as_mut().expect("federated world");
-                let Some(envelope) = plane.servers[usize::from(r) - 1].transport_mut().poll(now)
-                else {
-                    return;
-                };
-                self.region_receive(r, envelope, now);
+                self.region_receive(region, envelope, now);
             }
             Endpoint::Camera(cam) => {
                 if !self.alive.contains(&cam) {
@@ -1453,20 +1283,17 @@ impl SimWorld {
                 driver.deliver(message, now).expect(SIM_SEND);
             }
             Endpoint::EdgeStore(i) => {
-                let Some(plane) = &mut self.federation else {
-                    // Consumed and ignored, exactly as in the original loop.
+                let r = i as usize;
+                let link = self.store_links.get_mut(r).filter(|_| self.region_alive[r]);
+                let Some(link) = link else {
+                    // No replica ingest point, or a partitioned region's
+                    // store, which can't ack either: the sender's
+                    // reliability layer retries and eventually abandons
+                    // (the primary commit still holds the edge).
                     let _ = self.net.handle(endpoint).poll(now);
                     return;
                 };
-                let r = i as usize;
-                if r >= plane.regions() || !plane.alive[r] {
-                    // A partitioned region's store can't ack either; the
-                    // sender's reliability layer retries and eventually
-                    // abandons (the primary commit still holds the edge).
-                    let _ = self.net.handle(endpoint).poll(now);
-                    return;
-                }
-                let Some(envelope) = plane.store_links[r].poll(now) else {
+                let Some(envelope) = link.poll(now) else {
                     return;
                 };
                 if let Message::Replicate {
@@ -1477,7 +1304,7 @@ impl SimWorld {
                 } = envelope.message
                 {
                     if let Some(v) = event.vertex {
-                        let store = plane.stores.node(r);
+                        let store = self.stores.node(r);
                         // Keep-first on both writes: redelivery (and
                         // delivery after the primary already converged the
                         // union) is a structural no-op.
@@ -1497,37 +1324,39 @@ impl SimWorld {
         }
     }
 
-    /// Federated ingress: a frame arrived at region `region`'s server. The
-    /// direct receiver acks and refreshes the region-contact gauge; then
-    /// every live server — the receiver included — processes the payload,
-    /// in ascending region order, so all replicas advance through the same
+    /// Server ingress: a frame arrived at region `region`'s server. The
+    /// direct receiver acks (inside its reliability stack) and, when there
+    /// are several regions, refreshes the region-contact gauge; then every
+    /// live server — the receiver included — processes the payload, in
+    /// ascending region order, so all replicas advance through the same
     /// topology-state machine and stay byte-identical. Update fan-out is
     /// suppressed on replicas by the parentage permit.
     fn region_receive(&mut self, region: u16, envelope: Envelope, now: SimTime) {
-        self.obs.note_region_contact(region, now);
+        if self.servers.len() > 1 {
+            self.obs.note_region_contact(region, now);
+        }
         if let Message::Heartbeat { camera, .. } = envelope.message {
             self.note_region_heartbeat(region, camera, now);
         }
-        let regions = self.regions();
-        for r in 0..regions as u16 {
-            let plane = self.federation.as_mut().expect("federated world");
-            if !plane.alive[usize::from(r)] {
-                continue;
-            }
-            let FederationPlane {
-                servers, parent, ..
-            } = plane;
-            let alive = &self.alive;
-            let permit = |c: CameraId| alive.contains(&c) && parent.get(&c).copied() == Some(r);
-            let env = envelope.clone();
-            if r == 0 {
-                self.server.on_envelope(env, now, permit).expect(SIM_SEND);
-            } else {
-                servers[usize::from(r) - 1]
-                    .on_envelope(env, now, permit)
+        let last = self
+            .region_alive
+            .iter()
+            .rposition(|&a| a)
+            .expect("the receiving region is live");
+        let (replicas, rest) = self.servers.split_at_mut(last);
+        for (r, server) in replicas.iter_mut().enumerate() {
+            if self.region_alive[r] {
+                let permit = parented_by(&self.alive, &self.drivers, server.endpoint());
+                server
+                    .on_envelope(envelope.clone(), now, permit)
                     .expect(SIM_SEND);
             }
         }
+        // The last live replica takes the envelope itself, so a single
+        // region never copies it.
+        let server = &mut rest[0];
+        let permit = parented_by(&self.alive, &self.drivers, server.endpoint());
+        server.on_envelope(envelope, now, permit).expect(SIM_SEND);
     }
 
     /// A heartbeat landed at a freshly restored region: retire it from any
@@ -1535,26 +1364,22 @@ impl SimWorld {
     /// last straggler has reported in.
     fn note_region_heartbeat(&mut self, region: u16, camera: CameraId, now: SimTime) {
         let mut done: Vec<RegionRecovery> = Vec::new();
-        if let Some(plane) = &mut self.federation {
-            let mut i = 0;
-            while i < plane.recoveries.len() {
-                let t = &mut plane.recoveries[i];
-                if t.region == region {
-                    t.outstanding.remove(&camera);
-                    if t.outstanding.is_empty() {
-                        let t = plane.recoveries.remove(i);
-                        done.push(RegionRecovery {
-                            region: t.region,
-                            killed_at: t.killed_at,
-                            restored_at: t.restored_at,
-                            recovered_at: now,
-                        });
-                        continue;
-                    }
-                }
-                i += 1;
+        self.region_recoveries.retain_mut(|t| {
+            if t.region != region {
+                return true;
             }
-        }
+            t.outstanding.remove(&camera);
+            if !t.outstanding.is_empty() {
+                return true;
+            }
+            done.push(RegionRecovery {
+                region: t.region,
+                killed_at: t.killed_at,
+                restored_at: t.restored_at,
+                recovered_at: now,
+            });
+            false
+        });
         for rec in done {
             self.emit(|s| s.on_region_recovery(&rec));
         }
@@ -1562,17 +1387,13 @@ impl SimWorld {
 
     /// Partitions a whole region: its topology server and edge store stop
     /// acking (crash-stop), while its cameras keep running — they pile up
-    /// unacked heartbeats and fail over onto a surviving region.
+    /// unacked heartbeats and fail over onto a surviving region, if any.
     pub(crate) fn on_region_kill(&mut self, region: u16, now: SimTime) {
-        let Some(plane) = &mut self.federation else {
-            return;
-        };
-        let r = usize::from(region);
-        if r >= plane.regions() || !plane.alive[r] {
+        if !self.region_alive(region) {
             return;
         }
-        plane.alive[r] = false;
-        plane.outages.insert(region, now);
+        self.region_alive[usize::from(region)] = false;
+        self.region_outages.insert(region, now);
         self.obs.journal().record(
             JournalKind::PartitionOpen,
             Severity::Error,
@@ -1589,71 +1410,30 @@ impl SimWorld {
     /// failover moved them away. Returns whether the region was newly
     /// revived.
     pub(crate) fn on_region_restore(&mut self, region: u16, now: SimTime) -> bool {
-        let Some(plane) = &mut self.federation else {
-            return false;
-        };
         let r = usize::from(region);
-        if r >= plane.regions() || plane.alive[r] {
+        if r >= self.regions() || self.region_alive[r] {
             return false;
         }
-        plane.alive[r] = true;
-        let killed_at = plane.outages.remove(&region).unwrap_or(now);
+        self.region_alive[r] = true;
+        let killed_at = self.region_outages.remove(&region).unwrap_or(now);
         // State transfer: clone the topology replica of the lowest live
         // region other than the one coming back. (All live replicas are
         // identical, so "lowest" is a convention, not a choice.)
-        let donor = (0..plane.regions())
-            .find(|&d| d != r && plane.alive[d])
-            .map(|d| {
-                if d == 0 {
-                    self.server.server().clone()
-                } else {
-                    plane.servers[d - 1].server().clone()
-                }
-            });
-        if let Some(state) = donor {
-            let plane = self.federation.as_mut().expect("federated world");
-            if r == 0 {
-                *self.server.server_mut() = state;
-            } else {
-                *plane.servers[r - 1].server_mut() = state;
-            }
+        let donor = (0..self.regions()).find(|&d| d != r && self.region_alive[d]);
+        if let Some(d) = donor {
+            let state = self.servers[d].server().clone();
+            *self.servers[r].server_mut() = state;
         }
         // Administrative fail-back of the region's home cameras.
-        let plane = self.federation.as_mut().expect("federated world");
         let mut outstanding: BTreeSet<CameraId> = BTreeSet::new();
-        let homecoming: Vec<CameraId> = plane
-            .home
-            .iter()
-            .filter(|&(_, &h)| h == region)
-            .map(|(&c, _)| c)
-            .collect();
-        for cam in homecoming {
+        for (&cam, _) in self.home.iter().filter(|&(_, &h)| h == region) {
             if let Some(driver) = self.drivers.get_mut(&cam) {
-                let plane = self.federation.as_mut().expect("federated world");
                 driver.set_parent(region_endpoint(region));
-                driver.node_mut().set_storage(plane.stores.node(r).clone());
-                plane.parent.insert(cam, region);
+                driver.node_mut().set_storage(self.stores.node(r).clone());
                 if self.alive.contains(&cam) {
                     outstanding.insert(cam);
                 }
             }
-        }
-        let plane = self.federation.as_mut().expect("federated world");
-        let mut instant: Option<RegionRecovery> = None;
-        if outstanding.is_empty() {
-            instant = Some(RegionRecovery {
-                region,
-                killed_at,
-                restored_at: now,
-                recovered_at: now,
-            });
-        } else {
-            plane.recoveries.push(RegionRecoveryTracker {
-                region,
-                killed_at,
-                restored_at: now,
-                outstanding,
-            });
         }
         self.obs.journal().record(
             JournalKind::PartitionHeal,
@@ -1662,8 +1442,21 @@ impl SimWorld {
             &region_subject(region),
             &format!("region {region} healed: state transferred, home cameras re-parented"),
         );
-        if let Some(rec) = instant {
+        if outstanding.is_empty() {
+            let rec = RegionRecovery {
+                region,
+                killed_at,
+                restored_at: now,
+                recovered_at: now,
+            };
             self.emit(|s| s.on_region_recovery(&rec));
+        } else {
+            self.region_recoveries.push(RegionRecoveryTracker {
+                region,
+                killed_at,
+                restored_at: now,
+                outstanding,
+            });
         }
         true
     }
@@ -1885,8 +1678,8 @@ impl SimRuntime {
     }
 
     /// Schedules a whole-region partition at `at`: the region's topology
-    /// server and edge store stop acking. A no-op outside federated
-    /// deployments or for an already-dead region.
+    /// server and edge store stop acking. A no-op for an unknown or
+    /// already-dead region.
     pub fn schedule_region_kill(&mut self, at: SimTime, region: u16) {
         self.engine
             .schedule_at(at, move |w: &mut SimWorld, ctx: &mut Context<SimWorld>| {

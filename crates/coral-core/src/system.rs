@@ -17,7 +17,7 @@ use crate::deploy::Deployment;
 use crate::metrics::{event_detection_accuracy, reid_accuracy, transitions_from_passages};
 use crate::node::CameraNode;
 use crate::runtime::SimRuntime;
-use crate::telemetry::{self, TelemetrySink};
+use crate::telemetry;
 use coral_geo::{GeoPoint, RoadNetwork};
 use coral_sim::{FailureKind, FailureSchedule, PoissonArrivals, SimTime, TrafficModel};
 use coral_storage::EdgeStorageNode;
@@ -79,12 +79,6 @@ impl CoralPieSystem {
         self.runtime.world_mut().set_arrivals(arrivals);
     }
 
-    /// Installs an additional telemetry sink alongside the built-in
-    /// accumulator.
-    pub fn add_sink(&mut self, sink: impl TelemetrySink + Send + 'static) {
-        self.runtime.world_mut().add_sink(sink);
-    }
-
     /// Schedules the failure workload.
     pub fn set_failures(&mut self, schedule: &FailureSchedule) {
         for event in schedule.events() {
@@ -95,8 +89,8 @@ impl CoralPieSystem {
         }
     }
 
-    /// Schedules a whole-region partition at `at` (federated deployments;
-    /// a no-op otherwise).
+    /// Schedules a whole-region partition at `at`: the region's topology
+    /// server and edge store stop acking until restored.
     pub fn schedule_region_kill(&mut self, at: SimTime, region: u16) {
         self.runtime.schedule_region_kill(at, region);
     }
@@ -106,14 +100,14 @@ impl CoralPieSystem {
         self.runtime.schedule_region_restore(at, region);
     }
 
-    /// Number of federated regions (`1` for single-region deployments).
+    /// Number of regions (`SystemConfig::regions`, at least 1).
     pub fn regions(&self) -> usize {
         self.runtime.world().regions()
     }
 
-    /// Runs `f` over the deployment-wide trajectory graph: the flat store
-    /// when single-region, the owner-preferring union of every region
-    /// store when federated.
+    /// Runs `f` over the deployment-wide trajectory graph: the
+    /// owner-preferring union of every region store (with one region, the
+    /// store's own flat view).
     pub fn with_trajectory_graph<R>(
         &self,
         f: impl FnOnce(&coral_storage::TrajectoryGraph) -> R,
@@ -133,41 +127,13 @@ impl CoralPieSystem {
         self.runtime.events_executed()
     }
 
-    /// The shared storage node.
+    /// Region 0's storage node (the only one with a single region).
     pub fn storage(&self) -> &EdgeStorageNode {
         self.runtime.world().storage()
     }
 
-    /// Snapshots the trajectory store into directory `dir` (per-shard
-    /// files + checksummed manifest).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`coral_storage::SnapshotError::Io`] on filesystem
-    /// failures.
-    pub fn snapshot_storage(
-        &self,
-        dir: &std::path::Path,
-    ) -> Result<(), coral_storage::SnapshotError> {
-        self.storage().snapshot_to(dir)
-    }
-
-    /// Restores the trajectory store from the snapshot at `dir`, in
-    /// place: every camera node's storage handle sees the recovered
-    /// graph — the storage half of the node-restore path.
-    ///
-    /// # Errors
-    ///
-    /// Any [`coral_storage::SnapshotError`]; the store is untouched on
-    /// failure.
-    pub fn restore_storage(
-        &self,
-        dir: &std::path::Path,
-    ) -> Result<(), coral_storage::SnapshotError> {
-        self.storage().restore_from_snapshot(dir)
-    }
-
-    /// The topology server.
+    /// Region 0's topology server (every live region server holds the same
+    /// replicated state).
     pub fn server(&self) -> &TopologyServer {
         self.runtime.world().server()
     }

@@ -1,6 +1,6 @@
 //! Run telemetry: the measurements behind every system experiment in the
-//! paper's §5, and the [`TelemetrySink`] seam through which bench harnesses
-//! plug structured collectors instead of scraping counter fields.
+//! paper's §5, and the [`TelemetrySink`] trait through which the runtime
+//! records them.
 
 use crate::metrics::{Accuracy, Passage, Transition};
 use crate::pool::PoolStats;
@@ -42,7 +42,7 @@ impl Recovery {
     }
 }
 
-/// A completed region-failover measurement (federated deployments): one
+/// A completed region-failover measurement (multi-region deployments): one
 /// whole region's server and store were partitioned away, restored, and
 /// every surviving home camera's heartbeat landed back at the revived
 /// region server.
@@ -73,12 +73,10 @@ impl RegionRecovery {
 
 /// Observer of runtime measurements.
 ///
-/// The runtime drives one mandatory sink — the [`Telemetry`] accumulator
-/// backing `CoralPieSystem::telemetry()` — plus any number of additional
-/// sinks installed with `CoralPieSystem::add_sink`, so experiment harnesses
-/// can stream structured records (histograms, per-camera aggregations,
-/// traces) without scraping counters after the fact. All methods default to
-/// no-ops; implement only the measurements you care about.
+/// The runtime feeds every measurement to two sinks: the [`Telemetry`]
+/// accumulator backing `CoralPieSystem::telemetry()` and the `CoreObs`
+/// registry glue. All methods default to no-ops; implement only the
+/// measurements you care about.
 pub trait TelemetrySink {
     /// A ground-truth vehicle entered a camera's field of view.
     fn on_passage(&mut self, passage: &Passage) {
@@ -111,7 +109,7 @@ pub trait TelemetrySink {
         let _ = recovery;
     }
 
-    /// A region failover cycle completed (federated deployments only).
+    /// A region failover cycle completed (multi-region deployments only).
     fn on_region_recovery(&mut self, recovery: &RegionRecovery) {
         let _ = recovery;
     }
@@ -126,7 +124,7 @@ pub struct Telemetry {
     pub informs: Vec<InformArrival>,
     /// Completed failure recoveries.
     pub recoveries: Vec<Recovery>,
-    /// Completed region-failover cycles (federated deployments only).
+    /// Completed region-failover cycles (multi-region deployments only).
     pub region_recoveries: Vec<RegionRecovery>,
     /// Detection events generated: `(camera, ground truth, at)`.
     pub events: Vec<(CameraId, Option<GroundTruthId>, SimTime)>,
@@ -205,38 +203,6 @@ impl TelemetrySink for Telemetry {
 
     fn on_region_recovery(&mut self, recovery: &RegionRecovery) {
         self.region_recoveries.push(*recovery);
-    }
-}
-
-/// Shared-collector convenience: an `Arc<Mutex<S>>` sink forwards to `S`,
-/// so a harness can keep a handle onto a sink it hands to the runtime.
-impl<S: TelemetrySink> TelemetrySink for std::sync::Arc<parking_lot::Mutex<S>> {
-    fn on_passage(&mut self, passage: &Passage) {
-        self.lock().on_passage(passage);
-    }
-
-    fn on_detection(&mut self, camera: CameraId, vehicle: GroundTruthId, at: SimTime) {
-        self.lock().on_detection(camera, vehicle, at);
-    }
-
-    fn on_event(&mut self, camera: CameraId, ground_truth: Option<GroundTruthId>, at: SimTime) {
-        self.lock().on_event(camera, ground_truth, at);
-    }
-
-    fn on_delivery(&mut self, at: SimTime, to: CameraId, message: &Message) {
-        self.lock().on_delivery(at, to, message);
-    }
-
-    fn on_cloud_send(&mut self, at: SimTime, from: CameraId, bytes: u64) {
-        self.lock().on_cloud_send(at, from, bytes);
-    }
-
-    fn on_recovery(&mut self, recovery: &Recovery) {
-        self.lock().on_recovery(recovery);
-    }
-
-    fn on_region_recovery(&mut self, recovery: &RegionRecovery) {
-        self.lock().on_region_recovery(recovery);
     }
 }
 

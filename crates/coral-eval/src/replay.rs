@@ -42,8 +42,8 @@ pub struct Scenario {
     /// lights, open arrivals, incidents and scene effects instead of the
     /// corridor schedule.
     pub hard: Option<ScenarioSpec>,
-    /// Scheduled whole-region partitions, `(region, down_s, up_s)` —
-    /// meaningful only with a federated config (`with_regions`).
+    /// Scheduled whole-region partitions, `(region, down_s, up_s)`, over
+    /// the regions set by `with_regions`.
     pub region_outages: Vec<(u16, u64, u64)>,
 }
 
@@ -129,14 +129,14 @@ impl Scenario {
         }
     }
 
-    /// Deploys the scenario across `regions` federated regions (contiguous
-    /// camera stripes, one topology server and trajectory store each),
-    /// renaming the scenario to match. `1` is the plain deployment.
+    /// Deploys the scenario across `regions` regions (contiguous camera
+    /// stripes, one topology server and trajectory store each), renaming
+    /// the scenario to match. `1` is the plain deployment.
     pub fn with_regions(mut self, regions: u16) -> Self {
         if regions > 1 {
             self.name = format!("{}-fed{}", self.name, regions);
         }
-        self.config.federation.regions = regions;
+        self.config.regions = regions;
         self
     }
 

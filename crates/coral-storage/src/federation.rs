@@ -156,49 +156,50 @@ pub fn merged_flat(
     flat
 }
 
-/// [`merged_flat`] over [`EdgeStorageNode`] handles — the form the
-/// runtime and evaluation harness hold.
-pub fn merged_flat_of_nodes(
-    nodes: &[EdgeStorageNode],
-    owner_region: impl Fn(CameraId) -> usize,
-) -> TrajectoryGraph {
-    let stores: Vec<&ShardedTrajectoryGraph> = nodes.iter().map(|n| n.sharded()).collect();
-    merged_flat(&stores, owner_region)
-}
-
-/// A shared allocator plus the per-region stores drawn from it — the
-/// storage half of a federated deployment.
+/// The per-region stores of a deployment, indexed by region — the storage
+/// half of a federation.
+///
+/// With two or more regions every store draws ids from one shared
+/// [`VertexAllocator`]. A single region is a stand-alone store with a
+/// private allocator, so its ids and snapshot-restore semantics are
+/// exactly those of a plain [`EdgeStorageNode`].
 #[derive(Debug, Clone)]
 pub struct FederatedStores {
-    allocator: Arc<VertexAllocator>,
     nodes: Vec<EdgeStorageNode>,
 }
 
 impl FederatedStores {
-    /// Creates `regions` stores sharing one fresh allocator, each
-    /// retaining up to `frame_capacity_per_camera` raw frames per camera
-    /// with the given shard configuration.
+    /// Creates `regions` stores (at least one), each retaining up to
+    /// `frame_capacity_per_camera` raw frames per camera with the given
+    /// shard configuration.
     pub fn new(
         regions: usize,
         frame_capacity_per_camera: usize,
         config: crate::shard::StorageConfig,
     ) -> Self {
-        let allocator = Arc::new(VertexAllocator::new());
-        let nodes = (0..regions.max(1))
-            .map(|_| {
-                EdgeStorageNode::with_allocator(
-                    frame_capacity_per_camera,
-                    config.clone(),
-                    Arc::clone(&allocator),
-                )
-            })
-            .collect();
-        Self { allocator, nodes }
+        let nodes = if regions <= 1 {
+            vec![EdgeStorageNode::with_config(
+                frame_capacity_per_camera,
+                config,
+            )]
+        } else {
+            let allocator = Arc::new(VertexAllocator::new());
+            (0..regions)
+                .map(|_| {
+                    EdgeStorageNode::with_allocator(
+                        frame_capacity_per_camera,
+                        config.clone(),
+                        Arc::clone(&allocator),
+                    )
+                })
+                .collect()
+        };
+        Self { nodes }
     }
 
-    /// The shared id plane.
+    /// The id plane every region's store allocates from.
     pub fn allocator(&self) -> &Arc<VertexAllocator> {
-        &self.allocator
+        self.nodes[0].sharded().allocator()
     }
 
     /// The per-region stores, indexed by region.
@@ -216,9 +217,20 @@ impl FederatedStores {
         self.nodes.len()
     }
 
-    /// The city-wide union view (see [`merged_flat`]).
-    pub fn union(&self, owner_region: impl Fn(CameraId) -> usize) -> TrajectoryGraph {
-        merged_flat_of_nodes(&self.nodes, owner_region)
+    /// Runs `f` over the city-wide union view (see [`merged_flat`]). A
+    /// single region reads its store's cached flat view
+    /// ([`EdgeStorageNode::with_graph`]) instead of rebuilding a union.
+    pub fn with_union<R>(
+        &self,
+        owner_region: impl Fn(CameraId) -> usize,
+        f: impl FnOnce(&TrajectoryGraph) -> R,
+    ) -> R {
+        if let [only] = self.nodes.as_slice() {
+            return only.with_graph(f);
+        }
+        let stores: Vec<&ShardedTrajectoryGraph> =
+            self.nodes.iter().map(EdgeStorageNode::sharded).collect();
+        f(&merged_flat(&stores, owner_region))
     }
 }
 
@@ -276,20 +288,21 @@ mod tests {
                 .adopt_event(b, eid(1, 1), 6_000, 7_500, None, None, None);
             fed.node(0).insert_edge(a, b, 0.2).unwrap();
         }
-        let union = fed.union(owner);
-        assert_eq!(union.vertex_count(), 2);
-        assert_eq!(union.edge_count(), 1);
-        // The owner record (true interval) wins over the adopted copy.
-        let rec = union.vertex(a).unwrap();
-        assert_eq!((rec.first_seen_ms, rec.last_seen_ms), (0, 1_000));
-        assert_eq!(
-            union.out_edges(a),
-            vec![TrajectoryEdge {
-                from: a,
-                to: b,
-                weight: 0.2
-            }]
-        );
+        fed.with_union(owner, |union| {
+            assert_eq!(union.vertex_count(), 2);
+            assert_eq!(union.edge_count(), 1);
+            // The owner record (true interval) wins over the adopted copy.
+            let rec = union.vertex(a).unwrap();
+            assert_eq!((rec.first_seen_ms, rec.last_seen_ms), (0, 1_000));
+            assert_eq!(
+                union.out_edges(a),
+                vec![TrajectoryEdge {
+                    from: a,
+                    to: b,
+                    weight: 0.2
+                }]
+            );
+        });
     }
 
     #[test]
@@ -298,11 +311,19 @@ mod tests {
         let a = fed.node(0).insert_event(eid(0, 1), 0, 100, None, None);
         let b = fed.node(0).insert_event(eid(1, 1), 200, 300, None, None);
         fed.node(0).insert_edge(a, b, 0.5).unwrap();
-        let union = fed.union(|_| 0);
         let flat = fed.node(0).sharded().to_flat();
-        assert_eq!(union.vertex_count(), flat.vertex_count());
-        assert_eq!(union.edge_count(), flat.edge_count());
-        assert_eq!(union.out_edges(a), flat.out_edges(a));
+        fed.with_union(
+            |_| 0,
+            |union| {
+                assert_eq!(union.vertex_count(), flat.vertex_count());
+                assert_eq!(union.edge_count(), flat.edge_count());
+                assert_eq!(union.out_edges(a), flat.out_edges(a));
+            },
+        );
+        // One region is a stand-alone store: nothing else shares its ids.
+        assert_eq!(Arc::strong_count(fed.allocator()), 1);
+        let two = FederatedStores::new(2, 4, StorageConfig::default());
+        assert_eq!(Arc::strong_count(two.allocator()), 2);
     }
 
     #[test]
@@ -340,18 +361,19 @@ mod tests {
                 ops[i]();
             }
             drop(ops);
-            let union = fed.union(owner);
-            let mut desc: Vec<String> = union
-                .vertices()
-                .map(|v| {
-                    format!(
-                        "{:?} out={:?} in={:?}",
-                        v,
-                        union.out_edges(v.id),
-                        union.in_edges(v.id)
-                    )
-                })
-                .collect();
+            let mut desc: Vec<String> = fed.with_union(owner, |union| {
+                union
+                    .vertices()
+                    .map(|v| {
+                        format!(
+                            "{:?} out={:?} in={:?}",
+                            v,
+                            union.out_edges(v.id),
+                            union.in_edges(v.id)
+                        )
+                    })
+                    .collect()
+            });
             desc.sort();
             desc
         };

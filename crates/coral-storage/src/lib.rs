@@ -34,7 +34,7 @@ pub mod server;
 pub mod shard;
 pub mod snapshot;
 
-pub use federation::{merged_flat, merged_flat_of_nodes, FederatedStores, VertexAllocator};
+pub use federation::{merged_flat, FederatedStores, VertexAllocator};
 pub use frames::{Annotation, FrameStore, StoredFrame};
 pub use graph::{GraphError, TrajectoryEdge, TrajectoryGraph, VertexRecord};
 pub use query::{

@@ -79,10 +79,10 @@ struct Replication {
     weight: f64,
 }
 
-/// Ingests the stream into a federated deployment: primaries committed in
+/// Ingests the stream into per-region stores: primaries committed in
 /// stream order, boundary-edge replication deferred into the returned op
 /// list for the caller to deliver in any order.
-fn build_federated(
+fn ingest_by_region(
     n: usize,
     edges: &[(usize, usize, f64)],
     regions: usize,
@@ -139,34 +139,38 @@ fn assert_union_is_flat(
     flat: &TrajectoryGraph,
     regions: usize,
 ) -> Result<(), String> {
-    let union = fed.union(|c| owner(c, regions));
-    prop_assert_eq!(union.vertex_count(), flat.vertex_count());
-    prop_assert_eq!(union.edge_count(), flat.edge_count());
-    for v in flat.vertices() {
-        prop_assert_eq!(
-            union.vertex(v.id).unwrap(),
-            v,
-            "vertex {} at {} regions",
-            v.id,
-            regions
-        );
-        prop_assert_eq!(
-            union.out_edges(v.id),
-            flat.out_edges(v.id),
-            "out-edges of {} at {} regions",
-            v.id,
-            regions
-        );
-        prop_assert_eq!(
-            union.in_edges(v.id),
-            flat.in_edges(v.id),
-            "in-edges of {} at {} regions",
-            v.id,
-            regions
-        );
-        prop_assert_eq!(union.vertex_for_event(v.event), Some(v.id));
-    }
-    Ok(())
+    fed.with_union(
+        |c| owner(c, regions),
+        |union| {
+            prop_assert_eq!(union.vertex_count(), flat.vertex_count());
+            prop_assert_eq!(union.edge_count(), flat.edge_count());
+            for v in flat.vertices() {
+                prop_assert_eq!(
+                    union.vertex(v.id).unwrap(),
+                    v,
+                    "vertex {} at {} regions",
+                    v.id,
+                    regions
+                );
+                prop_assert_eq!(
+                    union.out_edges(v.id),
+                    flat.out_edges(v.id),
+                    "out-edges of {} at {} regions",
+                    v.id,
+                    regions
+                );
+                prop_assert_eq!(
+                    union.in_edges(v.id),
+                    flat.in_edges(v.id),
+                    "in-edges of {} at {} regions",
+                    v.id,
+                    regions
+                );
+                prop_assert_eq!(union.vertex_for_event(v.event), Some(v.id));
+            }
+            Ok(())
+        },
+    )
 }
 
 proptest! {
@@ -182,7 +186,7 @@ proptest! {
     ) {
         let flat = build_flat(n, &raw_edges);
         for regions in REGION_AXIS {
-            let (fed, vs, pending) = build_federated(n, &raw_edges, regions);
+            let (fed, vs, pending) = ingest_by_region(n, &raw_edges, regions);
             // Chaotic prefix: deliver some ops out of order / repeatedly
             // (models FaultyTransport reordering + at-least-once
             // redelivery). Losses at this stage are fine too — the
@@ -215,7 +219,7 @@ proptest! {
         raw_edges in proptest::collection::vec((0usize..16, 0usize..16, 0.0f64..1.0), 0..30),
     ) {
         let flat = build_flat(n, &raw_edges);
-        let (fed, _, pending) = build_federated(n, &raw_edges, 1);
+        let (fed, _, pending) = ingest_by_region(n, &raw_edges, 1);
         prop_assert!(pending.is_empty(), "one region must replicate nothing");
         assert_union_is_flat(&fed, &flat, 1)?;
     }

@@ -23,11 +23,12 @@
 
 use std::collections::BTreeSet;
 
-use coral_pie::core::{CameraSpec, CoralPieSystem, FederationConfig, NodeConfig, SystemConfig};
+use coral_pie::core::{CameraSpec, CoralPieSystem, NodeConfig, RegionRecovery, SystemConfig};
 use coral_pie::geo::{generators, route, IntersectionId};
 use coral_pie::net::{FaultPlan, FaultPolicy, RetryPolicy, VertexId};
 use coral_pie::obs::JournalKind;
 use coral_pie::sim::{PoissonArrivals, SimDuration, SimTime};
+use coral_pie::storage::StorageStats;
 use coral_pie::topology::CameraId;
 use coral_pie::vision::{DetectorNoise, ObjectClass};
 
@@ -65,10 +66,7 @@ fn federated_system(n: usize, fault_seed: u64) -> (CoralPieSystem, coral_pie::ge
             fault_seed,
         )),
         reliability: Some(RetryPolicy::default()),
-        federation: FederationConfig {
-            regions: 2,
-            ..FederationConfig::default()
-        },
+        regions: 2,
         ..SystemConfig::default()
     };
     (CoralPieSystem::new(net.clone(), &specs, config), net)
@@ -98,7 +96,34 @@ fn journal_messages(sys: &CoralPieSystem, kind: JournalKind) -> Vec<String> {
     out
 }
 
-fn region_kill_run(fault_seed: u64) {
+/// The byte-identity fingerprint of a run: messages delivered, informs
+/// delivered, events, passages and region 0's storage counters.
+type RunPrint = (u64, u64, usize, usize, StorageStats);
+
+/// Single-shard, frame-free, compaction-idle storage counters.
+fn stats(vertices: usize, edges: usize) -> StorageStats {
+    StorageStats {
+        vertices,
+        edges,
+        shards: 1,
+        ..StorageStats::default()
+    }
+}
+
+fn run_print(sys: &CoralPieSystem) -> RunPrint {
+    let t = sys.telemetry();
+    (
+        t.messages_delivered,
+        t.informs_delivered,
+        t.events.len(),
+        t.passages.len(),
+        sys.storage().stats(),
+    )
+}
+
+/// Runs the partition cycle, asserts the federation contract, and returns
+/// the run's fingerprint plus its union edge count and region recovery.
+fn region_kill_run(fault_seed: u64) -> (RunPrint, usize, RegionRecovery) {
     let (mut sys, net) = federated_system(6, fault_seed);
     assert_eq!(sys.regions(), 2);
     sys.schedule_region_kill(SimTime::from_secs(KILL_S), 1);
@@ -183,11 +208,27 @@ fn region_kill_run(fault_seed: u64) {
         after_set.len(),
         "seed {fault_seed}: duplicate trajectory edges in the union view"
     );
+    (run_print(&sys), after.len(), rec)
 }
 
+/// Besides the contract, seed a pins the two-region run's bytes with
+/// literal values recorded before regions were folded into one
+/// deployment path.
 #[test]
 fn region_kill_seed_a() {
-    region_kill_run(0xFED1);
+    assert_eq!(
+        region_kill_run(0xFED1),
+        (
+            (78, 31, 31, 31, stats(22, 16)),
+            25,
+            RegionRecovery {
+                region: 1,
+                killed_at: SimTime::from_secs(KILL_S),
+                restored_at: SimTime::from_secs(HEAL_S),
+                recovered_at: SimTime::from_micros(46_046_048),
+            }
+        )
+    );
 }
 
 #[test]
@@ -230,10 +271,7 @@ fn region_kill_city_grid() {
             0xC17F,
         )),
         reliability: Some(RetryPolicy::default()),
-        federation: FederationConfig {
-            regions: 4,
-            ..FederationConfig::default()
-        },
+        regions: 4,
         parallelism: 4,
         ..SystemConfig::default()
     };
@@ -265,59 +303,44 @@ fn region_kill_city_grid() {
     assert_eq!(after.len(), after_set.len(), "duplicate edges in the union");
 }
 
-/// `FederationConfig { regions: 1 }` must be the pre-federation system,
-/// byte for byte: same deliveries, informs, events, passages and storage
-/// stats under chaos, kills and retries.
+/// Byte identity of the single-region system, pinned by literal values
+/// recorded before regions were folded into one deployment path: same
+/// deliveries, informs, events, passages and storage stats under chaos,
+/// kills and retries.
 #[test]
-fn single_region_federation_is_byte_identical() {
-    fn fingerprint(explicit: bool) -> (u64, u64, usize, usize, coral_pie::storage::StorageStats) {
-        let net = generators::corridor(4, 120.0, 12.0);
-        let specs: Vec<CameraSpec> = (0..4)
-            .map(|i| CameraSpec {
-                id: CameraId(i),
-                site: IntersectionId(i),
-                videoing_angle_deg: 0.0,
-            })
-            .collect();
-        let mut config = SystemConfig {
-            faults: Some(FaultPlan::uniform(
-                FaultPolicy {
-                    drop: 0.05,
-                    duplicate: 0.01,
-                    ..FaultPolicy::default()
-                },
-                0x5eed,
-            )),
-            reliability: Some(RetryPolicy::default()),
-            seed: 7,
-            ..SystemConfig::default()
-        };
-        if explicit {
-            config.federation = FederationConfig {
-                regions: 1,
-                replication: true,
-                failover: true,
-            };
-        }
-        let mut sys = CoralPieSystem::new(net.clone(), &specs, config);
-        for k in 0..3u64 {
-            let r = route::shortest_path(&net, IntersectionId(0), IntersectionId(3)).unwrap();
-            sys.traffic_mut().spawn(
-                SimTime::from_secs(2) + SimDuration::from_secs(9 * k),
-                r,
-                Some(ObjectClass::Car),
-            );
-        }
-        sys.run_until(SimTime::from_secs(50));
-        sys.finish();
-        let t = sys.telemetry();
-        (
-            t.messages_delivered,
-            t.informs_delivered,
-            t.events.len(),
-            t.passages.len(),
-            sys.storage().stats(),
-        )
+fn single_region_fingerprint_is_pinned() {
+    let net = generators::corridor(4, 120.0, 12.0);
+    let specs: Vec<CameraSpec> = (0..4)
+        .map(|i| CameraSpec {
+            id: CameraId(i),
+            site: IntersectionId(i),
+            videoing_angle_deg: 0.0,
+        })
+        .collect();
+    let config = SystemConfig {
+        faults: Some(FaultPlan::uniform(
+            FaultPolicy {
+                drop: 0.05,
+                duplicate: 0.01,
+                ..FaultPolicy::default()
+            },
+            0x5eed,
+        )),
+        reliability: Some(RetryPolicy::default()),
+        seed: 7,
+        ..SystemConfig::default()
+    };
+    let mut sys = CoralPieSystem::new(net.clone(), &specs, config);
+    assert_eq!(sys.regions(), 1);
+    for k in 0..3u64 {
+        let r = route::shortest_path(&net, IntersectionId(0), IntersectionId(3)).unwrap();
+        sys.traffic_mut().spawn(
+            SimTime::from_secs(2) + SimDuration::from_secs(9 * k),
+            r,
+            Some(ObjectClass::Car),
+        );
     }
-    assert_eq!(fingerprint(false), fingerprint(true));
+    sys.run_until(SimTime::from_secs(50));
+    sys.finish();
+    assert_eq!(run_print(&sys), (42, 21, 17, 12, stats(17, 11)));
 }

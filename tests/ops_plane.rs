@@ -225,7 +225,6 @@ fn health_engine_does_not_perturb_the_simulation() {
 /// back after the heal once heartbeats land at the revived server again.
 #[test]
 fn region_partition_flips_health_for_exactly_the_dead_region() {
-    use coral_pie::core::FederationConfig;
     use coral_pie::net::{FaultPlan, FaultPolicy, RetryPolicy};
 
     let net = generators::corridor(6, 120.0, 12.0);
@@ -246,10 +245,7 @@ fn region_partition_flips_health_for_exactly_the_dead_region() {
             0xFED5,
         )),
         reliability: Some(RetryPolicy::default()),
-        federation: FederationConfig {
-            regions: 2,
-            ..FederationConfig::default()
-        },
+        regions: 2,
         seed: 42,
         ..SystemConfig::default()
     };
