@@ -52,7 +52,7 @@ echo "==> cargo clippy -p coral-sim (deny warnings)"
 cargo clippy -p coral-sim --all-targets -- -D warnings
 
 # The storage crate is the concurrent query-serving plane (sharded locks,
-# compaction, snapshots); keep it strictly lint-clean on its own.
+# snapshots); keep it strictly lint-clean on its own.
 echo "==> cargo clippy -p coral-storage (deny warnings)"
 cargo clippy -p coral-storage --all-targets -- -D warnings
 
@@ -134,7 +134,7 @@ if [ "$quick" -eq 0 ]; then
     cargo test -q --release --test hard_regimes -- --ignored
 fi
 
-# Storage plane gates: shard-vs-flat equivalence and compaction
+# Storage plane gates: shard-vs-flat equivalence and redelivery
 # invariance (property tests), snapshot round-trips with typed corruption
 # errors, and the writer/reader stress race (deadlock watchdog, torn-read
 # checks, sequential-equivalence fingerprint). All three also run inside
@@ -187,8 +187,6 @@ if [ "$quick" -eq 0 ]; then
     CORAL_STORAGE_SMOKE=1 cargo run --release -p coral-bench --bin exp_storage
 fi
 
-# Criterion smoke: compile and run every bench once in test mode so the
-# perf harness cannot rot silently.
 # The benchmark's own tests: metric arithmetic, argument parsing and a
 # smoke run of every workload, checked against BENCHMARK.json. Skipped in
 # --quick (release build of a separate package).
@@ -197,8 +195,9 @@ if [ "$quick" -eq 0 ]; then
     cargo test -q --release --manifest-path perfbench/Cargo.toml
 fi
 
-echo "==> criterion smoke: vision_micro + full_tick"
-cargo bench -p coral-bench --bench vision_micro -- --test
-cargo bench -p coral-bench --bench full_tick -- --test
+# Criterion smoke: compile and run every bench once in test mode so the
+# perf harness cannot rot silently.
+echo "==> criterion smoke: every coral-bench bench target"
+cargo bench -p coral-bench --benches -- --test
 
 echo "==> ci.sh: all green"

@@ -24,7 +24,8 @@ use std::collections::BTreeMap;
 pub struct SystemConfig {
     /// Per-node configuration (vision, re-id, pool).
     pub node: NodeConfig,
-    /// Frame capture period (96 ms ≈ the prototype's 10.4 FPS).
+    /// Frame capture period (96 ms ≈ the prototype's 10.4 FPS). Every
+    /// camera node gets it too, to date a track's first sighting.
     pub frame_period: SimDuration,
     /// Camera heartbeat interval (§5.4 evaluates 2 s and 5 s).
     pub heartbeat_interval: SimDuration,
@@ -69,13 +70,11 @@ pub struct SystemConfig {
     /// pure observer — it consumes no randomness and schedules no events
     /// — so toggling it cannot change simulation outcomes.
     pub health_checks: bool,
-    /// Trajectory-store sharding and compaction knobs. The default single
-    /// shard with checked ingest-time dedup is byte-identical to the flat
-    /// graph; raising `shard_count` re-partitions the store by space-time
-    /// key without changing any query answer (vertex ids are allocated
-    /// globally, so ids and the merged view are shard-count-invariant).
-    /// Compaction runs incrementally once per sim-second; on dup-free
-    /// streams (checked ingest) it is a structural no-op.
+    /// Trajectory-store sharding. The default single shard is
+    /// byte-identical to the flat graph; raising `shard_count`
+    /// re-partitions the store by space-time key without changing any
+    /// query answer (vertex ids are allocated globally, so ids and the
+    /// merged view are shard-count-invariant).
     pub storage: StorageConfig,
     /// Event-driven stepping: consult the spatial occupancy index each
     /// tick and take a cheap early-out for cameras with no nearby vehicle
@@ -242,6 +241,7 @@ impl Deployment {
             id,
             view,
             self.config.node.clone(),
+            self.config.frame_period,
             storage,
             self.config.seed ^ (NODE_SEED_BASE + id.0 as u64),
         ))

@@ -8,7 +8,7 @@
 use crate::pool::CandidatePool;
 use crate::reid::{ReIdentifier, ReidConfig, ReidMatch};
 use coral_net::{ConnectionManager, DetectionEvent, EventId, Message, VertexId};
-use coral_sim::CameraView;
+use coral_sim::{CameraView, SimDuration};
 use coral_storage::EdgeStorageNode;
 use coral_topology::CameraId;
 use coral_vision::{
@@ -34,8 +34,6 @@ pub struct NodeConfig {
     /// Fractional inset of the Context-of-Interest rectangle from the
     /// frame border (the CoI is "usually the central area", §4.1.2).
     pub coi_inset_frac: f64,
-    /// Frame period in milliseconds (10.4 FPS ≈ 96 ms in the prototype).
-    pub frame_period_ms: u64,
     /// Ship raw frames + annotations to the edge frame store (§4.2.2).
     /// Off by default in the simulation experiments (it multiplies memory
     /// traffic without affecting tracking metrics).
@@ -51,7 +49,6 @@ impl Default for NodeConfig {
             pool_gc_size: 256,
             eager_pool_prune: false,
             coi_inset_frac: 0.05,
-            frame_period_ms: 96,
             store_frames: false,
         }
     }
@@ -153,18 +150,20 @@ pub struct CameraNode {
     reid: ReIdentifier,
     storage: EdgeStorageNode,
     frame_seq: u64,
-    frame_period_ms: u64,
+    /// Frame period, ms (≥ 1).
+    period_ms: u64,
     store_frames: bool,
     events_generated: u64,
 }
 
 impl CameraNode {
-    /// Creates a node for `id` observing through `view`, persisting to
-    /// `storage`.
+    /// Creates a node for `id` observing through `view` one frame every
+    /// `frame_period`, persisting to `storage`.
     pub fn new(
         id: CameraId,
         view: CameraView,
         config: NodeConfig,
+        frame_period: SimDuration,
         storage: EdgeStorageNode,
         seed: u64,
     ) -> Self {
@@ -188,7 +187,7 @@ impl CameraNode {
             reid: ReIdentifier::new(config.reid),
             storage,
             frame_seq: 0,
-            frame_period_ms: config.frame_period_ms.max(1),
+            period_ms: frame_period.as_millis().max(1),
             store_frames: config.store_frames,
             events_generated: 0,
         }
@@ -416,7 +415,7 @@ impl CameraNode {
     ) {
         self.events_generated += 1;
         let span_frames = obs.last_frame.0.saturating_sub(obs.first_frame.0);
-        let first_ms = now_ms.saturating_sub(span_frames * self.frame_period_ms);
+        let first_ms = now_ms.saturating_sub(span_frames * self.period_ms);
         let mut event = DetectionEvent {
             camera: self.id,
             timestamp_ms: now_ms,
@@ -528,7 +527,14 @@ mod tests {
             detector_noise: DetectorNoise::perfect(),
             ..NodeConfig::default()
         };
-        CameraNode::new(CameraId(id), view(), config, storage, 7 + u64::from(id))
+        CameraNode::new(
+            CameraId(id),
+            view(),
+            config,
+            SimDuration::from_millis(96),
+            storage,
+            7 + u64::from(id),
+        )
     }
 
     fn car_scene(gt: u64, t: u32) -> Scene {

@@ -601,11 +601,6 @@ pub struct SimWorld {
     /// Last whole sim-second the health engine was evaluated at, so the
     /// SLO rules run once per sim-second regardless of tick rate.
     last_health_eval_s: u64,
-    /// Last whole sim-second a storage compaction step ran at. One budgeted
-    /// step per sim-second keeps replayed-edge merging incremental; with
-    /// the default checked ingest the stream is dup-free and every step is
-    /// a structural no-op, so runs stay byte-identical.
-    last_compact_s: u64,
 }
 
 impl std::fmt::Debug for SimWorld {
@@ -749,7 +744,6 @@ impl SimWorld {
             occupancy,
             vehicle_states: Vec::new(),
             last_health_eval_s: 0,
-            last_compact_s: 0,
             config,
         }
     }
@@ -1118,19 +1112,6 @@ impl SimWorld {
             if second > self.last_health_eval_s {
                 self.last_health_eval_s = second;
                 self.obs.health_tick(now.as_millis());
-            }
-        }
-        // Incremental storage compaction, once per whole sim-second.
-        // Consumes no randomness and schedules no events; with checked
-        // ingest (the default) the stream has no replayed edges and the
-        // step is a structural no-op, so determinism is untouched.
-        {
-            let second = now.as_millis() / 1_000;
-            if second > self.last_compact_s {
-                self.last_compact_s = second;
-                for store in self.stores.nodes() {
-                    store.compact_step();
-                }
             }
         }
     }

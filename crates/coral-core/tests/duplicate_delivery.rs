@@ -12,7 +12,7 @@
 use coral_core::{CameraNode, FrameOutput, NodeConfig};
 use coral_geo::GeoPoint;
 use coral_net::{Message, VertexId};
-use coral_sim::CameraView;
+use coral_sim::{CameraView, SimDuration};
 use coral_storage::EdgeStorageNode;
 use coral_topology::CameraId;
 use coral_vision::{
@@ -36,7 +36,14 @@ fn perfect_node(id: u32, storage: EdgeStorageNode) -> CameraNode {
         detector_noise: DetectorNoise::perfect(),
         ..NodeConfig::default()
     };
-    CameraNode::new(CameraId(id), view(), config, storage, 7 + u64::from(id))
+    CameraNode::new(
+        CameraId(id),
+        view(),
+        config,
+        SimDuration::from_millis(96),
+        storage,
+        7 + u64::from(id),
+    )
 }
 
 fn car_scene(gt: u64, t: u32) -> Scene {

@@ -30,7 +30,6 @@
 pub mod connection;
 pub mod faulty;
 pub mod message;
-pub mod metered;
 pub mod reliable;
 pub mod socket_group;
 pub mod tcp;
@@ -39,7 +38,6 @@ pub mod transport;
 pub use connection::{ConnectionManager, ConnectionStats};
 pub use faulty::{FaultPlan, FaultPolicy, FaultyTransport};
 pub use message::{DetectionEvent, EventId, Message, VertexId};
-pub use metered::Metered;
 pub use reliable::{ReliableTransport, RetryPolicy};
 pub use socket_group::SocketGroup;
 pub use tcp::{send_to, TcpDirectory, TcpEndpoint, TcpError, TcpTransport};

@@ -10,7 +10,7 @@
 //!   flat reference implementation (and the merged read view).
 //! - [`ShardedTrajectoryGraph`] — the concurrently-readable store: key-range
 //!   shards over a space-time key (camera region × time bucket), per-shard
-//!   locks, a cross-shard edge index, incremental compaction and
+//!   locks, a cross-shard edge index, keep-first edge ingest and
 //!   checksummed snapshot/restore.
 //! - [`query`] — trajectory traversal from a seed detection, forward and
 //!   backward, with weight/hop pruning, generic over an [`EdgeSource`].
@@ -42,5 +42,5 @@ pub use query::{
     TrajectoryQueryResult,
 };
 pub use server::{EdgeStorageNode, StorageStats};
-pub use shard::{CompactionReport, ShardReadTxn, ShardedTrajectoryGraph, StorageConfig};
+pub use shard::{ShardReadTxn, ShardedTrajectoryGraph, StorageConfig};
 pub use snapshot::SnapshotError;

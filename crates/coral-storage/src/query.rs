@@ -33,10 +33,9 @@ pub trait EdgeSource {
     fn contains(&mut self, v: VertexId) -> bool;
 
     /// Appends the edges of `v` in `dir` to `out` (assumed empty), in
-    /// first-inserted order, with at most one edge per neighbour
-    /// (keep-first). The flat graph already guarantees both by
-    /// construction; the sharded source filters physically-duplicated
-    /// replays so queries are invariant under pending compaction.
+    /// first-inserted order, with at most one edge per neighbour. Both
+    /// stores guarantee this by construction: ingest drops an exact
+    /// `(from, to)` replay keep-first, and snapshot restore rejects one.
     fn neighbors(&mut self, v: VertexId, dir: Direction, out: &mut Vec<TrajectoryEdge>);
 }
 

@@ -16,11 +16,11 @@ use crate::federation::VertexAllocator;
 use crate::frames::{FrameStore, StoredFrame};
 use crate::graph::{GraphError, TrajectoryGraph};
 use crate::query::{QueryOptions, TrajectoryQueryResult};
-use crate::shard::{CompactionReport, ShardedTrajectoryGraph, StorageConfig};
+use crate::shard::{ShardedTrajectoryGraph, StorageConfig};
 use crate::snapshot::SnapshotError;
 use coral_geo::Heading;
 use coral_net::{EventId, VertexId};
-use coral_obs::{Counter, Histogram, Registry};
+use coral_obs::{Histogram, Registry};
 use coral_topology::CameraId;
 use coral_vision::{ColorHistogram, GroundTruthId};
 use parking_lot::{Mutex, RwLock};
@@ -32,8 +32,7 @@ use std::time::Instant;
 /// was built at.
 type FlatCache = Arc<Mutex<Option<(u64, Arc<TrajectoryGraph>)>>>;
 
-/// Per-operation latency histograms and compaction counters for an
-/// instrumented storage node.
+/// Per-operation latency histograms for an instrumented storage node.
 #[derive(Debug, Clone)]
 struct StorageMetrics {
     insert_event: Histogram,
@@ -42,18 +41,14 @@ struct StorageMetrics {
     query_trajectory: Histogram,
     query_camera: Histogram,
     query_window: Histogram,
-    compaction_merged: Counter,
-    compaction_folded: Counter,
 }
 
 /// Named storage counters — what [`EdgeStorageNode::stats`] reports.
-/// (Previously a bare 4-tuple; the struct gained the shard and compaction
-/// fields when the store was sharded.)
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StorageStats {
     /// Vertices in the trajectory graph.
     pub vertices: usize,
-    /// Physical edges across all shards.
+    /// Edges across all shards, one per distinct `(from, to)` pair.
     pub edges: usize,
     /// Frames ever ingested into the frame store.
     pub frames_ingested: u64,
@@ -63,10 +58,6 @@ pub struct StorageStats {
     pub shards: usize,
     /// Handoff edges whose endpoints live on different shards.
     pub cross_shard_edges: usize,
-    /// Exact edge replays merged by compaction since creation.
-    pub compaction_merged_edges: u64,
-    /// Kept edges whose weight compaction folded down (opt-in).
-    pub compaction_folded_edges: u64,
 }
 
 /// A shared edge storage node.
@@ -90,7 +81,7 @@ impl EdgeStorageNode {
         Self::with_config(frame_capacity_per_camera, StorageConfig::default())
     }
 
-    /// Creates a node with an explicit shard/compaction configuration.
+    /// Creates a node with an explicit shard configuration.
     pub fn with_config(frame_capacity_per_camera: usize, config: StorageConfig) -> Self {
         Self::from_graph(
             ShardedTrajectoryGraph::new(config),
@@ -134,9 +125,7 @@ impl EdgeStorageNode {
 
     /// Starts publishing per-operation write/query latencies into
     /// `registry` (histograms `storage_write_latency_us{op=...}` and
-    /// `storage_query_latency_us{op=...}`) plus the compaction journal
-    /// (counters `storage_compaction_merged_total` /
-    /// `storage_compaction_folded_total`). Affects every clone of this
+    /// `storage_query_latency_us{op=...}`). Affects every clone of this
     /// node, including handles created before the call.
     pub fn instrument(&self, registry: &Registry) {
         *self.metrics.write() = Some(StorageMetrics {
@@ -150,8 +139,6 @@ impl EdgeStorageNode {
                 &[("op", "vehicles_through_camera")],
             ),
             query_window: registry.histogram("storage_query_latency_us", &[("op", "scan_window")]),
-            compaction_merged: registry.counter("storage_compaction_merged_total", &[]),
-            compaction_folded: registry.counter("storage_compaction_folded_total", &[]),
         });
     }
 
@@ -318,21 +305,6 @@ impl EdgeStorageNode {
         self.graph.vertex_for_event(event)
     }
 
-    /// Runs one incremental compaction step over at most the configured
-    /// budget of vertices (see [`ShardedTrajectoryGraph::compact_step`]);
-    /// journals merged/folded totals to the instrumented counters.
-    pub fn compact_step(&self) -> CompactionReport {
-        let budget = self.graph.config().compaction_budget;
-        let report = self.graph.compact_step(budget);
-        if report.merged_edges > 0 || report.folded_edges > 0 {
-            if let Some(m) = self.metrics.read().as_ref() {
-                m.compaction_merged.add(report.merged_edges as u64);
-                m.compaction_folded.add(report.folded_edges as u64);
-            }
-        }
-        report
-    }
-
     /// Writes a snapshot of the trajectory store into directory `dir`
     /// (per-shard files + checksummed manifest; see the
     /// [`crate::snapshot`] module docs). The frame store's ring buffers
@@ -403,8 +375,6 @@ impl EdgeStorageNode {
             frame_bytes: fr.bytes_stored(),
             shards: self.graph.shard_count(),
             cross_shard_edges: self.graph.cross_shard_edge_count(),
-            compaction_merged_edges: self.graph.compaction_merged_total(),
-            compaction_folded_edges: self.graph.compaction_folded_total(),
         }
     }
 }
@@ -482,7 +452,6 @@ mod tests {
                 shard_count: 4,
                 time_bucket_ms: 100,
                 cameras_per_region: 2,
-                ..StorageConfig::default()
             },
         );
         let mut handles = Vec::new();
@@ -611,41 +580,6 @@ mod tests {
         assert_eq!(
             node.with_graph(|g| (g.vertex_count(), g.edge_count())),
             (2, 1)
-        );
-    }
-
-    #[test]
-    fn compaction_journals_into_registry() {
-        let node = EdgeStorageNode::with_config(
-            4,
-            StorageConfig {
-                deferred_edge_dedup: true,
-                ..StorageConfig::default()
-            },
-        );
-        let registry = Registry::new();
-        node.instrument(&registry);
-        let a = node.insert_event(eid(0, 1), 0, 10, None, None);
-        let b = node.insert_event(eid(1, 1), 20, 30, None, None);
-        // Three replays of the same handoff (at-least-once redelivery).
-        node.insert_edge(a, b, 0.2).unwrap();
-        node.insert_edge(a, b, 0.2).unwrap();
-        node.insert_edge(a, b, 0.2).unwrap();
-        assert_eq!(node.stats().edges, 3, "deferred mode keeps replays");
-        let mut merged = 0;
-        loop {
-            let r = node.compact_step();
-            merged += r.merged_edges;
-            if r.completed_pass {
-                break;
-            }
-        }
-        assert_eq!(merged, 2);
-        assert_eq!(node.stats().edges, 1);
-        assert_eq!(node.stats().compaction_merged_edges, 2);
-        assert_eq!(
-            registry.counter_value("storage_compaction_merged_total", &[]),
-            Some(2)
         );
     }
 }

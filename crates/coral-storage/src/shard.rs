@@ -24,13 +24,12 @@
 //! # Lock order
 //!
 //! One total order, everywhere: `index` → `shards[0..n]` ascending →
-//! `cross`. The compaction cursor mutex is taken before any of them and
-//! never while holding one. Writers touch at most two shard locks (both
-//! ends of an edge, acquired ascending); readers either take one shard
-//! lock (point lookups, camera queries) or all of them (a read
-//! transaction for trajectory walks — still concurrent with other
-//! readers). Deadlock-freedom follows from the total order; the
-//! concurrency stress test in `tests/storage_concurrency.rs` exercises it.
+//! `cross`. Writers touch at most two shard locks (both ends of an edge,
+//! acquired ascending); readers either take one shard lock (point
+//! lookups, camera queries) or all of them (a read transaction for
+//! trajectory walks — still concurrent with other readers).
+//! Deadlock-freedom follows from the total order; the concurrency stress
+//! test in `tests/storage_concurrency.rs` exercises it.
 
 use crate::federation::VertexAllocator;
 use crate::graph::{GraphError, TrajectoryEdge, TrajectoryGraph, VertexRecord};
@@ -38,9 +37,8 @@ use crate::query::{trajectory_over, Direction, EdgeSource, QueryOptions, Traject
 use coral_net::{EventId, VertexId};
 use coral_topology::CameraId;
 use coral_vision::ColorHistogram;
-use parking_lot::{Mutex, RwLock, RwLockReadGuard};
+use parking_lot::{RwLock, RwLockReadGuard};
 use std::collections::{BTreeMap, HashMap};
-use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -61,19 +59,6 @@ pub struct StorageConfig {
     /// Cameras per geographic region in the space-time routing key:
     /// camera `c` belongs to region `c / cameras_per_region`.
     pub cameras_per_region: u32,
-    /// Skip the ingest-time exact-duplicate edge check and let background
-    /// compaction merge replays instead (bulk-load mode). Queries are
-    /// invariant either way — the read path presents a keep-first logical
-    /// view — but physical `edge_count` transiently counts replays.
-    pub deferred_edge_dedup: bool,
-    /// During compaction, fold parallel replays of the same `(from, to)`
-    /// pair to the **minimum** weight seen instead of keeping the first.
-    /// Off by default: it changes query results, so it is opt-in and
-    /// excluded from the equivalence guarantees.
-    pub fold_min_weight: bool,
-    /// Vertices examined per [`ShardedTrajectoryGraph::compact_step`]
-    /// call when the runtime drives compaction between ticks.
-    pub compaction_budget: usize,
 }
 
 impl Default for StorageConfig {
@@ -82,26 +67,8 @@ impl Default for StorageConfig {
             shard_count: 1,
             time_bucket_ms: 60_000,
             cameras_per_region: 16,
-            deferred_edge_dedup: false,
-            fold_min_weight: false,
-            compaction_budget: 64,
         }
     }
-}
-
-/// What one incremental compaction step did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CompactionReport {
-    /// Vertices whose out-edge lists were examined.
-    pub vertices_scanned: usize,
-    /// Exact `(from, to)` replays removed (keep-first).
-    pub merged_edges: usize,
-    /// Kept edges whose weight was folded down to the minimum replayed
-    /// weight (only with [`StorageConfig::fold_min_weight`]).
-    pub folded_edges: usize,
-    /// Whether this step crossed the end of the key space (one full pass
-    /// over every shard completed; the cursor wrapped to the start).
-    pub completed_pass: bool,
 }
 
 /// An edge plus its global insertion sequence number and the shard of the
@@ -159,13 +126,6 @@ impl EventIndex {
     }
 }
 
-/// Compaction cursor: resumes the incremental pass where it left off.
-#[derive(Debug, Default)]
-struct CompactCursor {
-    shard: usize,
-    after: Option<VertexId>,
-}
-
 /// The sharded, concurrently-readable trajectory store.
 ///
 /// See the module docs for the key scheme, identity guarantees and lock
@@ -191,12 +151,9 @@ pub struct ShardedTrajectoryGraph {
     /// window a vertex's routing bucket can start, making bucket-range
     /// shard pruning sound.
     max_interval_ms: AtomicU64,
-    /// Bumped on every structural change (vertex, edge, compaction,
-    /// restore); versions the flat-view cache in `EdgeStorageNode`.
+    /// Bumped on every structural change (vertex, edge, restore);
+    /// versions the flat-view cache in `EdgeStorageNode`.
     mutations: AtomicU64,
-    cursor: Mutex<CompactCursor>,
-    merged_total: AtomicU64,
-    folded_total: AtomicU64,
 }
 
 /// Deterministic space-time routing hash (FNV-1a over the two key words).
@@ -241,9 +198,6 @@ impl ShardedTrajectoryGraph {
             shared_alloc,
             max_interval_ms: AtomicU64::new(0),
             mutations: AtomicU64::new(0),
-            cursor: Mutex::new(CompactCursor::default()),
-            merged_total: AtomicU64::new(0),
-            folded_total: AtomicU64::new(0),
         }
     }
 
@@ -390,9 +344,9 @@ impl ShardedTrajectoryGraph {
         self.mutations.fetch_add(1, Ordering::SeqCst);
     }
 
-    /// Inserts a weighted re-identification edge `from → to`. Exact
-    /// `(from, to)` replays are dropped keep-first unless
-    /// [`StorageConfig::deferred_edge_dedup`] defers that to compaction.
+    /// Inserts a weighted re-identification edge `from → to`. Informs are
+    /// delivered at least once, so an exact `(from, to)` replay is dropped
+    /// keep-first: every out-list holds one edge per target.
     ///
     /// # Errors
     ///
@@ -414,7 +368,7 @@ impl ShardedTrajectoryGraph {
         let edge = TrajectoryEdge { from, to, weight };
         if sf == st {
             let mut s = self.shards[sf].write();
-            if !self.config.deferred_edge_dedup && has_out_edge(&s, from, to) {
+            if has_out_edge(&s, from, to) {
                 return Ok(());
             }
             let seq = self.alloc.allocate_edge_seq();
@@ -438,7 +392,7 @@ impl ShardedTrajectoryGraph {
             } else {
                 (&mut *g_hi, &mut *g_lo)
             };
-            if !self.config.deferred_edge_dedup && has_out_edge(out_shard, from, to) {
+            if has_out_edge(out_shard, from, to) {
                 return Ok(());
             }
             let seq = self.alloc.allocate_edge_seq();
@@ -489,8 +443,8 @@ impl ShardedTrajectoryGraph {
         self.index.read().by_event.len()
     }
 
-    /// Number of physical edges across all shards (equals the flat
-    /// graph's logical count unless deferred dedup has pending replays).
+    /// Number of edges across all shards — one per distinct `(from, to)`
+    /// pair, the same count the flat graph reports.
     pub fn edge_count(&self) -> usize {
         self.edge_count.load(Ordering::SeqCst)
     }
@@ -505,18 +459,8 @@ impl ShardedTrajectoryGraph {
         self.cross.read().len()
     }
 
-    /// Total exact replays merged by compaction since creation.
-    pub fn compaction_merged_total(&self) -> u64 {
-        self.merged_total.load(Ordering::SeqCst)
-    }
-
-    /// Total kept edges whose weight compaction folded down.
-    pub fn compaction_folded_total(&self) -> u64 {
-        self.folded_total.load(Ordering::SeqCst)
-    }
-
     /// Structural version stamp: bumped on every vertex insert, edge
-    /// insert, effective compaction and restore.
+    /// insert and restore.
     pub fn mutation_stamp(&self) -> u64 {
         self.mutations.load(Ordering::SeqCst)
     }
@@ -643,8 +587,7 @@ impl ShardedTrajectoryGraph {
     /// Rebuilds the merged flat graph: vertices in id order, edges in
     /// global insertion (sequence) order. For any single-writer stream
     /// this is byte-identical to ingesting the stream into a flat
-    /// [`TrajectoryGraph`] directly; replays pending deferred dedup are
-    /// absorbed by the flat graph's own keep-first check.
+    /// [`TrajectoryGraph`] directly (both drop replays at ingest).
     pub fn to_flat(&self) -> TrajectoryGraph {
         let idx = self.index.read();
         let guards: Vec<RwLockReadGuard<'_, Shard>> =
@@ -676,126 +619,6 @@ impl ShardedTrajectoryGraph {
         drop(guards);
         drop(idx);
         flat
-    }
-
-    /// Runs one incremental compaction step over at most `budget`
-    /// vertices, resuming at the stored cursor. Merges exact `(from, to)`
-    /// replays keep-first (a no-op on streams ingested with the default
-    /// checked dedup — which is what keeps fault-free runs byte-identical)
-    /// and, when configured, folds kept weights to the replayed minimum.
-    /// Idempotent: a second pass over compacted data changes nothing.
-    pub fn compact_step(&self, budget: usize) -> CompactionReport {
-        let mut report = CompactionReport::default();
-        if budget == 0 {
-            return report;
-        }
-        let mut cursor = self.cursor.lock();
-        while report.vertices_scanned < budget {
-            if cursor.shard >= self.shards.len() {
-                *cursor = CompactCursor::default();
-                report.completed_pass = true;
-                break;
-            }
-            let remaining = budget - report.vertices_scanned;
-            let done_shard =
-                self.compact_shard_slice(cursor.shard, &mut cursor.after, remaining, &mut report);
-            if done_shard {
-                cursor.shard += 1;
-                cursor.after = None;
-            }
-        }
-        report
-    }
-
-    /// Compacts up to `limit` vertices of `shard` starting after
-    /// `*after`; returns whether the shard is exhausted.
-    fn compact_shard_slice(
-        &self,
-        shard: usize,
-        after: &mut Option<VertexId>,
-        limit: usize,
-        report: &mut CompactionReport,
-    ) -> bool {
-        // In-entry fixups whose target lives on another shard, applied
-        // after this shard's lock is released (the lock order forbids
-        // grabbing a second shard while holding this one mid-scan):
-        // removals of merged replays and weight patches of folded edges,
-        // both matched by globally-unique sequence number.
-        let mut remote_removals: Vec<(u16, VertexId, u64)> = Vec::new();
-        let mut remote_folds: Vec<(u16, VertexId, u64, f64)> = Vec::new();
-        // Cross-shard index entries to re-weight after a fold.
-        let mut cross_folds: Vec<(VertexId, VertexId, f64)> = Vec::new();
-        let exhausted;
-        {
-            let mut s = self.shards[shard].write();
-            let bounds = match *after {
-                Some(a) => (Bound::Excluded(a), Bound::Unbounded),
-                None => (Bound::Unbounded, Bound::Unbounded),
-            };
-            let ids: Vec<VertexId> = s
-                .out_edges
-                .range((bounds.0, bounds.1))
-                .take(limit)
-                .map(|(id, _)| *id)
-                .collect();
-            exhausted = ids.len() < limit;
-            for from in &ids {
-                report.vertices_scanned += 1;
-                let (removed, folds) = compact_out_list(
-                    s.out_edges
-                        .get_mut(from)
-                        .expect("listed vertex has out edges"),
-                    self.config.fold_min_weight,
-                );
-                for se in &removed {
-                    if se.peer_shard as usize == shard {
-                        remove_in_entry(&mut s, se.edge.to, se.seq);
-                    } else {
-                        remote_removals.push((se.peer_shard, se.edge.to, se.seq));
-                    }
-                }
-                for &(to, seq, peer, w) in &folds {
-                    if peer as usize == shard {
-                        patch_in_weight(&mut s, to, seq, w);
-                    } else {
-                        remote_folds.push((peer, to, seq, w));
-                        cross_folds.push((*from, to, w));
-                    }
-                }
-                report.merged_edges += removed.len();
-                report.folded_edges += folds.len();
-                if !removed.is_empty() {
-                    self.edge_count.fetch_sub(removed.len(), Ordering::SeqCst);
-                }
-            }
-            if let Some(last) = ids.last() {
-                *after = Some(*last);
-            }
-        }
-        for (peer, to, seq) in remote_removals {
-            let mut p = self.shards[peer as usize].write();
-            remove_in_entry(&mut p, to, seq);
-        }
-        for (peer, to, seq, w) in remote_folds {
-            let mut p = self.shards[peer as usize].write();
-            patch_in_weight(&mut p, to, seq, w);
-        }
-        if !cross_folds.is_empty() {
-            let mut cross = self.cross.write();
-            for (from, to, w) in cross_folds {
-                if let Some(entry) = cross.get_mut(&(from, to)) {
-                    *entry = w;
-                }
-            }
-        }
-        if report.merged_edges > 0 || report.folded_edges > 0 {
-            self.merged_total
-                .fetch_add(report.merged_edges as u64, Ordering::SeqCst);
-            self.folded_total
-                .fetch_add(report.folded_edges as u64, Ordering::SeqCst);
-            self.mutations.fetch_add(1, Ordering::SeqCst);
-        }
-        exhausted
     }
 
     /// (Snapshot support.) Exports the store content: config meta, next
@@ -831,10 +654,12 @@ impl ShardedTrajectoryGraph {
     }
 
     /// (Snapshot support.) Replaces this store's content with `state`,
-    /// atomically with respect to readers (all locks held for writing, in
-    /// the lock order). The shard layout of the snapshot must match this
-    /// store's config; in-edges, the event index, the directory and the
-    /// cross-shard index are rebuilt from the exported out-edges.
+    /// atomically with respect to readers. The shard layout of the
+    /// snapshot must match this store's config; in-edges, the event index,
+    /// the directory and the cross-shard index are rebuilt from the
+    /// exported out-edges. The new content is built and validated before
+    /// any lock is taken, so a rejected snapshot leaves the store
+    /// untouched.
     pub(crate) fn import(&self, state: ExportedStore) -> Result<(), ImportError> {
         if state.shard_count != self.config.shard_count {
             return Err(ImportError::ShardCountMismatch {
@@ -842,81 +667,82 @@ impl ShardedTrajectoryGraph {
                 snapshot: state.shard_count,
             });
         }
-        let mut idx = self.index.write();
-        let mut guards: Vec<_> = self.shards.iter().map(|s| s.write()).collect();
-        let mut cross = self.cross.write();
-
-        // Rebuild the directory first: contiguous ids, each id in exactly
-        // one shard.
-        let mut dir: Vec<Option<u16>> = vec![None; state.next_vertex as usize];
+        // Ids are contiguous, so the record count must equal the next id.
+        // Checked first: it bounds the directory by the records actually
+        // read, not by a number the manifest merely claims.
+        let records: usize = state.shards.iter().map(|s| s.records.len()).sum();
+        if state.next_vertex != records as u64 {
+            return Err(ImportError::VertexCountMismatch {
+                next_vertex: state.next_vertex,
+                records,
+            });
+        }
+        // Every id in range and in exactly one shard; with the count
+        // check above that leaves no slot empty.
+        let mut dir = vec![TOMBSTONE; records];
         for (si, shard) in state.shards.iter().enumerate() {
             for r in &shard.records {
                 let slot = dir
                     .get_mut(r.id.0 as usize)
                     .ok_or(ImportError::VertexOutOfRange(r.id))?;
-                if slot.replace(si as u16).is_some() {
+                if *slot != TOMBSTONE {
                     return Err(ImportError::DuplicateVertex(r.id));
                 }
+                *slot = si as u16;
             }
         }
-        let dir: Vec<u16> = dir
-            .into_iter()
-            .enumerate()
-            .map(|(i, s)| s.ok_or(ImportError::MissingVertex(VertexId(i as u64))))
-            .collect::<Result<_, _>>()?;
 
-        idx.by_event.clear();
-        idx.dir = dir;
-        cross.clear();
-        let mut edge_total = 0usize;
-        for g in guards.iter_mut() {
-            **g = Shard::default();
-        }
+        let mut by_event = HashMap::with_capacity(records);
+        let mut shards: Vec<Shard> = (0..state.shard_count).map(|_| Shard::default()).collect();
+        let mut cross = BTreeMap::new();
+        let mut all: Vec<(u64, TrajectoryEdge, u16)> = Vec::new();
         for (si, shard) in state.shards.into_iter().enumerate() {
+            let g = &mut shards[si];
             for r in shard.records {
-                idx.by_event.insert(r.event, r.id);
-                let g = &mut guards[si];
+                by_event.insert(r.event, r.id);
                 g.by_camera.entry(r.camera).or_default().push(r.id);
                 g.vertices.insert(r.id, r);
             }
-            for (edge, seq) in shard.edges {
-                let to_shard = *idx
-                    .dir
-                    .get(edge.to.0 as usize)
-                    .ok_or(ImportError::VertexOutOfRange(edge.to))?;
-                guards[si]
-                    .out_edges
-                    .entry(edge.from)
-                    .or_default()
-                    .push(SeqEdge {
-                        edge,
-                        seq,
-                        peer_shard: to_shard,
-                    });
-                edge_total += 1;
-                if to_shard as usize != si {
-                    cross.entry((edge.from, edge.to)).or_insert(edge.weight);
-                }
-            }
-        }
-        // by_camera must be ascending by id (BTreeMap insert order isn't).
-        for g in guards.iter_mut() {
+            // by_camera must be ascending by id (file order need not be).
             for ids in g.by_camera.values_mut() {
                 ids.sort_unstable();
+            }
+            for (edge, seq) in shard.edges {
+                let TrajectoryEdge { from, to, weight } = edge;
+                if dir.get(from.0 as usize) != Some(&(si as u16)) {
+                    return Err(ImportError::MisplacedEdge { from, shard: si });
+                }
+                let to_shard = *dir
+                    .get(to.0 as usize)
+                    .ok_or(ImportError::VertexOutOfRange(to))?;
+                if from == to {
+                    return Err(ImportError::InvalidEdge(GraphError::SelfLoop(from)));
+                }
+                if !weight.is_finite() || weight < 0.0 {
+                    return Err(ImportError::InvalidEdge(GraphError::InvalidWeight(weight)));
+                }
+                // The invariant ingest keeps: one edge per (from, to).
+                if has_out_edge(g, from, to) {
+                    return Err(ImportError::DuplicateEdge { from, to });
+                }
+                g.out_edges.entry(from).or_default().push(SeqEdge {
+                    edge,
+                    seq,
+                    peer_shard: to_shard,
+                });
+                all.push((seq, edge, si as u16));
+                if to_shard as usize != si {
+                    cross.insert((from, to), weight);
+                }
             }
         }
         // Rebuild in-edges from out-edges in global sequence order so
         // restored in-lists match a deterministic re-ingest.
-        let mut all: Vec<(u64, TrajectoryEdge, u16)> = Vec::with_capacity(edge_total);
-        for (si, g) in guards.iter().enumerate() {
-            for se in g.out_edges.values().flatten() {
-                all.push((se.seq, se.edge, si as u16));
-            }
-        }
         all.sort_unstable_by_key(|&(seq, _, _)| seq);
+        let edge_total = all.len();
         for (seq, edge, from_shard) in all {
-            let to_shard = idx.dir[edge.to.0 as usize] as usize;
-            guards[to_shard]
+            let to_shard = dir[edge.to.0 as usize] as usize;
+            shards[to_shard]
                 .in_edges
                 .entry(edge.to)
                 .or_default()
@@ -927,12 +753,20 @@ impl ShardedTrajectoryGraph {
                 });
         }
 
+        // Swap the new content in under every lock, in the lock order.
+        let mut idx = self.index.write();
+        let mut guards: Vec<_> = self.shards.iter().map(|s| s.write()).collect();
+        let mut cross_guard = self.cross.write();
+        *idx = EventIndex { by_event, dir };
+        for (g, shard) in guards.iter_mut().zip(shards) {
+            **g = shard;
+        }
+        *cross_guard = cross;
         self.edge_count.store(edge_total, Ordering::SeqCst);
         self.alloc
             .restore(state.next_vertex, state.edge_seq, self.shared_alloc);
         self.max_interval_ms
             .store(state.max_interval_ms, Ordering::SeqCst);
-        *self.cursor.lock() = CompactCursor::default();
         self.mutations.fetch_add(1, Ordering::SeqCst);
         Ok(())
     }
@@ -958,12 +792,29 @@ pub(crate) struct ExportedShard {
 }
 
 /// Structural problems found while importing exported state.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) enum ImportError {
-    ShardCountMismatch { store: usize, snapshot: usize },
+    ShardCountMismatch {
+        store: usize,
+        snapshot: usize,
+    },
+    VertexCountMismatch {
+        next_vertex: u64,
+        records: usize,
+    },
     VertexOutOfRange(VertexId),
     DuplicateVertex(VertexId),
-    MissingVertex(VertexId),
+    /// An edge listed by a shard that does not hold its `from` vertex.
+    MisplacedEdge {
+        from: VertexId,
+        shard: usize,
+    },
+    /// A self-loop or an invalid weight.
+    InvalidEdge(GraphError),
+    DuplicateEdge {
+        from: VertexId,
+        to: VertexId,
+    },
 }
 
 impl std::fmt::Display for ImportError {
@@ -973,9 +824,25 @@ impl std::fmt::Display for ImportError {
                 f,
                 "snapshot has {snapshot} shards but the store is configured for {store}"
             ),
+            ImportError::VertexCountMismatch {
+                next_vertex,
+                records,
+            } => write!(
+                f,
+                "next vertex id {next_vertex} does not match the {records} vertex records"
+            ),
             ImportError::VertexOutOfRange(v) => write!(f, "vertex {v} out of range"),
             ImportError::DuplicateVertex(v) => write!(f, "vertex {v} appears in two shards"),
-            ImportError::MissingVertex(v) => write!(f, "vertex {v} missing from every shard"),
+            ImportError::MisplacedEdge { from, shard } => {
+                write!(
+                    f,
+                    "shard {shard} lists an edge from vertex {from} it does not hold"
+                )
+            }
+            ImportError::InvalidEdge(e) => write!(f, "invalid edge: {e}"),
+            ImportError::DuplicateEdge { from, to } => {
+                write!(f, "edge {from} -> {to} appears twice")
+            }
         }
     }
 }
@@ -984,66 +851,6 @@ fn has_out_edge(s: &Shard, from: VertexId, to: VertexId) -> bool {
     s.out_edges
         .get(&from)
         .is_some_and(|v| v.iter().any(|e| e.edge.to == to))
-}
-
-/// A committed weight fold: `(to, seq, peer_shard, new_weight)` of a kept
-/// edge whose weight dropped.
-type WeightFold = (VertexId, u64, u16, f64);
-
-/// Dedups one out-list keep-first; returns the removed replays and, when
-/// folding, the folds committed to kept edges.
-fn compact_out_list(
-    list: &mut Vec<SeqEdge>,
-    fold_min_weight: bool,
-) -> (Vec<SeqEdge>, Vec<WeightFold>) {
-    let mut removed = Vec::new();
-    let mut kept: Vec<SeqEdge> = Vec::with_capacity(list.len());
-    let mut folded_idx: Vec<usize> = Vec::new();
-    for se in list.iter() {
-        match kept.iter().position(|k| k.edge.to == se.edge.to) {
-            None => kept.push(*se),
-            Some(i) => {
-                if fold_min_weight && se.edge.weight < kept[i].edge.weight {
-                    kept[i].edge.weight = se.edge.weight;
-                    if !folded_idx.contains(&i) {
-                        folded_idx.push(i);
-                    }
-                }
-                removed.push(*se);
-            }
-        }
-    }
-    let folds: Vec<WeightFold> = folded_idx
-        .into_iter()
-        .map(|i| {
-            let k = &kept[i];
-            (k.edge.to, k.seq, k.peer_shard, k.edge.weight)
-        })
-        .collect();
-    // A fold implies a removed replay, so this also commits fold patches.
-    if !removed.is_empty() {
-        *list = kept;
-    }
-    (removed, folds)
-}
-
-/// Removes the in-entry with sequence number `seq` from `to`'s in-list
-/// (`seq` is globally unique).
-fn remove_in_entry(s: &mut Shard, to: VertexId, seq: u64) {
-    if let Some(list) = s.in_edges.get_mut(&to) {
-        list.retain(|se| se.seq != seq);
-    }
-}
-
-/// Rewrites the weight of the in-entry with sequence number `seq`.
-fn patch_in_weight(s: &mut Shard, to: VertexId, seq: u64, weight: f64) {
-    if let Some(list) = s.in_edges.get_mut(&to) {
-        for se in list.iter_mut() {
-            if se.seq == seq {
-                se.edge.weight = weight;
-            }
-        }
-    }
 }
 
 /// A read transaction over every shard: the [`EdgeSource`] behind
@@ -1094,16 +901,6 @@ impl EdgeSource for ShardReadTxn<'_> {
                 Direction::Forward => se.edge.to,
                 Direction::Backward => se.edge.from,
             };
-            // Keep-first logical view: pending deferred-dedup replays are
-            // invisible to queries, which is what makes compaction unable
-            // to change query results.
-            let duplicate = out.iter().any(|e| match dir {
-                Direction::Forward => e.to == neighbor,
-                Direction::Backward => e.from == neighbor,
-            });
-            if duplicate {
-                continue;
-            }
             locate.entry(neighbor).or_insert(se.peer_shard);
             out.push(se.edge);
         }

@@ -149,19 +149,18 @@ impl ShardedTrajectoryGraph {
         write_snapshot(&self.export(), dir)
     }
 
-    /// Loads a snapshot into a fresh store. The store adopts the
-    /// snapshot's shard layout; the remaining knobs come from `config`.
+    /// Loads a snapshot into a fresh store, which adopts the snapshot's
+    /// whole configuration (shard layout and routing key).
     ///
     /// # Errors
     ///
     /// Any [`SnapshotError`]; nothing is constructed on failure.
-    pub fn restore_from(dir: &Path, config: StorageConfig) -> Result<Self, SnapshotError> {
+    pub fn restore_from(dir: &Path) -> Result<Self, SnapshotError> {
         let state = read_snapshot(dir)?;
         let store = Self::new(StorageConfig {
             shard_count: state.shard_count,
             time_bucket_ms: state.time_bucket_ms,
             cameras_per_region: state.cameras_per_region,
-            ..config
         });
         store.apply(dir, state)?;
         Ok(store)

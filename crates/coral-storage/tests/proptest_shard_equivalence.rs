@@ -1,6 +1,6 @@
 //! Property tests: the sharded store is observationally equivalent to the
-//! flat reference graph at every shard count, and compaction never changes
-//! what queries see.
+//! flat reference graph at every shard count, and redelivered edges never
+//! change what queries see.
 //!
 //! Vertex ids are allocated globally (in insertion order) regardless of
 //! which shard a record lands on, so equivalence here is exact — same ids,
@@ -39,15 +39,13 @@ fn sig(i: usize) -> ColorHistogram {
     ColorHistogram::from_bins(2, bins).expect("8 bins for 2 bins/channel")
 }
 
-fn config(shard_count: usize, deferred: bool) -> StorageConfig {
+fn config(shard_count: usize) -> StorageConfig {
     StorageConfig {
         shard_count,
         // Small bucket + region so a ~30-event stream crosses many
         // routing keys (events are ~950 ms apart).
         time_bucket_ms: 2_000,
         cameras_per_region: 2,
-        deferred_edge_dedup: deferred,
-        ..StorageConfig::default()
     }
 }
 
@@ -108,19 +106,6 @@ fn build_sharded(
     g
 }
 
-/// Runs compaction to a full pass over the whole store.
-fn compact_fully(g: &ShardedTrajectoryGraph) -> (usize, usize) {
-    let (mut merged, mut folded) = (0, 0);
-    loop {
-        let r = g.compact_step(16);
-        merged += r.merged_edges;
-        folded += r.folded_edges;
-        if r.completed_pass {
-            return (merged, folded);
-        }
-    }
-}
-
 /// The full observable query surface of a store, as comparable data.
 fn observe(g: &ShardedTrajectoryGraph, n: usize) -> Vec<String> {
     let mut out = Vec::new();
@@ -160,7 +145,7 @@ proptest! {
     ) {
         let flat = build_flat(n, &raw_edges);
         for k in SHARD_AXIS {
-            let sharded = build_sharded(n, &raw_edges, config(k, false), &[]);
+            let sharded = build_sharded(n, &raw_edges, config(k), &[]);
             prop_assert_eq!(sharded.vertex_count(), flat.vertex_count());
             prop_assert_eq!(sharded.edge_count(), flat.edge_count());
             let merged = sharded.to_flat();
@@ -192,7 +177,7 @@ proptest! {
         let horizon = n as u64 * 950 + 500;
         let flat_traj = trajectory(&flat, seed, QueryOptions::default()).unwrap();
         for k in SHARD_AXIS {
-            let sharded = build_sharded(n, &raw_edges, config(k, false), &[]);
+            let sharded = build_sharded(n, &raw_edges, config(k), &[]);
             prop_assert_eq!(
                 &sharded.trajectory(seed, QueryOptions::default()).unwrap(),
                 &flat_traj,
@@ -219,83 +204,26 @@ proptest! {
     }
 
     #[test]
-    fn compaction_is_idempotent_and_invisible_to_queries(
+    fn redelivered_edges_are_invisible_to_checked_ingest(
         n in 2usize..24,
         raw_edges in proptest::collection::vec((0usize..24, 0usize..24, 0.0f64..1.0), 0..60),
         replays in proptest::collection::vec(1usize..4, 1..20),
     ) {
-        // Deferred mode keeps redelivered edges; queries must be blind to
-        // them before, during and after compaction (keep-first view).
-        let deferred = build_sharded(n, &raw_edges, config(3, true), &replays);
-        let checked = build_sharded(n, &raw_edges, config(3, false), &[]);
-        let before = observe(&deferred, n);
-        prop_assert_eq!(&before, &observe(&checked, n), "pre-compaction view");
-
-        let (merged, _) = compact_fully(&deferred);
-        prop_assert_eq!(
-            deferred.edge_count(), checked.edge_count(),
-            "a full pass must merge every replay (merged {})", merged
-        );
-        prop_assert_eq!(&observe(&deferred, n), &before, "post-compaction view");
-
-        // Second pass: nothing left to do.
-        let (merged2, folded2) = compact_fully(&deferred);
-        prop_assert_eq!((merged2, folded2), (0, 0), "compaction must be idempotent");
-
-        // Deferred-then-compacted is structurally the checked-mode store.
-        let (a, b) = (deferred.to_flat(), checked.to_flat());
-        prop_assert_eq!(a.vertex_count(), b.vertex_count());
-        prop_assert_eq!(a.edge_count(), b.edge_count());
-        for v in b.vertices() {
-            prop_assert_eq!(a.out_edges(v.id), b.out_edges(v.id), "out-edges of {}", v.id);
-            prop_assert_eq!(a.in_edges(v.id), b.in_edges(v.id), "in-edges of {}", v.id);
-        }
-    }
-
-    #[test]
-    fn weight_folding_keeps_the_minimum_parallel_weight(
-        n in 2usize..16,
-        raw_edges in proptest::collection::vec((0usize..16, 0usize..16, 0.0f64..1.0), 1..30),
-    ) {
-        // With folding on, a compacted parallel bundle keeps the smallest
-        // (most confident) weight ever claimed for the pair.
-        let cfg = StorageConfig { fold_min_weight: true, ..config(3, true) };
-        let g = ShardedTrajectoryGraph::new(cfg);
-        let vs: Vec<VertexId> = (0..n)
-            .map(|i| {
-                g.insert_event(
-                    eid((i as u32) % CAMERAS, i as u64),
-                    i as u64 * 950,
-                    i as u64 * 950 + 400,
-                    None,
-                    None,
-                )
-            })
-            .collect();
-        let mut best: std::collections::BTreeMap<(VertexId, VertexId), f64> =
-            std::collections::BTreeMap::new();
-        for &(a, b, w) in &raw_edges {
-            let (a, b) = (a % n, b % n);
-            if a < b {
-                // Two claims per pair occurrence, the replay slightly
-                // worse — folding must keep the better of all claims.
-                g.insert_edge(vs[a], vs[b], w).unwrap();
-                g.insert_edge(vs[a], vs[b], (w + 0.05).min(1.0)).unwrap();
-                let e = best.entry((vs[a], vs[b])).or_insert(f64::INFINITY);
-                *e = e.min(w);
+        // At-least-once delivery repeats edge inserts; ingest drops each
+        // replay keep-first, so the store is the one a single delivery
+        // builds, physically and as seen by every query.
+        for k in SHARD_AXIS {
+            let replayed = build_sharded(n, &raw_edges, config(k), &replays);
+            let once = build_sharded(n, &raw_edges, config(k), &[]);
+            prop_assert_eq!(replayed.edge_count(), once.edge_count(), "edges at {} shards", k);
+            prop_assert_eq!(&observe(&replayed, n), &observe(&once, n), "queries at {} shards", k);
+            let (a, b) = (replayed.to_flat(), once.to_flat());
+            prop_assert_eq!(a.vertex_count(), b.vertex_count());
+            prop_assert_eq!(a.edge_count(), b.edge_count());
+            for v in b.vertices() {
+                prop_assert_eq!(a.out_edges(v.id), b.out_edges(v.id), "out-edges of {}", v.id);
+                prop_assert_eq!(a.in_edges(v.id), b.in_edges(v.id), "in-edges of {}", v.id);
             }
-        }
-        compact_fully(&g);
-        let flat = g.to_flat();
-        prop_assert_eq!(flat.edge_count(), best.len());
-        for (&(from, to), &w) in &best {
-            let kept: Vec<f64> = flat
-                .out_edges(from)
-                .iter()
-                .filter(|e| e.to == to)
-                .map(|e| e.weight)
-                .collect();
-            prop_assert_eq!(&kept, &vec![w], "pair {} -> {}", from, to);
         }
     }
 }

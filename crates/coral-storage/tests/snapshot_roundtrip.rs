@@ -89,7 +89,6 @@ fn cfg(shard_count: usize) -> StorageConfig {
         shard_count,
         time_bucket_ms: 2_000,
         cameras_per_region: 2,
-        ..StorageConfig::default()
     }
 }
 
@@ -148,7 +147,7 @@ fn roundtrip_preserves_structure_and_ingest_continues() {
     let dir = TempDir::new("roundtrip");
     let (g, vs) = populated(3);
     g.snapshot_to(dir.path()).unwrap();
-    let restored = ShardedTrajectoryGraph::restore_from(dir.path(), cfg(3)).unwrap();
+    let restored = ShardedTrajectoryGraph::restore_from(dir.path()).unwrap();
     assert_eq!(restored.shard_count(), 3);
     assert_flat_eq(&restored.to_flat(), &g.to_flat());
 
@@ -172,8 +171,8 @@ fn restore_adopts_the_snapshot_shard_layout() {
     let dir = TempDir::new("adopt-layout");
     let (g, _) = populated(5);
     g.snapshot_to(dir.path()).unwrap();
-    // restore_from takes the layout from the snapshot, not the config.
-    let restored = ShardedTrajectoryGraph::restore_from(dir.path(), cfg(1)).unwrap();
+    // restore_from takes the whole configuration from the snapshot.
+    let restored = ShardedTrajectoryGraph::restore_from(dir.path()).unwrap();
     assert_eq!(restored.shard_count(), 5);
     assert_flat_eq(&restored.to_flat(), &g.to_flat());
 }
@@ -224,7 +223,7 @@ fn snapshot_during_concurrent_ingest_restores_consistently() {
     for round in 0..6 {
         let dir = TempDir::new(&format!("live-{round}"));
         node.snapshot_to(dir.path()).unwrap();
-        let restored = ShardedTrajectoryGraph::restore_from(dir.path(), cfg(4)).unwrap();
+        let restored = ShardedTrajectoryGraph::restore_from(dir.path()).unwrap();
         let flat = restored.to_flat();
         for v in flat.vertices() {
             for e in flat.out_edges(v.id) {
@@ -252,7 +251,7 @@ fn flipped_byte_in_a_shard_file_is_a_checksum_mismatch() {
     let idx = bytes.len() / 2;
     bytes[idx] ^= 0x01;
     std::fs::write(&victim, &bytes).unwrap();
-    match ShardedTrajectoryGraph::restore_from(dir.path(), cfg(3)) {
+    match ShardedTrajectoryGraph::restore_from(dir.path()) {
         Err(SnapshotError::ChecksumMismatch {
             path,
             expected,
@@ -271,7 +270,7 @@ fn missing_shard_file_is_an_io_error() {
     let (g, _) = populated(2);
     g.snapshot_to(dir.path()).unwrap();
     std::fs::remove_file(dir.path().join("shard-0000.csnap")).unwrap();
-    match ShardedTrajectoryGraph::restore_from(dir.path(), cfg(2)) {
+    match ShardedTrajectoryGraph::restore_from(dir.path()) {
         Err(SnapshotError::Io { path, .. }) => {
             assert_eq!(path, dir.path().join("shard-0000.csnap"));
         }
@@ -289,7 +288,7 @@ fn unknown_manifest_version_is_a_version_mismatch() {
     rewrite_with_valid_trailer(&dir.path().join("MANIFEST"), |body| {
         body.replacen("coral-snapshot v1", "coral-snapshot v99", 1)
     });
-    match ShardedTrajectoryGraph::restore_from(dir.path(), cfg(2)) {
+    match ShardedTrajectoryGraph::restore_from(dir.path()) {
         Err(SnapshotError::VersionMismatch { found, .. }) => {
             assert_eq!(found, "coral-snapshot v99");
         }
@@ -303,7 +302,7 @@ fn truncated_manifest_is_corrupt() {
     let (g, _) = populated(2);
     g.snapshot_to(dir.path()).unwrap();
     std::fs::write(dir.path().join("MANIFEST"), "coral-snapshot v1\n").unwrap();
-    match ShardedTrajectoryGraph::restore_from(dir.path(), cfg(2)) {
+    match ShardedTrajectoryGraph::restore_from(dir.path()) {
         Err(SnapshotError::Corrupt { .. }) => {}
         other => panic!("expected Corrupt, got {other:?}"),
     }
@@ -342,4 +341,111 @@ fn failed_restore_leaves_the_store_untouched() {
     target.insert_edge(a, b, 0.3).unwrap();
     assert!(target.restore_in_place(dir.path()).is_err());
     assert_eq!((target.vertex_count(), target.edge_count()), (2, 1));
+}
+
+/// Restores the tampered snapshot at `dir` over a live 3-shard store and
+/// asserts it is rejected as corrupt, for a reason mentioning `why`, with
+/// the store left as it was.
+fn assert_rejected_as_corrupt(dir: &Path, why: &str) {
+    let target = ShardedTrajectoryGraph::new(cfg(3));
+    let a = target.insert_event(eid(5, 50), 0, 100, None, None);
+    let b = target.insert_event(eid(5, 51), 500, 600, None, None);
+    target.insert_edge(a, b, 0.3).unwrap();
+    match target.restore_in_place(dir) {
+        Err(SnapshotError::Corrupt { reason, .. }) => {
+            assert!(reason.contains(why), "unexpected reason {reason:?}");
+        }
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
+    assert_eq!((target.vertex_count(), target.edge_count()), (2, 1));
+    assert_eq!(target.vertex_for_event(eid(5, 51)), Some(b));
+}
+
+/// Applies `edit` to the first edge line of shard 0, then makes the
+/// file's trailer and the manifest's checksum and edge count agree with
+/// the new body, so only the edited content itself is wrong. `edit`
+/// returns the replacement line(s).
+fn tamper_first_edge_of_shard_0(dir: &Path, edit: impl FnOnce(&str) -> String) {
+    let victim = dir.join("shard-0000.csnap");
+    let mut edges = 0;
+    rewrite_with_valid_trailer(&victim, |body| {
+        let line = body
+            .lines()
+            .find(|l| l.starts_with("e "))
+            .expect("shard 0 holds an edge");
+        let edited = body.replacen(line, &edit(line), 1);
+        edges = edited.lines().filter(|l| l.starts_with("e ")).count();
+        edited
+    });
+    let crc = fnv64(std::fs::read(&victim).unwrap().as_slice());
+    rewrite_with_valid_trailer(&dir.join("MANIFEST"), |body| {
+        body.lines()
+            .map(|l| match l.split_whitespace().collect::<Vec<_>>()[..] {
+                ["shard", "0", file, _, nv, _] => format!("shard 0 {file} {crc:016x} {nv} {edges}"),
+                _ => l.to_string(),
+            })
+            .collect::<Vec<_>>()
+            .join("\n")
+    });
+}
+
+/// An edit of the fields of an edge line (`e <from> <to> <weight> <seq>`),
+/// given a vertex shard 0 does not hold.
+type EdgeEdit = fn(&mut [String], VertexId);
+
+#[test]
+fn duplicated_edge_line_is_corrupt() {
+    let dir = TempDir::new("dup-edge");
+    let (g, _) = populated(3);
+    g.snapshot_to(dir.path()).unwrap();
+    tamper_first_edge_of_shard_0(dir.path(), |line| format!("{line}\n{line}"));
+    assert_rejected_as_corrupt(dir.path(), "appears twice");
+}
+
+#[test]
+fn invalid_edge_lines_are_corrupt() {
+    let (g, _) = populated(3);
+    // A vertex shard 0 does not hold, for a misplaced edge.
+    let foreign = (0..40)
+        .map(VertexId)
+        .find(|&v| {
+            let r = g.vertex(v).unwrap();
+            g.route(r.camera, r.first_seen_ms) != 0
+        })
+        .expect("a vertex outside shard 0");
+    let cases: [(&str, EdgeEdit, &str); 4] = [
+        ("self-loop", |f, _| f[2] = f[1].clone(), "self-loop"),
+        (
+            "nan-weight",
+            |f, _| f[3] = format!("{:x}", f64::NAN.to_bits()),
+            "invalid edge weight",
+        ),
+        (
+            "negative-weight",
+            |f, _| f[3] = format!("{:x}", (-0.5f64).to_bits()),
+            "invalid edge weight",
+        ),
+        ("misplaced", |f, v| f[1] = v.0.to_string(), "does not hold"),
+    ];
+    for (name, edit, why) in cases {
+        let dir = TempDir::new(name);
+        g.snapshot_to(dir.path()).unwrap();
+        tamper_first_edge_of_shard_0(dir.path(), |line| {
+            let mut fields: Vec<String> = line.split(' ').map(str::to_string).collect();
+            edit(&mut fields, foreign);
+            fields.join(" ")
+        });
+        assert_rejected_as_corrupt(dir.path(), why);
+    }
+}
+
+#[test]
+fn huge_next_vertex_is_corrupt_not_a_panic() {
+    let dir = TempDir::new("huge-next-vertex");
+    let (g, _) = populated(3);
+    g.snapshot_to(dir.path()).unwrap();
+    rewrite_with_valid_trailer(&dir.path().join("MANIFEST"), |body| {
+        body.replacen("next_vertex 40\n", "next_vertex 4611686018427387904\n", 1)
+    });
+    assert_rejected_as_corrupt(dir.path(), "does not match the 40 vertex records");
 }

@@ -246,3 +246,59 @@ fn confirm_stage_cleans_sibling_pools() {
         1
     );
 }
+
+#[test]
+fn first_sightings_follow_the_system_frame_period() {
+    // Nodes back-date a track's first sighting by whole frames, so with a
+    // 200 ms frame period every stored interval lies on the 200 ms tick
+    // grid.
+    let net = generators::corridor(3, 120.0, 12.0);
+    let specs: Vec<CameraSpec> = (0..3)
+        .map(|i| CameraSpec {
+            id: CameraId(i),
+            site: IntersectionId(i),
+            videoing_angle_deg: 0.0,
+        })
+        .collect();
+    let config = SystemConfig {
+        node: NodeConfig {
+            detector_noise: DetectorNoise::perfect(),
+            ..NodeConfig::default()
+        },
+        frame_period: SimDuration::from_millis(200),
+        ..SystemConfig::default()
+    };
+    let mut sys = CoralPieSystem::new(net.clone(), &specs, config);
+    for k in 0..3u64 {
+        let r = route::shortest_path(&net, IntersectionId(0), IntersectionId(2)).unwrap();
+        sys.traffic_mut()
+            .spawn(SimTime::from_secs(1 + 7 * k), r, Some(ObjectClass::Car));
+    }
+    sys.run_until(SimTime::from_secs(60));
+    sys.finish();
+    let intervals: Vec<(u64, u64)> = sys.storage().with_graph(|g| {
+        g.vertices()
+            .map(|v| (v.first_seen_ms, v.last_seen_ms))
+            .collect()
+    });
+    assert!(
+        intervals.len() >= 6,
+        "expected sightings, got {intervals:?}"
+    );
+    assert!(
+        intervals.iter().any(|&(first, last)| first < last),
+        "no multi-frame track: {intervals:?}"
+    );
+    for (first, last) in intervals {
+        assert_eq!(
+            first % 200,
+            0,
+            "first sighting {first} ms is off the tick grid"
+        );
+        assert_eq!(
+            last % 200,
+            0,
+            "last sighting {last} ms is off the tick grid"
+        );
+    }
+}

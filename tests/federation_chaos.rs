@@ -100,7 +100,7 @@ fn journal_messages(sys: &CoralPieSystem, kind: JournalKind) -> Vec<String> {
 /// delivered, events, passages and region 0's storage counters.
 type RunPrint = (u64, u64, usize, usize, StorageStats);
 
-/// Single-shard, frame-free, compaction-idle storage counters.
+/// Single-shard, frame-free storage counters.
 fn stats(vertices: usize, edges: usize) -> StorageStats {
     StorageStats {
         vertices,

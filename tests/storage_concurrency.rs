@@ -34,7 +34,6 @@ fn contended_config() -> StorageConfig {
         // boundaries (maximum cross-shard locking traffic).
         time_bucket_ms: 500,
         cameras_per_region: 2,
-        ..StorageConfig::default()
     }
 }
 
@@ -241,43 +240,29 @@ fn writers_and_readers_race_without_deadlock_or_torn_reads() {
 }
 
 #[test]
-fn compaction_races_writers_and_readers_safely() {
+fn redelivery_races_writers_and_readers_safely() {
     with_watchdog(|| {
-        // Deferred dedup + duplicated sends: the background compactor
-        // must converge the store onto the deduped stream while queries
-        // stay oblivious throughout.
-        let config = StorageConfig {
-            deferred_edge_dedup: true,
-            ..contended_config()
-        };
-        let node = EdgeStorageNode::with_config(8, config.clone());
+        // At-least-once delivery: every writer stream is sent by two
+        // threads at once, so each edge arrives twice and the two copies
+        // race on the ingest-time keep-first check. The store must hold
+        // exactly one copy while queries run throughout.
+        let node = EdgeStorageNode::with_config(8, contended_config());
         let done = Arc::new(AtomicBool::new(false));
         let mut writers = Vec::new();
-        for w in 0..WRITERS {
+        for w in 0..2 * WRITERS {
             let n = node.clone();
             writers.push(std::thread::spawn(move || {
+                let w = w % WRITERS;
                 let mut prev: Option<VertexId> = None;
                 for t in 0..EVENTS_PER_WRITER {
                     let v = n.insert_event(event_of(w, t), t * 120, t * 120 + 60, None, None);
                     if let Some(p) = prev {
-                        // At-least-once delivery: every edge sent twice.
-                        n.insert_edge(p, v, 0.1).unwrap();
                         n.insert_edge(p, v, 0.1).unwrap();
                     }
                     prev = Some(v);
                 }
             }));
         }
-        let compactor = {
-            let n = node.clone();
-            let d = Arc::clone(&done);
-            std::thread::spawn(move || {
-                while !d.load(Ordering::Relaxed) {
-                    n.compact_step();
-                    std::thread::yield_now();
-                }
-            })
-        };
         let reader = {
             let n = node.clone();
             let d = Arc::clone(&done);
@@ -287,27 +272,9 @@ fn compaction_races_writers_and_readers_safely() {
             h.join().unwrap();
         }
         done.store(true, Ordering::Relaxed);
-        compactor.join().unwrap();
-        reader.join().unwrap();
+        assert!(reader.join().unwrap() > 0, "reader made no progress");
 
-        // Drain any replays the in-flight compactor missed. The first
-        // completed pass may have *started* mid-ingest (shards visited
-        // before the writers finished can still hold late replays), so
-        // keep running full passes until one merges nothing. Then compare
-        // against a checked-mode (ingest-time dedup) sequential build.
-        loop {
-            let mut merged = 0;
-            loop {
-                let r = node.compact_step();
-                merged += r.merged_edges;
-                if r.completed_pass {
-                    break;
-                }
-            }
-            if merged == 0 {
-                break;
-            }
-        }
+        // Compare against a sequential build that delivers every edge once.
         let reference = EdgeStorageNode::with_config(8, contended_config());
         for w in 0..WRITERS {
             let mut prev: Option<VertexId> = None;
@@ -320,10 +287,6 @@ fn compaction_races_writers_and_readers_safely() {
             }
         }
         assert_eq!(node.stats().edges, reference.stats().edges);
-        assert!(
-            node.stats().compaction_merged_edges > 0,
-            "compactor must have merged replays"
-        );
         assert_eq!(fingerprint(&node), fingerprint(&reference));
     });
 }
