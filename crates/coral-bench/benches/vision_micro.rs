@@ -4,8 +4,9 @@
 //! histogram extraction, Bhattacharyya matching).
 
 use coral_vision::{
-    hungarian, BoundingBox, ColorHistogram, Detector, DetectorNoise, HistogramConfig, ObjectClass,
-    Renderer, Scene, SceneActor, SortConfig, SortTracker, SyntheticSsdDetector, VehicleAppearance,
+    hungarian, BoundingBox, ColorHistogram, Detector, DetectorNoise, HistogramConfig,
+    HistogramScratch, ObjectClass, Renderer, Scene, SceneActor, SortConfig, SortTracker,
+    SyntheticSsdDetector, VehicleAppearance,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -133,9 +134,8 @@ fn bench_bhattacharyya(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_render(c: &mut Criterion) {
-    // The synthetic substitute for frame capture + decode.
-    let scene = Scene {
+fn four_car_scene() -> Scene {
+    Scene {
         width: 240,
         height: 192,
         actors: (0..4)
@@ -147,13 +147,33 @@ fn bench_render(c: &mut Criterion) {
                 appearance: VehicleAppearance::from_seed(i),
             })
             .collect(),
-    };
+    }
+}
+
+fn bench_render(c: &mut Criterion) {
+    // The synthetic substitute for frame capture + decode.
+    let scene = four_car_scene();
     let renderer = Renderer::default();
     c.bench_function("render_frame_240x192_4cars", |b| {
         let mut seed = 0u64;
         b.iter(|| {
             seed += 1;
             renderer.render(&scene, seed)
+        });
+    });
+    // What a frame costs the tracker instead: one signature per car, read
+    // from a lazy view that renders only the pixels inside the boxes.
+    let config = HistogramConfig::default();
+    c.bench_function("histogram_lazy_scene_240x192_4cars", |b| {
+        let mut scratch = HistogramScratch::new();
+        let mut seed = 0u64;
+        b.iter(|| {
+            seed += 1;
+            let view = renderer.view(&scene, seed);
+            for actor in &scene.actors {
+                ColorHistogram::extract_into(&view, &actor.bbox, &config, &mut scratch);
+            }
+            scratch.bins()[0]
         });
     });
 }

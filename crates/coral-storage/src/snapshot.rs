@@ -553,11 +553,5 @@ fn decode_signature(
         .map(|b| u64::from_str_radix(b, 16).map(f64::from_bits))
         .collect::<Result<_, _>>()
         .map_err(|_| corrupt(path, line, "unparsable signature bin"))?;
-    ColorHistogram::from_bins(bpc, bins).ok_or_else(|| {
-        corrupt(
-            path,
-            line,
-            "signature bin count does not match bins-per-channel",
-        )
-    })
+    ColorHistogram::from_bins(bpc, bins).map_err(|e| corrupt(path, line, e.to_string()))
 }

@@ -361,19 +361,14 @@ fn assert_rejected_as_corrupt(dir: &Path, why: &str) {
     assert_eq!(target.vertex_for_event(eid(5, 51)), Some(b));
 }
 
-/// Applies `edit` to the first edge line of shard 0, then makes the
-/// file's trailer and the manifest's checksum and edge count agree with
-/// the new body, so only the edited content itself is wrong. `edit`
-/// returns the replacement line(s).
-fn tamper_first_edge_of_shard_0(dir: &Path, edit: impl FnOnce(&str) -> String) {
+/// Applies `edit` to the body of shard 0, then makes the file's trailer
+/// and the manifest's checksum and edge count agree with the new body, so
+/// only the edited content itself is wrong.
+fn tamper_shard_0(dir: &Path, edit: impl FnOnce(&str) -> String) {
     let victim = dir.join("shard-0000.csnap");
     let mut edges = 0;
     rewrite_with_valid_trailer(&victim, |body| {
-        let line = body
-            .lines()
-            .find(|l| l.starts_with("e "))
-            .expect("shard 0 holds an edge");
-        let edited = body.replacen(line, &edit(line), 1);
+        let edited = edit(body);
         edges = edited.lines().filter(|l| l.starts_with("e ")).count();
         edited
     });
@@ -386,6 +381,18 @@ fn tamper_first_edge_of_shard_0(dir: &Path, edit: impl FnOnce(&str) -> String) {
             })
             .collect::<Vec<_>>()
             .join("\n")
+    });
+}
+
+/// Applies `edit` to the first edge line of shard 0 through
+/// [`tamper_shard_0`]. `edit` returns the replacement line(s).
+fn tamper_first_edge_of_shard_0(dir: &Path, edit: impl FnOnce(&str) -> String) {
+    tamper_shard_0(dir, |body| {
+        let line = body
+            .lines()
+            .find(|l| l.starts_with("e "))
+            .expect("shard 0 holds an edge");
+        body.replacen(line, &edit(line), 1)
     });
 }
 
@@ -437,6 +444,24 @@ fn invalid_edge_lines_are_corrupt() {
         });
         assert_rejected_as_corrupt(dir.path(), why);
     }
+}
+
+#[test]
+fn nan_signature_bin_is_corrupt() {
+    let dir = TempDir::new("nan-bin");
+    let (g, _) = populated(3);
+    g.snapshot_to(dir.path()).unwrap();
+    tamper_shard_0(dir.path(), |body| {
+        let line = body
+            .lines()
+            .find(|l| l.starts_with("v ") && l.contains(" 2:"))
+            .expect("shard 0 holds a signature");
+        let (head, bins) = line.split_once(" 2:").unwrap();
+        let rest = bins.split_once(',').unwrap().1;
+        let nan = f64::NAN.to_bits();
+        body.replacen(line, &format!("{head} 2:{nan:x},{rest}"), 1)
+    });
+    assert_rejected_as_corrupt(dir.path(), "not a finite non-negative");
 }
 
 #[test]

@@ -115,6 +115,7 @@ impl Frame {
     /// # Panics
     ///
     /// Panics if the coordinates are out of bounds.
+    #[inline]
     pub fn pixel(&self, x: u32, y: u32) -> Rgb {
         assert!(x < self.width && y < self.height, "pixel out of bounds");
         let idx = ((y * self.width + x) * 3) as usize;
@@ -122,73 +123,30 @@ impl Frame {
     }
 }
 
-/// Mutable frame builder used by the renderer.
-#[derive(Debug, Clone)]
-pub struct FrameBuf {
-    width: u32,
-    height: u32,
-    data: Vec<u8>,
+/// Read access to a grid of pixels: a rendered [`Frame`], or a lazy
+/// [`SceneView`](crate::render::SceneView) that computes each pixel only
+/// when it is read. Signature extraction reads through this seam.
+pub trait PixelSource {
+    /// Width in pixels.
+    fn width(&self) -> u32;
+    /// Height in pixels.
+    fn height(&self) -> u32;
+    /// The pixel at `(x, y)`, which must lie inside the grid.
+    fn pixel(&self, x: u32, y: u32) -> Rgb;
 }
 
-impl FrameBuf {
-    /// Creates a buffer filled with `fill`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` or `height` is zero.
-    pub fn filled(width: u32, height: u32, fill: Rgb) -> Self {
-        assert!(width > 0 && height > 0, "frame must be non-empty");
-        let mut data = Vec::with_capacity((width * height * 3) as usize);
-        for _ in 0..width * height {
-            data.extend_from_slice(&[fill.r, fill.g, fill.b]);
-        }
-        Self {
-            width,
-            height,
-            data,
-        }
-    }
-
-    /// Buffer width in pixels.
-    pub fn width(&self) -> u32 {
+impl PixelSource for Frame {
+    fn width(&self) -> u32 {
         self.width
     }
 
-    /// Buffer height in pixels.
-    pub fn height(&self) -> u32 {
+    fn height(&self) -> u32 {
         self.height
     }
 
-    /// Writes the pixel at `(x, y)`; out-of-bounds writes are ignored so the
-    /// renderer can draw partially visible vehicles at frame edges.
-    pub fn put(&mut self, x: i64, y: i64, c: Rgb) {
-        if x < 0 || y < 0 || x >= i64::from(self.width) || y >= i64::from(self.height) {
-            return;
-        }
-        let idx = ((y as u32 * self.width + x as u32) * 3) as usize;
-        self.data[idx] = c.r;
-        self.data[idx + 1] = c.g;
-        self.data[idx + 2] = c.b;
-    }
-
-    /// Reads the pixel at `(x, y)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the coordinates are out of bounds.
-    pub fn get(&self, x: u32, y: u32) -> Rgb {
-        assert!(x < self.width && y < self.height, "pixel out of bounds");
-        let idx = ((y * self.width + x) * 3) as usize;
-        Rgb::new(self.data[idx], self.data[idx + 1], self.data[idx + 2])
-    }
-
-    /// Freezes the buffer into an immutable [`Frame`].
-    pub fn freeze(self) -> Frame {
-        Frame {
-            width: self.width,
-            height: self.height,
-            data: Bytes::from(self.data),
-        }
+    #[inline]
+    fn pixel(&self, x: u32, y: u32) -> Rgb {
+        Frame::pixel(self, x, y)
     }
 }
 
@@ -236,20 +194,6 @@ mod tests {
         let f = Frame::filled(8, 8, Rgb::default());
         let g = f.clone();
         assert_eq!(f.raw().as_ptr(), g.raw().as_ptr());
-    }
-
-    #[test]
-    fn framebuf_put_get_and_bounds() {
-        let mut b = FrameBuf::filled(4, 4, Rgb::default());
-        b.put(1, 2, Rgb::new(255, 0, 0));
-        assert_eq!(b.get(1, 2), Rgb::new(255, 0, 0));
-        // Out-of-bounds writes are silently dropped.
-        b.put(-1, 0, Rgb::new(1, 1, 1));
-        b.put(4, 0, Rgb::new(1, 1, 1));
-        b.put(0, 100, Rgb::new(1, 1, 1));
-        let f = b.freeze();
-        assert_eq!(f.pixel(1, 2), Rgb::new(255, 0, 0));
-        assert_eq!(f.pixel(0, 0), Rgb::default());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! Bhattacharyya distance (§4.1.4).
 
 use crate::bbox::BoundingBox;
-use crate::frame::Frame;
+use crate::frame::PixelSource;
 use serde::{Deserialize, Serialize};
 
 /// Histogram extraction configuration.
@@ -107,17 +107,71 @@ pub fn bhattacharyya_sum_naive(p: &[f64], q: &[f64]) -> f64 {
 }
 
 /// A normalised color histogram (probability distribution over RGB bins).
+///
+/// Decoding goes through [`ColorHistogram::from_bins`], so a malformed
+/// signature is rejected at the parser instead of panicking in a compare.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(try_from = "HistogramWire")]
 pub struct ColorHistogram {
     bins_per_channel: usize,
     bins: Vec<f64>,
 }
 
+/// The unchecked serialized shape of a [`ColorHistogram`].
+#[derive(Deserialize)]
+struct HistogramWire {
+    bins_per_channel: usize,
+    bins: Vec<f64>,
+}
+
+impl TryFrom<HistogramWire> for ColorHistogram {
+    type Error = HistogramError;
+
+    fn try_from(w: HistogramWire) -> Result<Self, HistogramError> {
+        Self::from_bins(w.bins_per_channel, w.bins)
+    }
+}
+
+/// Why raw bins do not form a [`ColorHistogram`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HistogramError {
+    /// Bins per channel is zero, or its cube overflows `usize`.
+    BinsPerChannel(usize),
+    /// The bin count is not bins-per-channel cubed.
+    BinCount {
+        /// `bins_per_channel³`.
+        expected: usize,
+        /// Entries supplied.
+        actual: usize,
+    },
+    /// The bin at this index is NaN, infinite or negative.
+    Bin(usize),
+}
+
+impl std::fmt::Display for HistogramError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::BinsPerChannel(b) => write!(f, "invalid bins-per-channel {b}"),
+            Self::BinCount { expected, actual } => write!(
+                f,
+                "signature has {actual} bins, bins-per-channel needs {expected}"
+            ),
+            Self::Bin(i) => write!(f, "signature bin {i} is not a finite non-negative value"),
+        }
+    }
+}
+
+impl std::error::Error for HistogramError {}
+
 impl ColorHistogram {
     /// Extracts the center-weighted histogram of `bbox` within `frame`.
     /// Pixels outside the frame are ignored; an empty region yields the
     /// uniform histogram.
-    pub fn extract(frame: &Frame, bbox: &BoundingBox, config: &HistogramConfig) -> Self {
+    pub fn extract<P: PixelSource + ?Sized>(
+        frame: &P,
+        bbox: &BoundingBox,
+        config: &HistogramConfig,
+    ) -> Self {
         let mut scratch = HistogramScratch::new();
         Self::extract_into(frame, bbox, config, &mut scratch);
         Self {
@@ -129,9 +183,10 @@ impl ColorHistogram {
     /// Allocation-free extraction: identical numerics to
     /// [`ColorHistogram::extract`], written into the arena's recycled
     /// buffer instead of a fresh `Vec`. Read the result from
-    /// [`HistogramScratch::bins`].
-    pub fn extract_into(
-        frame: &Frame,
+    /// [`HistogramScratch::bins`]. Only the pixels inside `bbox` are read,
+    /// so a lazy [`SceneView`](crate::render::SceneView) renders just those.
+    pub fn extract_into<P: PixelSource + ?Sized>(
+        frame: &P,
         bbox: &BoundingBox,
         config: &HistogramConfig,
         scratch: &mut HistogramScratch,
@@ -178,17 +233,32 @@ impl ColorHistogram {
         }
     }
 
-    /// Reassembles a histogram from raw bin values (the storage snapshot
-    /// restore path). Returns `None` unless `bins` has exactly
-    /// `bins_per_channel³` entries, so a truncated snapshot line cannot
-    /// produce a histogram that panics later in a Bhattacharyya compare.
-    pub fn from_bins(bins_per_channel: usize, bins: Vec<f64>) -> Option<Self> {
-        let b = bins_per_channel.max(1);
-        if bins.len() != b * b * b {
-            return None;
+    /// Reassembles a histogram from raw bin values: the snapshot restore
+    /// path, and (through `Deserialize`) every signature decoded off the
+    /// wire. `bins_per_channel` must be at least 1, `bins` must hold
+    /// exactly `bins_per_channel³` entries, and every bin must be finite
+    /// and non-negative, so hostile or truncated bytes cannot produce a
+    /// histogram that panics or poisons a Bhattacharyya compare later.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violated constraint.
+    pub fn from_bins(bins_per_channel: usize, bins: Vec<f64>) -> Result<Self, HistogramError> {
+        let cells = Some(bins_per_channel)
+            .filter(|&b| b >= 1)
+            .and_then(|b| b.checked_mul(b)?.checked_mul(b))
+            .ok_or(HistogramError::BinsPerChannel(bins_per_channel))?;
+        if bins.len() != cells {
+            return Err(HistogramError::BinCount {
+                expected: cells,
+                actual: bins.len(),
+            });
         }
-        Some(Self {
-            bins_per_channel: b,
+        if let Some(index) = bins.iter().position(|v| !(v.is_finite() && *v >= 0.0)) {
+            return Err(HistogramError::Bin(index));
+        }
+        Ok(Self {
+            bins_per_channel,
             bins,
         })
     }
@@ -309,6 +379,7 @@ impl Default for SignatureAccumulator {
     }
 }
 
+#[inline]
 fn bin_index(r: u8, g: u8, b: u8, bins: usize) -> usize {
     let scale = |v: u8| (usize::from(v) * bins) / 256;
     (scale(r) * bins + scale(g)) * bins + scale(b)
@@ -317,7 +388,7 @@ fn bin_index(r: u8, g: u8, b: u8, bins: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::Rgb;
+    use crate::frame::{Frame, Rgb};
     use crate::render::{
         GroundTruthId, ObjectClass, Renderer, Scene, SceneActor, VehicleAppearance,
     };
@@ -411,13 +482,17 @@ mod tests {
     fn center_weighting_emphasises_center() {
         // Frame whose central region is red and border is blue: with strong
         // center weighting, the red bins dominate.
-        let mut buf = crate::frame::FrameBuf::filled(32, 32, Rgb::new(0, 0, 255));
-        for y in 12..20 {
-            for x in 12..20 {
-                buf.put(x, y, Rgb::new(255, 0, 0));
-            }
-        }
-        let frame = buf.freeze();
+        let data = (0..32 * 32)
+            .flat_map(|i| {
+                let (x, y) = (i % 32, i / 32);
+                if (12..20).contains(&x) && (12..20).contains(&y) {
+                    [255, 0, 0]
+                } else {
+                    [0, 0, 255]
+                }
+            })
+            .collect();
+        let frame = Frame::from_raw(32, 32, data).unwrap();
         let bbox = BoundingBox::new(0.0, 0.0, 32.0, 32.0).unwrap();
         let tight = HistogramConfig {
             bins_per_channel: 4,
@@ -458,6 +533,43 @@ mod tests {
         // Mean signature is close to both constituents.
         assert!(sig.bhattacharyya_distance(&ha) < 0.2);
         assert!(sig.bhattacharyya_distance(&hb) < 0.2);
+    }
+
+    #[test]
+    fn from_bins_rejects_malformed_signatures() {
+        assert!(ColorHistogram::from_bins(2, vec![0.125; 8]).is_ok());
+        assert_eq!(
+            ColorHistogram::from_bins(0, vec![1.0]),
+            Err(HistogramError::BinsPerChannel(0))
+        );
+        assert_eq!(
+            ColorHistogram::from_bins(usize::MAX, vec![1.0]),
+            Err(HistogramError::BinsPerChannel(usize::MAX))
+        );
+        assert_eq!(
+            ColorHistogram::from_bins(8, vec![1.0]),
+            Err(HistogramError::BinCount {
+                expected: 512,
+                actual: 1
+            })
+        );
+        let mut bins = vec![0.125; 8];
+        for bad in [f64::NAN, f64::INFINITY, -3.0] {
+            bins[5] = bad;
+            assert_eq!(
+                ColorHistogram::from_bins(2, bins.clone()),
+                Err(HistogramError::Bin(5))
+            );
+        }
+    }
+
+    #[test]
+    fn decode_validates_and_encoding_is_unchanged() {
+        let h = ColorHistogram::uniform(2);
+        let json = serde_json::to_string(&h).unwrap();
+        assert_eq!(serde_json::from_str::<ColorHistogram>(&json).unwrap(), h);
+        let bad = json.replacen("0.125", "-0.125", 1);
+        assert!(serde_json::from_str::<ColorHistogram>(&bad).is_err());
     }
 
     #[test]

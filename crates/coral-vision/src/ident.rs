@@ -4,14 +4,14 @@
 //! "The goal of the vehicle identification element is to recognize the
 //! appearance of each vehicle within one camera and generate a unique
 //! vehicle detection event for it" (paper §4.1.2). Per frame the element
-//! renders the scene, runs the detector, filters boxes, feeds them to SORT,
-//! and accumulates per-track centroids and histograms. When a track's ID
-//! stops appearing for `max_age` frames the vehicle has left the FOV and a
-//! single [`VehicleObservation`] is emitted.
+//! runs the detector, filters boxes, feeds them to SORT, and accumulates
+//! per-track centroids and histograms of the rendered pixels inside each
+//! track box. When a track's ID stops appearing for `max_age` frames the
+//! vehicle has left the FOV and a single [`VehicleObservation`] is emitted.
 
 use crate::bbox::BoundingBox;
 use crate::detect::{Detector, PostProcessor};
-use crate::frame::FrameId;
+use crate::frame::{FrameId, PixelSource};
 use crate::histogram::{ColorHistogram, HistogramConfig, HistogramScratch, SignatureAccumulator};
 use crate::render::{GroundTruthId, Renderer, Scene};
 use crate::sort::{SortConfig, SortTracker, TrackId};
@@ -76,7 +76,7 @@ pub struct IdentConfig {
     pub sort: SortConfig,
     /// Histogram extraction parameters.
     pub histogram: HistogramConfig,
-    /// Renderer used to produce the raw frames signatures are read from.
+    /// Renderer that produces the pixels signatures are read from.
     pub renderer: Renderer,
     /// Camera videoing angle, degrees clockwise from north.
     pub videoing_angle_deg: f64,
@@ -183,29 +183,34 @@ impl<D: Detector> VehicleIdentification<D> {
         self.scratch.stats()
     }
 
-    /// Renders the raw frame for `scene` exactly as
-    /// [`VehicleIdentification::process_scene`] would (same seed schedule),
-    /// so callers that also persist raw frames see identical pixels.
+    /// Renders the whole raw frame for `scene` with the pixels
+    /// [`VehicleIdentification::process_scene`] reads (same seed schedule),
+    /// for callers that persist raw frames.
     pub fn render(&self, frame_id: FrameId, scene: &Scene) -> Frame {
         self.config
             .renderer
             .render(scene, self.render_seed ^ frame_id.0)
     }
 
-    /// Processes one frame: renders the scene, detects, filters, tracks and
-    /// returns any completed vehicle observations.
+    /// Processes one frame: detects, filters, tracks and returns any
+    /// completed vehicle observations. Signature pixels are computed on
+    /// demand from a lazy [`SceneView`](crate::render::SceneView), only
+    /// inside the active track boxes.
     pub fn process_scene(&mut self, frame_id: FrameId, scene: &Scene) -> IdentFrameResult {
-        let frame = self.render(frame_id, scene);
-        self.process_rendered(frame_id, scene, &frame)
+        // A copy: the view borrows it while `self` is mutated.
+        let renderer = self.config.renderer;
+        let view = renderer.view(scene, self.render_seed ^ frame_id.0);
+        self.process_rendered(frame_id, scene, &view)
     }
 
-    /// Same as [`VehicleIdentification::process_scene`] but with a
-    /// pre-rendered frame (used when the pipeline stages render upstream).
-    pub fn process_rendered(
+    /// Same as [`VehicleIdentification::process_scene`] but reading
+    /// signature pixels from `pixels`, e.g. a frame already rendered with
+    /// [`VehicleIdentification::render`] for storage.
+    pub fn process_rendered<P: PixelSource + ?Sized>(
         &mut self,
         frame_id: FrameId,
         scene: &Scene,
-        frame: &Frame,
+        pixels: &P,
     ) -> IdentFrameResult {
         let raw = self.detector.detect(scene);
         let kept = self.post.filter(raw);
@@ -257,7 +262,7 @@ impl<D: Detector> VehicleIdentification<D> {
             });
             entry.centroids.push(st.bbox.centroid());
             ColorHistogram::extract_into(
-                frame,
+                pixels,
                 &st.bbox,
                 &self.config.histogram,
                 &mut self.scratch,

@@ -9,7 +9,8 @@
 //! calibrated noise-model detector for the physical camera and TPU (see
 //! DESIGN.md for the substitution argument):
 //!
-//! - [`render`] — rasterises ground-truth scenes into raw RGB [`Frame`]s.
+//! - [`render`] — renders ground-truth scenes into raw RGB pixels, on
+//!   demand through a [`SceneView`] or as a whole [`Frame`].
 //! - [`detect`] — the [`Detector`] trait, [`SyntheticSsdDetector`], and the
 //!   paper's 3-step post-processing filter ([`PostProcessor`]).
 //! - [`kalman`] / [`hungarian`] / [`sort`] — the SORT tracker stack.
@@ -35,15 +36,17 @@ pub mod sort;
 
 pub use bbox::{BoundingBox, InvalidBoxError};
 pub use detect::{Detection, Detector, DetectorNoise, PostProcessor, SyntheticSsdDetector};
-pub use frame::{Frame, FrameBuf, FrameId, Rgb};
+pub use frame::{Frame, FrameId, PixelSource, Rgb};
 pub use histogram::{
     bhattacharyya_sum_flat, bhattacharyya_sum_naive, ColorHistogram, HistogramConfig,
-    HistogramScratch, SignatureAccumulator,
+    HistogramError, HistogramScratch, SignatureAccumulator,
 };
 pub use ident::{IdentConfig, IdentFrameResult, VehicleIdentification, VehicleObservation};
 pub use interval::{DetectAndTrack, DetectAndTrackConfig};
 pub use kalman::KalmanBoxFilter;
-pub use render::{GroundTruthId, ObjectClass, Renderer, Scene, SceneActor, VehicleAppearance};
+pub use render::{
+    GroundTruthId, ObjectClass, Renderer, Scene, SceneActor, SceneView, VehicleAppearance,
+};
 pub use sort::{ExpiredTrack, SortConfig, SortOutput, SortTracker, TrackId, TrackState};
 
 // The hot per-frame kernels cross thread boundaries in the runtime's

@@ -7,9 +7,14 @@
 //! Bhattacharyya re-identification — consume these pixels exactly as they
 //! would consume camera output, so cross-camera matching accuracy *emerges*
 //! from appearance rather than being hardcoded.
+//!
+//! [`Renderer::pixel`] is the one definition of a rendered pixel. A
+//! [`SceneView`] computes pixels on demand, so signature extraction pays
+//! only for the pixels inside track boxes; [`Renderer::render`] fills a
+//! whole [`Frame`] from the same definition when the raw frame is kept.
 
 use crate::bbox::BoundingBox;
-use crate::frame::{Frame, FrameBuf, Rgb};
+use crate::frame::{Frame, PixelSource, Rgb};
 use serde::{Deserialize, Serialize};
 
 /// Opaque ground-truth identity of a vehicle, assigned by the traffic
@@ -183,60 +188,172 @@ impl Default for Renderer {
 impl Renderer {
     /// Rasterises `scene` into a raw frame. `frame_seed` decorrelates the
     /// sensor noise between frames while keeping rendering deterministic.
+    /// Every pixel is shaded by the definition behind
+    /// [`Renderer::pixel`], so full frames and on-demand pixels cannot
+    /// drift apart.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the scene is zero pixels wide or high.
     pub fn render(&self, scene: &Scene, frame_seed: u64) -> Frame {
-        let mut buf = FrameBuf::filled(scene.width, scene.height, self.background);
-        // Background sensor noise.
-        if self.noise_amplitude > 0 {
-            let amp = i32::from(self.noise_amplitude);
-            for y in 0..scene.height {
-                for x in 0..scene.width {
-                    let h = pixel_hash(frame_seed, x, y);
-                    let n = (h % (2 * amp as u64 + 1)) as i32 - amp;
-                    let c = shade(self.background, n);
-                    buf.put(i64::from(x), i64::from(y), c);
-                }
+        let view = self.view(scene, frame_seed);
+        let mut data = Vec::with_capacity(scene.width as usize * scene.height as usize * 3);
+        let mut row = Vec::with_capacity(scene.actors.len());
+        for y in 0..scene.height {
+            // Only the actors spanning this row can cover its pixels.
+            row.clear();
+            row.extend(view.actors().filter(|(r, _)| r.spans_row(i64::from(y))));
+            for x in 0..scene.width {
+                let p = self.pixel_among(row.iter().copied(), frame_seed, x, y);
+                data.extend_from_slice(&[p.r, p.g, p.b]);
             }
         }
-        for actor in &scene.actors {
-            self.draw_actor(&mut buf, actor, frame_seed);
-        }
-        buf.freeze()
+        Frame::from_raw(scene.width, scene.height, data).expect("frame must be non-empty")
     }
 
-    fn draw_actor(&self, buf: &mut FrameBuf, actor: &SceneActor, frame_seed: u64) {
-        let b = actor.bbox;
-        let (x0, y0) = (b.x0.floor() as i64, b.y0.floor() as i64);
-        let (x1, y1) = (b.x1.ceil() as i64, b.y1.ceil() as i64);
-        let h = (y1 - y0).max(1);
-        let w = (x1 - x0).max(1);
-        // Per-vehicle trim-band height: the "shape" component of the
-        // signature (two same-color vehicles still differ in their
-        // window/body proportion).
-        let trim_frac = 0.20 + (actor.appearance.texture_seed % 5) as f64 * 0.05;
-        for y in y0..y1 {
-            for x in x0..x1 {
-                let fy = (y - y0) as f64 / h as f64;
-                let fx = (x - x0) as f64 / w as f64;
-                let base = if fy < trim_frac {
-                    actor.appearance.trim // windows / roof band
-                } else if fy > 0.85 && !(0.25..=0.75).contains(&fx) {
-                    Rgb::new(15, 15, 15) // wheels
-                } else {
-                    actor.appearance.body
-                };
-                // Deterministic texture + illumination noise.
-                let th = pixel_hash(
-                    actor.appearance.texture_seed ^ frame_seed,
-                    x as u32 & 0xffff,
-                    y as u32 & 0xffff,
-                );
-                let n = (th % 13) as i32 - 6;
-                buf.put(x, y, shade(base, n));
+    /// The one definition of a rendered pixel: `(x, y)` of `scene` as
+    /// [`Renderer::render`] would write it. The pixel belongs to the last
+    /// actor in draw order whose integer footprint covers it (later actors
+    /// occlude earlier ones), else to the noisy background.
+    pub fn pixel(&self, scene: &Scene, frame_seed: u64, x: u32, y: u32) -> Rgb {
+        let actors = scene.actors.iter().map(|a| (PixelRect::of(&a.bbox), a));
+        self.pixel_among(actors, frame_seed, x, y)
+    }
+
+    /// A lazy view of `scene` that computes pixels on demand — only where
+    /// a reader looks — with each actor's footprint computed once.
+    pub fn view<'a>(&'a self, scene: &'a Scene, frame_seed: u64) -> SceneView<'a> {
+        SceneView {
+            renderer: self,
+            scene,
+            frame_seed,
+            rects: scene
+                .actors
+                .iter()
+                .map(|a| PixelRect::of(&a.bbox))
+                .collect(),
+        }
+    }
+
+    #[inline]
+    fn pixel_among<'a>(
+        &self,
+        actors: impl DoubleEndedIterator<Item = (PixelRect, &'a SceneActor)>,
+        frame_seed: u64,
+        x: u32,
+        y: u32,
+    ) -> Rgb {
+        let (xi, yi) = (i64::from(x), i64::from(y));
+        match actors.rev().find(|(r, _)| r.contains(xi, yi)) {
+            Some((r, actor)) => actor_pixel(&r, actor, frame_seed, xi, yi),
+            None if self.noise_amplitude > 0 => {
+                // Background sensor noise.
+                let amp = i32::from(self.noise_amplitude);
+                let h = pixel_hash(frame_seed, x, y);
+                let n = (h % (2 * amp as u64 + 1)) as i32 - amp;
+                shade(self.background, n)
             }
+            None => self.background,
         }
     }
 }
 
+/// A scene whose pixels are computed on demand: the renderer's output for
+/// one frame without rasterising the pixels nobody reads. Signature
+/// extraction reads only the pixels inside active track boxes; a full
+/// [`Frame`] is materialised only when the raw frame itself is stored.
+#[derive(Debug)]
+pub struct SceneView<'a> {
+    renderer: &'a Renderer,
+    scene: &'a Scene,
+    frame_seed: u64,
+    /// `rects[i]` is the footprint of `scene.actors[i]`.
+    rects: Vec<PixelRect>,
+}
+
+impl<'a> SceneView<'a> {
+    /// Each actor with its footprint, in draw order.
+    fn actors(&self) -> impl DoubleEndedIterator<Item = (PixelRect, &'a SceneActor)> + '_ {
+        self.rects.iter().copied().zip(&self.scene.actors)
+    }
+}
+
+impl PixelSource for SceneView<'_> {
+    fn width(&self) -> u32 {
+        self.scene.width
+    }
+
+    fn height(&self) -> u32 {
+        self.scene.height
+    }
+
+    #[inline]
+    fn pixel(&self, x: u32, y: u32) -> Rgb {
+        self.renderer
+            .pixel_among(self.actors(), self.frame_seed, x, y)
+    }
+}
+
+/// An actor's integer pixel footprint `[floor x0, ceil x1) × [floor y0,
+/// ceil y1)`.
+#[derive(Debug, Clone, Copy)]
+struct PixelRect {
+    x0: i64,
+    y0: i64,
+    x1: i64,
+    y1: i64,
+}
+
+impl PixelRect {
+    fn of(b: &BoundingBox) -> Self {
+        Self {
+            x0: b.x0.floor() as i64,
+            y0: b.y0.floor() as i64,
+            x1: b.x1.ceil() as i64,
+            y1: b.y1.ceil() as i64,
+        }
+    }
+
+    #[inline]
+    fn contains(&self, x: i64, y: i64) -> bool {
+        (self.x0..self.x1).contains(&x) && self.spans_row(y)
+    }
+
+    #[inline]
+    fn spans_row(&self, y: i64) -> bool {
+        (self.y0..self.y1).contains(&y)
+    }
+}
+
+/// Shades pixel `(x, y)` of `actor`, whose footprint `r` contains it.
+#[inline]
+fn actor_pixel(r: &PixelRect, actor: &SceneActor, frame_seed: u64, x: i64, y: i64) -> Rgb {
+    let h = (r.y1 - r.y0).max(1);
+    let w = (r.x1 - r.x0).max(1);
+    // Per-vehicle trim-band height: the "shape" component of the
+    // signature (two same-color vehicles still differ in their
+    // window/body proportion).
+    let trim_frac = 0.20 + (actor.appearance.texture_seed % 5) as f64 * 0.05;
+    let fy = (y - r.y0) as f64 / h as f64;
+    let fx = (x - r.x0) as f64 / w as f64;
+    let base = if fy < trim_frac {
+        actor.appearance.trim // windows / roof band
+    } else if fy > 0.85 && !(0.25..=0.75).contains(&fx) {
+        Rgb::new(15, 15, 15) // wheels
+    } else {
+        actor.appearance.body
+    };
+    // Deterministic texture + illumination noise.
+    let th = pixel_hash(
+        actor.appearance.texture_seed ^ frame_seed,
+        x as u32 & 0xffff,
+        y as u32 & 0xffff,
+    );
+    let n = (th % 13) as i32 - 6;
+    shade(base, n)
+}
+
+#[inline]
 fn shade(c: Rgb, delta: i32) -> Rgb {
     Rgb::new(
         (i32::from(c.r) + delta).clamp(0, 255) as u8,
@@ -245,11 +362,13 @@ fn shade(c: Rgb, delta: i32) -> Rgb {
     )
 }
 
+#[inline]
 fn pixel_hash(seed: u64, x: u32, y: u32) -> u64 {
     splitmix64(seed ^ (u64::from(x) << 32) ^ u64::from(y))
 }
 
 /// SplitMix64 — a tiny, high-quality deterministic hash/PRNG step.
+#[inline]
 fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -345,6 +464,37 @@ mod tests {
             .push(actor(3, BoundingBox::new(25.0, 25.0, 50.0, 50.0).unwrap()));
         let f = Renderer::default().render(&scene, 0);
         assert_eq!(f.width(), 32);
+    }
+
+    /// The rendered bytes of an occluded, partly off-frame scene, with and
+    /// without sensor noise, are pinned: signatures, and so every
+    /// downstream fingerprint, depend on them.
+    #[test]
+    fn rendered_bytes_are_pinned() {
+        fn fnv64(bytes: &[u8]) -> u64 {
+            bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+        }
+        let boxes = [
+            (-6.5, -4.2, 14.3, 11.0),
+            (8.0, 6.0, 30.4, 20.0),
+            (20.2, 15.7, 52.0, 44.9),
+            (33.0, 2.0, 33.0, 30.0), // zero width: draws nothing
+            (1.5, 25.5, 18.0, 36.0),
+        ];
+        let mut scene = Scene::empty(40, 32);
+        for (i, &(x0, y0, x1, y1)) in boxes.iter().enumerate() {
+            let b = BoundingBox::new(x0, y0, x1, y1).unwrap();
+            scene.actors.push(actor(i as u64 * 7 + 3, b));
+        }
+        for (noise_amplitude, pinned) in [(0, 0xada8_927c_b963_abd4), (8, 0x78ca_fcd0_b6f0_c0f7)] {
+            let r = Renderer {
+                noise_amplitude,
+                ..Renderer::default()
+            };
+            assert_eq!(fnv64(r.render(&scene, 0xC0FFEE).raw()), pinned);
+        }
     }
 
     #[test]

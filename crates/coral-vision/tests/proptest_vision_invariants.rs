@@ -1,10 +1,12 @@
 //! Property tests for the appearance and tracking kernels the parallel
-//! stepper fans across threads: Bhattacharyya distance symmetry/range and
-//! Kalman covariance positive-semidefiniteness over random tracks.
+//! stepper fans across threads: Bhattacharyya distance symmetry/range,
+//! Kalman covariance positive-semidefiniteness over random tracks, and the
+//! identity of on-demand pixels with fully rendered frames.
 
 use coral_vision::{
     bhattacharyya_sum_flat, bhattacharyya_sum_naive, BoundingBox, ColorHistogram, Frame,
-    HistogramConfig, HistogramScratch, KalmanBoxFilter,
+    GroundTruthId, HistogramConfig, HistogramScratch, KalmanBoxFilter, ObjectClass, PixelSource,
+    Renderer, Scene, SceneActor, VehicleAppearance,
 };
 use proptest::prelude::*;
 
@@ -14,6 +16,48 @@ fn arb_histogram() -> impl Strategy<Value = ColorHistogram> {
         let bbox = BoundingBox::new(0.0, 0.0, 8.0, 8.0).unwrap();
         ColorHistogram::extract(&frame, &bbox, &HistogramConfig::default())
     })
+}
+
+/// A box with its top-left corner anywhere from well off-frame to past
+/// the far edge, sometimes zero-width or zero-height.
+fn arb_box() -> impl Strategy<Value = BoundingBox> {
+    let extent = || prop_oneof![Just(0.0f64), 0.0f64..40.0];
+    (-30.0f64..60.0, -30.0f64..50.0, extent(), extent()).prop_map(|(x0, y0, w, h)| {
+        BoundingBox::new(x0, y0, x0 + w, y0 + h).expect("non-negative extent")
+    })
+}
+
+/// A renderer with sensor noise off or on, plus a scene of 0–12
+/// overlapping, partly off-frame actors on a frame as small as 1×1.
+fn arb_scene() -> impl Strategy<Value = (Renderer, Scene)> {
+    let side = || prop_oneof![1u32..=3, 1u32..=48];
+    (
+        prop_oneof![Just(0u8), 1u8..=16],
+        side(),
+        side(),
+        proptest::collection::vec((arb_box(), 0u64..1_000), 0..=12),
+    )
+        .prop_map(|(noise_amplitude, width, height, actors)| {
+            let renderer = Renderer {
+                noise_amplitude,
+                ..Renderer::default()
+            };
+            let actors = actors
+                .into_iter()
+                .map(|(bbox, gt)| SceneActor {
+                    gt: GroundTruthId(gt),
+                    class: ObjectClass::Car,
+                    bbox,
+                    appearance: VehicleAppearance::from_seed(gt),
+                })
+                .collect();
+            let scene = Scene {
+                width,
+                height,
+                actors,
+            };
+            (renderer, scene)
+        })
 }
 
 /// One simulated observation step: box center/size plus whether the
@@ -170,6 +214,49 @@ proptest! {
         prop_assert_eq!(reuses + allocs, frames.len() as u64);
         if !flip {
             prop_assert!(allocs <= 1, "constant shape must allocate once (allocs={allocs})");
+        }
+    }
+
+    /// `render()` is `pixel()` at every pixel: the full frame and the
+    /// on-demand definition cannot drift apart.
+    #[test]
+    fn render_matches_pixel_everywhere(
+        (renderer, scene) in arb_scene(),
+        frame_seed in 0u64..u64::MAX,
+    ) {
+        let frame = renderer.render(&scene, frame_seed);
+        for y in 0..scene.height {
+            for x in 0..scene.width {
+                prop_assert_eq!(
+                    frame.pixel(x, y),
+                    renderer.pixel(&scene, frame_seed, x, y),
+                    "pixel ({}, {})", x, y
+                );
+            }
+        }
+    }
+
+    /// Signatures read from the lazy scene view are bit-identical to
+    /// signatures read from the rendered frame, for any box — including
+    /// boxes partly or wholly off the frame.
+    #[test]
+    fn lazy_view_extraction_matches_rendered_frame(
+        (renderer, scene) in arb_scene(),
+        frame_seed in 0u64..u64::MAX,
+        boxes in proptest::collection::vec(arb_box(), 1..6),
+        bins_per_channel in 1usize..=8,
+        center_sigma_frac in 0.1f64..2.0,
+    ) {
+        let config = HistogramConfig { bins_per_channel, center_sigma_frac };
+        let frame = renderer.render(&scene, frame_seed);
+        let view = renderer.view(&scene, frame_seed);
+        prop_assert_eq!((view.width(), view.height()), (frame.width(), frame.height()));
+        let (mut from_frame, mut from_view) = (HistogramScratch::new(), HistogramScratch::new());
+        for bbox in &boxes {
+            ColorHistogram::extract_into(&frame, bbox, &config, &mut from_frame);
+            ColorHistogram::extract_into(&view, bbox, &config, &mut from_view);
+            let bits = |s: &HistogramScratch| s.bins().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&from_frame), bits(&from_view), "box {:?}", bbox);
         }
     }
 }
