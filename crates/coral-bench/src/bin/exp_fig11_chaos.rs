@@ -62,7 +62,8 @@ fn run(heartbeat_s: u64, fault_seed: u64) -> (Vec<(f64, f64)>, u64, u64) {
     // Ops-plane snapshot: the final health verdict and the flight
     // recorder's view of the kill/restore/retransmission storm.
     let obs = sys.observability();
-    let health = obs.health_tick(sys.now().as_millis());
+    obs.health_tick(sys.now().as_millis());
+    let health = obs.latest_health().expect("health was just evaluated");
     let health_path = write_text_artifact(
         &format!("fig11_chaos_recovery_hb{heartbeat_s}s.health.json"),
         &health.to_json(),

@@ -230,6 +230,13 @@ impl CameraNode {
         self.events_generated
     }
 
+    /// Frames counted so far, analysed or idle: the next frame's id. The
+    /// DES runtime's sparse stepper brings an idle camera's count up to
+    /// date lazily; it is exact after the run is finished.
+    pub fn frame_count(&self) -> u64 {
+        self.frame_seq
+    }
+
     /// Tracks currently alive in the camera-local SORT tracker.
     pub fn live_track_count(&self) -> usize {
         self.ident.live_track_count()
@@ -247,19 +254,27 @@ impl CameraNode {
     /// nothing from the detector's clutter RNG, so sparse and dense
     /// stepping stay byte-identical.
     pub fn advance_idle_frame(&mut self) -> FrameAnalysis {
-        debug_assert_eq!(
-            self.ident.live_track_count(),
-            0,
-            "idle fast path requires an empty tracker"
-        );
         let frame_id = FrameId(self.frame_seq);
-        self.frame_seq += 1;
+        self.skip_idle_frames(1);
         FrameAnalysis {
             frame_id,
             completed: Vec::new(),
             stored: None,
             detected: Vec::new(),
         }
+    }
+
+    /// Advances the frame counter over `n` idle frames at once, exactly as
+    /// `n` calls of [`CameraNode::advance_idle_frame`] would. The sparse
+    /// runtime leaves an idle camera untouched and catches its counter up
+    /// here when the camera is next stepped or committed; frame ids seed
+    /// render noise, so they must match a dense run frame for frame.
+    pub fn skip_idle_frames(&mut self, n: u64) {
+        debug_assert!(
+            n == 0 || self.ident.live_track_count() == 0,
+            "idle frames require an empty tracker"
+        );
+        self.frame_seq += n;
     }
 
     /// Processes one captured frame. `broadcast_roster`, when set, replaces
@@ -740,6 +755,25 @@ mod tests {
         assert_eq!(ids_a, ids_b);
         assert_eq!(all_a.messages.len(), all_b.messages.len());
         assert_eq!(storage_a.stats(), storage_b.stats());
+    }
+
+    #[test]
+    fn skipping_idle_frames_matches_advancing_one_by_one() {
+        let mut a = perfect_node(0, EdgeStorageNode::default());
+        let mut b = perfect_node(0, EdgeStorageNode::default());
+        for _ in 0..5 {
+            a.advance_idle_frame();
+        }
+        b.skip_idle_frames(5);
+        assert_eq!((a.frame_count(), b.frame_count()), (5, 5));
+        assert_eq!(a.advance_idle_frame().frame_id(), FrameId(5));
+        assert_eq!(b.advance_idle_frame().frame_id(), FrameId(5));
+        // The next analysed frame carries the same id either way.
+        let (fa, fb) = (
+            a.analyze_frame(&car_scene(4, 0)),
+            b.analyze_frame(&car_scene(4, 0)),
+        );
+        assert_eq!(fa.frame_id(), fb.frame_id());
     }
 
     #[test]

@@ -26,7 +26,8 @@ use crate::telemetry::{Recovery, TelemetrySink};
 use coral_net::{DetectionEvent, EventId, Message};
 use coral_obs::health::{HealthEngine, HealthReport, Rule, RuleInput, Thresholds};
 use coral_obs::{
-    ArgValue, Counter, Histogram, Journal, JournalKind, Observability, Registry, Severity, Tracer,
+    ArgValue, Counter, Gauge, Histogram, Journal, JournalKind, Observability, Registry, Severity,
+    Tracer,
 };
 use coral_sim::SimTime;
 use coral_topology::CameraId;
@@ -168,14 +169,19 @@ pub fn region_health_rules(heartbeat_interval_ms: u64, miss_threshold: u64) -> V
 }
 
 /// Per-tick camera activity under sparse stepping: how many cameras ran
-/// the full analysis path and how many took the occupancy early-out.
-/// Dense stepping reports everything as `stepped`.
+/// the full analysis path, how many took the occupancy early-out, and how
+/// many the ordered commit phase walked. Dense stepping reports every
+/// alive camera as `stepped` and `committed`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TickActivity {
     /// Cameras that ran the full analyze path this tick.
     pub stepped: usize,
     /// Cameras that took the idle early-out this tick.
     pub skipped: usize,
+    /// Cameras the commit phase walked this tick: the stepped ones plus
+    /// idle ones with a ground-truth exit edge or a busy link. An idle
+    /// camera outside that set is neither committed nor observed.
+    pub committed: usize,
 }
 
 /// A stage of the per-vehicle causal trace.
@@ -260,6 +266,7 @@ pub struct CoreObs {
     step_commit_us: Counter,
     cameras_stepped: Counter,
     cameras_skipped: Counter,
+    cameras_committed: Counter,
 }
 
 /// Metric label values for stepper worker indices (label slices borrow
@@ -315,6 +322,7 @@ impl CoreObs {
             step_commit_us: r.counter("core_step_commit_us_total", &[]),
             cameras_stepped: r.counter("core_cameras_stepped_total", &[]),
             cameras_skipped: r.counter("core_cameras_skipped_total", &[]),
+            cameras_committed: r.counter("core_cameras_committed_total", &[]),
             inner: Arc::new(Mutex::new(CoreObsInner::default())),
             obs,
         }
@@ -336,6 +344,7 @@ impl CoreObs {
         self.tick_us.observe(wall);
         self.cameras_stepped.add(activity.stepped as u64);
         self.cameras_skipped.add(activity.skipped as u64);
+        self.cameras_committed.add(activity.committed as u64);
         self.step_busy_us.add(step.busy_total().as_micros() as u64);
         self.step_critical_us
             .add(step.critical_path().as_micros() as u64);
@@ -370,12 +379,13 @@ impl CoreObs {
 
     /// Evaluates the health rules against the registry at `now_ms`,
     /// journaling verdict transitions. Purely observational: reads
-    /// atomics, never touches simulation state.
-    pub fn health_tick(&self, now_ms: u64) -> HealthReport {
+    /// atomics, never touches simulation state. The report stays in the
+    /// engine; [`CoreObs::latest_health`] hands out a copy.
+    pub fn health_tick(&self, now_ms: u64) {
         self.health
             .lock()
             .expect("health engine poisoned")
-            .evaluate(self.registry(), Some(self.journal()), now_ms)
+            .evaluate(self.registry(), Some(self.journal()), now_ms);
     }
 
     /// The most recent health report, if any evaluation has run.
@@ -394,15 +404,13 @@ impl CoreObs {
             .store(ms.saturating_mul(1_000), Ordering::Relaxed);
     }
 
-    /// A heartbeat left `camera` at sim time `now`: refresh the staleness
-    /// gauge the `heartbeat-staleness` health rule watches.
-    pub fn note_heartbeat_sent(&self, camera: CameraId, now: SimTime) {
-        self.registry()
-            .gauge(
-                "node_last_heartbeat_ms",
-                &[("camera", &subject_for(camera))],
-            )
-            .set(now.as_millis() as i64);
+    /// The staleness gauge of `camera` that the `heartbeat-staleness`
+    /// health rule watches (created on first use).
+    fn heartbeat_gauge(&self, camera: CameraId) -> Gauge {
+        self.registry().gauge(
+            "node_last_heartbeat_ms",
+            &[("camera", &subject_for(camera))],
+        )
     }
 
     /// A region server *directly* received an envelope at sim time `now`:
@@ -699,6 +707,10 @@ pub struct NodeObs {
     camera: CameraId,
     frame_us: Histogram,
     message_us: Histogram,
+    /// The camera's heartbeat-staleness gauge, resolved on its first
+    /// heartbeat: a camera that never beats exports no series, exactly as
+    /// when every beat looked the gauge up by name.
+    heartbeat: Option<Gauge>,
 }
 
 impl NodeObs {
@@ -709,6 +721,7 @@ impl NodeObs {
             camera,
             frame_us: core.registry().histogram("node_frame_handle_us", &[]),
             message_us: core.registry().histogram("node_message_handle_us", &[]),
+            heartbeat: None,
         }
     }
 
@@ -717,7 +730,17 @@ impl NodeObs {
         &self.core
     }
 
-    /// Records the wall-clock cost of one frame capture.
+    /// A heartbeat left this camera at sim time `now`: refresh the
+    /// staleness gauge the `heartbeat-staleness` health rule watches.
+    pub fn note_heartbeat_sent(&mut self, now: SimTime) {
+        self.heartbeat
+            .get_or_insert_with(|| self.core.heartbeat_gauge(self.camera))
+            .set(now.as_millis() as i64);
+    }
+
+    /// Records the wall-clock cost of one frame capture (the runtime
+    /// commits, and so observes, only the frames of cameras with work; see
+    /// [`TickActivity::committed`]).
     pub fn note_frame(&self, elapsed: std::time::Duration) {
         self.frame_us.observe(elapsed);
     }

@@ -32,7 +32,7 @@ use coral_sim::{
 use coral_storage::{EdgeStorageNode, FederatedStores, TrajectoryGraph};
 use coral_topology::{CameraId, MdcsUpdate, TopologyServer};
 use coral_vision::{GroundTruthId, Scene};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::time::{Duration, Instant};
 
 /// A camera node bound to its transport endpoint — the unit every
@@ -131,8 +131,8 @@ impl<T: Transport> NodeDriver<T> {
         // Refresh the staleness gauge the health engine watches; done
         // here (not per deployment mode) so DES, threaded and TCP runs
         // all feed the same heartbeat-staleness rule.
-        if let Some(obs) = &self.obs {
-            obs.core().note_heartbeat_sent(self.node.id(), now);
+        if let Some(obs) = &mut self.obs {
+            obs.note_heartbeat_sent(now);
         }
         Ok(message)
     }
@@ -474,10 +474,33 @@ fn server_region(endpoint: Endpoint) -> Option<u16> {
 /// region sends it topology updates.
 fn parented_by<'a>(
     alive: &'a BTreeSet<CameraId>,
-    drivers: &'a BTreeMap<CameraId, NodeDriver<SimLink>>,
+    ids: &'a [CameraId],
+    drivers: &'a [NodeDriver<SimLink>],
     endpoint: Endpoint,
 ) -> impl Fn(CameraId) -> bool + 'a {
-    move |c| alive.contains(&c) && drivers.get(&c).is_some_and(|d| d.parent() == endpoint)
+    move |c| {
+        alive.contains(&c)
+            && ids
+                .binary_search(&c)
+                .is_ok_and(|slot| drivers[slot].parent() == endpoint)
+    }
+}
+
+/// Disjoint mutable borrows of `items` at the ascending, distinct `slots`,
+/// in O(`slots.len()`): the sparse fan-out never walks idle cameras.
+fn pick_mut<'a, T>(mut items: &'a mut [T], slots: &[usize]) -> Vec<&'a mut T> {
+    let mut base = 0;
+    slots
+        .iter()
+        .map(|&slot| {
+            let (picked, rest) = std::mem::take(&mut items)[slot - base..]
+                .split_first_mut()
+                .expect("slot in range");
+            items = rest;
+            base = slot + 1;
+            picked
+        })
+        .collect()
 }
 
 /// Builds the [`SimLink`] stack for `endpoint` per the deployment config:
@@ -501,7 +524,8 @@ pub(crate) fn sim_link(config: &SystemConfig, raw: SimTransport, endpoint: Endpo
 /// One camera's per-tick analysis result, carried from the parallel
 /// analysis phase to the ordered commit phase.
 struct TickAnalysis {
-    id: CameraId,
+    /// The camera's slot (see `SimWorld::drivers`).
+    slot: usize,
     analysis: FrameAnalysis,
     /// Ground-truth vehicles currently in the camera's FOV (for the
     /// edge-triggered passage detector).
@@ -581,19 +605,43 @@ pub struct SimWorld {
     region_recoveries: Vec<RegionRecoveryTracker>,
     traffic: TrafficModel,
     arrivals: Option<PoissonArrivals>,
-    drivers: BTreeMap<CameraId, NodeDriver<SimLink>>,
+    /// Camera drivers in `CameraId` order. A driver's index is its camera
+    /// *slot*: its occupancy-index slot and the key of every per-camera
+    /// tick structure below. Drivers are never removed, so slots are
+    /// stable across kills and restores.
+    drivers: Vec<NodeDriver<SimLink>>,
+    /// The camera id of each slot (ascending).
+    ids: Vec<CameraId>,
     alive: BTreeSet<CameraId>,
     roster: BTreeSet<CameraId>,
     last_traffic_step: SimTime,
     telemetry: Telemetry,
     obs: CoreObs,
-    in_fov: HashMap<CameraId, HashSet<GroundTruthId>>,
+    /// Ground-truth vehicles in each camera's FOV at its last commit. Only
+    /// non-empty sets are kept, so the keys are the cameras that may owe
+    /// an exit edge.
+    in_fov: BTreeMap<usize, HashSet<GroundTruthId>>,
     ground_truth: GroundTruthLog,
     recovery_trackers: Vec<RecoveryTracker>,
     pending_kills: Vec<(CameraId, SimTime)>,
-    /// Vehicle → nearby-camera spatial index for sparse stepping. Slot `i`
-    /// is the `i`-th driver in `CameraId` order (drivers are never removed
-    /// from the map, so the mapping is stable across kills/restores).
+    /// Frame ticks run so far: the global frame clock.
+    ticks: u64,
+    /// Per slot, the tick up to which the node's frame counter has been
+    /// brought. Idle cameras are not visited, so their counters catch up
+    /// lazily when next stepped or committed (see `SimWorld::sync_frames`).
+    frames_synced: Vec<u64>,
+    /// Slots whose tracker held live tracks after their last step: they
+    /// step every tick even with no vehicle near (sparse stepping).
+    tracking: BTreeSet<usize>,
+    /// Slots with a clutter burst configured: inside a burst window they
+    /// render phantoms with no vehicle near, so they must step.
+    clutter: Vec<usize>,
+    /// Slots whose link is not quiet ([`Transport::is_quiet`]): a frame
+    /// awaits its ack or an envelope is held back, so the link's tick has
+    /// work and the camera must be committed.
+    busy_links: BTreeSet<usize>,
+    /// Vehicle → nearby-camera spatial index for sparse stepping, one slot
+    /// per driver.
     occupancy: OccupancyIndex,
     /// Reused per-tick snapshot of all vehicle states (ascending
     /// `VehicleId`), the arena `occupancy` candidate indices point into.
@@ -627,11 +675,13 @@ impl SimWorld {
         stores: FederatedStores,
         home: BTreeMap<CameraId, u16>,
         traffic: TrafficModel,
-        mut drivers: BTreeMap<CameraId, NodeDriver<SimLink>>,
+        drivers: BTreeMap<CameraId, NodeDriver<SimLink>>,
     ) -> Self {
         let regions = stores.regions();
         assert_eq!(servers.len(), regions, "one topology server per region");
         let roster: BTreeSet<CameraId> = drivers.keys().copied().collect();
+        let (ids, mut drivers): (Vec<CameraId>, Vec<NodeDriver<SimLink>>) =
+            drivers.into_iter().unzip();
         let obs = CoreObs::new();
         obs.set_handoff_deadline_ms(HANDOFF_DEADLINE_MS);
         let heartbeat_ms = config.heartbeat_interval.as_millis();
@@ -657,7 +707,7 @@ impl SimWorld {
         for store in stores.nodes() {
             store.instrument(obs.registry());
         }
-        for (&id, driver) in drivers.iter_mut() {
+        for (driver, &id) in drivers.iter_mut().zip(&ids) {
             driver.set_obs(NodeObs::new(&obs, id));
         }
         let mut servers: Vec<ServerDriver<SimLink>> = servers
@@ -688,7 +738,7 @@ impl SimWorld {
         {
             let registry = obs.registry();
             let links = drivers
-                .values_mut()
+                .iter_mut()
                 .map(NodeDriver::transport_mut)
                 .chain(servers.iter_mut().map(ServerDriver::transport_mut))
                 .chain(store_links.iter_mut());
@@ -704,9 +754,8 @@ impl SimWorld {
             }
         }
         // Spatial occupancy index for sparse stepping: one slot per driver
-        // in `CameraId` order, matching the enumeration order of the
-        // per-tick loop. Dead cameras keep their slot (their candidate
-        // lists simply go unread). The anchor slack scales with the
+        // in `CameraId` order. Dead cameras keep their slot (their
+        // candidate lists simply go unread). The anchor slack scales with the
         // traffic speed envelope so fast workloads (IDM city profiles)
         // amortise the cache instead of refreshing it every tick; the
         // superset contract itself is speed-independent (see
@@ -716,10 +765,16 @@ impl SimWorld {
             config.frame_period.as_secs_f64(),
         );
         let mut occupancy = OccupancyIndex::new(slack_m);
-        for driver in drivers.values() {
+        for driver in &drivers {
             let view = driver.node().view();
             occupancy.add_camera(view.position, view.range_m);
         }
+        let clutter = (0..drivers.len())
+            .filter(|&slot| {
+                let effects = drivers[slot].node().view().effects;
+                effects.and_then(|fx| fx.clutter).is_some()
+            })
+            .collect();
         Self {
             servers,
             stores,
@@ -733,14 +788,20 @@ impl SimWorld {
             arrivals: None,
             alive: roster.clone(),
             roster,
+            frames_synced: vec![0; drivers.len()],
             drivers,
+            ids,
             last_traffic_step: SimTime::ZERO,
             telemetry: Telemetry::default(),
             obs,
-            in_fov: HashMap::new(),
+            in_fov: BTreeMap::new(),
             ground_truth: GroundTruthLog::new(),
             recovery_trackers: Vec::new(),
             pending_kills: Vec::new(),
+            ticks: 0,
+            tracking: BTreeSet::new(),
+            clutter,
+            busy_links: BTreeSet::new(),
             occupancy,
             vehicle_states: Vec::new(),
             last_health_eval_s: 0,
@@ -782,9 +843,8 @@ impl SimWorld {
     /// The region currently parenting `cam`'s heartbeats (diverges from
     /// the home region only while a failover is in effect).
     pub fn parent_region_of(&self, cam: CameraId) -> u16 {
-        self.drivers
-            .get(&cam)
-            .and_then(|d| server_region(d.parent()))
+        self.slot(cam)
+            .and_then(|slot| server_region(self.drivers[slot].parent()))
             .unwrap_or(0)
     }
 
@@ -815,12 +875,20 @@ impl SimWorld {
 
     /// A camera node, if deployed.
     pub fn node(&self, id: CameraId) -> Option<&CameraNode> {
-        self.drivers.get(&id).map(NodeDriver::node)
+        self.slot(id).map(|slot| self.drivers[slot].node())
     }
 
     /// All deployed camera nodes, in id order.
     pub fn nodes(&self) -> impl Iterator<Item = (CameraId, &CameraNode)> {
-        self.drivers.iter().map(|(&id, d)| (id, d.node()))
+        self.ids
+            .iter()
+            .copied()
+            .zip(self.drivers.iter().map(NodeDriver::node))
+    }
+
+    /// The slot of camera `id` (its index in `drivers`), if deployed.
+    fn slot(&self, id: CameraId) -> Option<usize> {
+        self.ids.binary_search(&id).ok()
     }
 
     /// Cameras currently alive.
@@ -854,7 +922,7 @@ impl SimWorld {
         self.obs.observability().set_tracing(true);
         let tracer = self.obs.tracer();
         tracer.process_name(SERVER_PID, "topology-server");
-        for &id in self.drivers.keys() {
+        for &id in &self.ids {
             tracer.process_name(camera_pid(id), &format!("{id}"));
         }
     }
@@ -890,59 +958,52 @@ impl SimWorld {
             self.occupancy.assign(&self.vehicle_states);
         }
 
+        let tick = self.ticks;
+        self.ticks += 1;
+
         // Phase 1 — analysis fan-out. Scene projection reads only the
         // traffic model (immutable for the rest of the tick) and the frame
-        // analysis mutates only camera-private state, so every alive
+        // analysis mutates only camera-private state, so every stepping
         // camera's render → detect → SORT → feature-extract chain fans
         // across the stepper's workers. Results merge back in `CameraId`
         // order regardless of worker scheduling, which is what keeps
         // parallel runs byte-identical to sequential ones (DESIGN.md §5).
         //
-        // Under sparse stepping a camera whose candidate list is empty and
-        // whose tracker is idle takes the early-out: no scene, no worker
-        // slot, no RNG draws — the same `FrameAnalysis` the full path
-        // produces for an empty scene (see `CameraNode::advance_idle_frame`).
-        // A camera with live tracks but no candidates still runs the full
-        // path on an empty scene, because tracker aging and the detector's
-        // clutter draws must advance exactly as in a dense run.
+        // Dense stepping steps every alive camera. Sparse stepping steps
+        // only the cameras that can have work (`sparse_step_set`) and does
+        // not visit the others at all: an idle camera's frame would be the
+        // empty-scene fast path (no scene, no RNG draws; see
+        // `CameraNode::advance_idle_frame`), so all it owes is a frame
+        // counter, which catches up when the camera is next touched
+        // (`claim_frame`). A camera with live tracks but no candidates
+        // still runs the full path on an empty scene, because tracker aging
+        // and the detector's clutter draws must advance exactly as in a
+        // dense run.
+        let stepping: Vec<usize> = if sparse {
+            self.sparse_step_set(now_ms)
+        } else {
+            self.alive
+                .iter()
+                .map(|&id| self.slot(id).expect("alive camera is deployed"))
+                .collect()
+        };
+        for &slot in &stepping {
+            self.claim_frame(slot, tick);
+        }
         let stepper = Stepper::new(self.config.parallelism);
-        let mut idle: Vec<TickAnalysis> = Vec::new();
         let (active, step_stats) = {
             let traffic = &self.traffic;
-            let alive = &self.alive;
             let occupancy = &self.occupancy;
             let states = &self.vehicle_states;
-            // One analysis work item: the camera, its driver, and (under
-            // sparse stepping) its candidate vehicle-state indices.
-            type StepItem<'a> = (CameraId, &'a mut NodeDriver<SimLink>, Option<&'a [u32]>);
-            let mut batch: Vec<StepItem<'_>> = Vec::new();
-            for (slot, (&id, driver)) in self.drivers.iter_mut().enumerate() {
-                if !alive.contains(&id) {
-                    continue;
-                }
-                if sparse {
-                    let candidates = occupancy.candidates(slot);
-                    // A clutter burst renders phantoms even with no
-                    // vehicle nearby, so those cameras must take the full
-                    // path for the burst window.
-                    if candidates.is_empty()
-                        && driver.node().live_track_count() == 0
-                        && !driver.node().view().clutter_active(now_ms)
-                    {
-                        idle.push(TickAnalysis {
-                            id,
-                            analysis: driver.node_mut().advance_idle_frame(),
-                            in_fov: HashSet::new(),
-                            analyze_elapsed: Duration::ZERO,
-                        });
-                        continue;
-                    }
-                    batch.push((id, driver, Some(candidates)));
-                } else {
-                    batch.push((id, driver, None));
-                }
-            }
-            stepper.run(batch, |_, (id, driver, candidates)| {
+            let batch: Vec<(usize, &mut NodeDriver<SimLink>)> = stepping
+                .iter()
+                .copied()
+                .zip(pick_mut(&mut self.drivers, &stepping))
+                .collect();
+            stepper.run(batch, |_, (slot, driver)| {
+                // Under sparse stepping, the camera's candidate
+                // vehicle-state indices.
+                let candidates = sparse.then(|| occupancy.candidates(slot));
                 let scene = match candidates {
                     Some(c) => driver
                         .node()
@@ -974,62 +1035,69 @@ impl SimWorld {
                         .collect(),
                 };
                 TickAnalysis {
-                    id,
+                    slot,
                     analysis,
                     in_fov,
                     analyze_elapsed: start.elapsed(),
                 }
             })
         };
-        let activity = TickActivity {
-            stepped: active.len(),
-            skipped: idle.len(),
-        };
-        // Merge the stepped and idle results back into one `CameraId`-
-        // ordered sequence (both inputs are already id-sorted) so the
-        // commit phase interleaves shared effects exactly as a dense
-        // sequential run.
-        let mut analyses = Vec::with_capacity(active.len() + idle.len());
-        {
-            let mut active = active.into_iter().peekable();
-            let mut idle = idle.into_iter().peekable();
-            loop {
-                let take_active = match (active.peek(), idle.peek()) {
-                    (Some(a), Some(b)) => a.id < b.id,
-                    (Some(_), None) => true,
-                    (None, Some(_)) => false,
-                    (None, None) => break,
-                };
-                let next = if take_active {
-                    active.next()
+        if sparse {
+            for &slot in &stepping {
+                if self.drivers[slot].node().live_track_count() > 0 {
+                    self.tracking.insert(slot);
                 } else {
-                    idle.next()
-                };
-                analyses.extend(next);
+                    self.tracking.remove(&slot);
+                }
             }
         }
 
         // Phase 2 — ordered commit: passages, storage writes, pool
         // re-identification and message sends replay in strict `CameraId`
-        // order, interleaved exactly as the sequential loop would.
+        // order, interleaved exactly as the sequential loop would. The walk
+        // visits the stepped cameras plus the alive idle cameras that still
+        // have an effect to commit: a ground-truth exit edge (a non-empty
+        // previous FOV set) or a link whose tick has work. Any other idle
+        // camera would commit an empty frame and tick a quiet link, both
+        // no-ops, so it is skipped and costs nothing.
         let commit_start = Instant::now();
-        for TickAnalysis {
-            id,
-            analysis,
-            in_fov: current,
-            analyze_elapsed,
-        } in analyses
-        {
+        let mut committing: Vec<usize> = active
+            .iter()
+            .map(|a| a.slot)
+            .chain(self.in_fov.keys().copied())
+            .chain(self.busy_links.iter().copied())
+            .filter(|&slot| self.alive.contains(&self.ids[slot]))
+            .collect();
+        committing.sort_unstable();
+        committing.dedup();
+        let activity = TickActivity {
+            stepped: active.len(),
+            skipped: self.alive.len() - active.len(),
+            committed: committing.len(),
+        };
+        let mut active = active.into_iter().peekable();
+        for &slot in &committing {
+            let id = self.ids[slot];
+            let (analysis, current, analyze_elapsed) = match active.next_if(|a| a.slot == slot) {
+                Some(a) => (a.analysis, a.in_fov, a.analyze_elapsed),
+                None => {
+                    self.claim_frame(slot, tick);
+                    let idle = self.drivers[slot].node_mut().advance_idle_frame();
+                    (idle, HashSet::new(), Duration::ZERO)
+                }
+            };
             // Ground-truth passage detection (edge-triggered on FOV entry)
             // plus the exit edge for the ground-truth interval log.
-            let prev = self.in_fov.entry(id).or_default();
-            let mut entered: Vec<GroundTruthId> = current.difference(prev).copied().collect();
+            let prev = self.in_fov.remove(&slot).unwrap_or_default();
+            let mut entered: Vec<GroundTruthId> = current.difference(&prev).copied().collect();
             let mut exited: Vec<GroundTruthId> = prev.difference(&current).copied().collect();
             // Same-tick entries in id order: HashSet iteration order is
             // seeded per process and must not leak into the record.
             entered.sort_unstable();
             exited.sort_unstable();
-            *prev = current;
+            if !current.is_empty() {
+                self.in_fov.insert(slot, current);
+            }
             for gt in exited {
                 self.ground_truth.record_exit(id, gt, now_ms);
             }
@@ -1054,8 +1122,7 @@ impl SimWorld {
                 self.emit(|s| s.on_detection(id, gt, now));
             }
 
-            let driver = self.drivers.get_mut(&id).expect("alive node exists");
-            let out = driver
+            let out = self.drivers[slot]
                 .commit(analysis, analyze_elapsed, now, roster.as_ref())
                 .expect(SIM_SEND);
             for e in &out.events {
@@ -1065,7 +1132,7 @@ impl SimWorld {
             for r in &out.reids {
                 self.obs.observe_reid(id, r, now);
             }
-            let driver = self.drivers.get_mut(&id).expect("alive node exists");
+            let driver = &mut self.drivers[slot];
             // A re-identification whose upstream camera lives in another
             // region committed a boundary-crossing edge in this region's
             // store. Replicate it to the upstream home region's store over
@@ -1092,9 +1159,12 @@ impl SimWorld {
                 }
             }
             // Drive the reliability stack's timers (retransmissions of
-            // unacked frames). A no-op on passthrough links.
+            // unacked frames, release of held envelopes). A no-op on
+            // passthrough links.
             driver.transport_mut().tick(now);
+            self.note_link(slot);
         }
+        debug_assert!(active.next().is_none(), "every stepped camera commits");
         self.obs.note_tick(
             tick_start.elapsed(),
             commit_start.elapsed(),
@@ -1116,10 +1186,70 @@ impl SimWorld {
         }
     }
 
+    /// The cameras that step this tick under sparse stepping, as
+    /// ascending slots: the alive cameras with a vehicle candidate, live
+    /// tracks, or an active clutter burst. Every other alive camera's
+    /// frame is provably the empty-scene fast path.
+    fn sparse_step_set(&self, now_ms: u64) -> Vec<usize> {
+        let bursting = self
+            .clutter
+            .iter()
+            .copied()
+            .filter(|&slot| self.drivers[slot].node().view().clutter_active(now_ms));
+        let mut slots: Vec<usize> = self
+            .occupancy
+            .touched()
+            .iter()
+            .map(|&slot| slot as usize)
+            .chain(self.tracking.iter().copied())
+            .chain(bursting)
+            .filter(|&slot| self.alive.contains(&self.ids[slot]))
+            .collect();
+        slots.sort_unstable();
+        slots.dedup();
+        slots
+    }
+
+    /// Catches camera `slot`'s lazy frame counter up to tick `upto`: each
+    /// tick since its last sync was an alive tick on which the camera was
+    /// neither stepped nor committed, that is, an idle frame.
+    fn sync_frames(&mut self, slot: usize, upto: u64) {
+        // Dense stepping frames every alive camera on every tick, so its
+        // counters are never behind; it stays an independent oracle for
+        // this bookkeeping.
+        if !self.config.sparse_stepping {
+            return;
+        }
+        let owed = upto
+            .checked_sub(self.frames_synced[slot])
+            .expect("the frame clock never runs backwards");
+        self.drivers[slot].node_mut().skip_idle_frames(owed);
+        self.frames_synced[slot] = upto;
+    }
+
+    /// Catches camera `slot` up and reserves tick `tick`'s frame for it.
+    /// The caller consumes exactly one frame next (an analysis or an idle
+    /// frame), so its frame id is the one a dense run would use.
+    fn claim_frame(&mut self, slot: usize, tick: u64) {
+        self.sync_frames(slot, tick);
+        self.frames_synced[slot] = tick + 1;
+    }
+
+    /// Re-reads whether camera `slot`'s link has tick work, after anything
+    /// that sent on or polled it.
+    fn note_link(&mut self, slot: usize) {
+        if self.drivers[slot].transport().is_quiet() {
+            self.busy_links.remove(&slot);
+        } else {
+            self.busy_links.insert(slot);
+        }
+    }
+
     fn on_heartbeat(&mut self, cam: CameraId, now: SimTime) {
         self.maybe_fail_over(cam, now);
-        let driver = self.drivers.get_mut(&cam).expect("alive node exists");
-        let message = driver.send_heartbeat(now).expect(SIM_SEND);
+        let slot = self.slot(cam).expect("alive camera is deployed");
+        let message = self.drivers[slot].send_heartbeat(now).expect(SIM_SEND);
+        self.note_link(slot);
         let bytes = message.encoded_len() as u64;
         self.emit(|s| s.on_cloud_send(now, cam, bytes));
     }
@@ -1134,9 +1264,10 @@ impl SimWorld {
     /// no other region to adopt the camera, so it never fails over.
     fn maybe_fail_over(&mut self, cam: CameraId, now: SimTime) {
         let threshold = u64::from(self.config.miss_threshold) + 1;
-        let Some(driver) = self.drivers.get_mut(&cam) else {
+        let Some(slot) = self.slot(cam) else {
             return;
         };
+        let driver = &mut self.drivers[slot];
         let Some(current) = server_region(driver.parent()) else {
             return;
         };
@@ -1185,7 +1316,7 @@ impl SimWorld {
             // Drive the server link's retransmission timers on the
             // liveness cadence. A no-op on passthrough links.
             server.transport_mut().tick(now);
-            let permit = parented_by(&self.alive, &self.drivers, server.endpoint());
+            let permit = parented_by(&self.alive, &self.ids, &self.drivers, server.endpoint());
             let outcome = server.check_liveness(now, permit).expect(SIM_SEND);
             removed.extend(outcome.removed);
             recipients.extend(outcome.recipients);
@@ -1251,17 +1382,18 @@ impl SimWorld {
                     let _ = self.net.handle(endpoint).poll(now);
                     return;
                 }
-                let driver = self.drivers.get_mut(&cam).expect("alive node exists");
-                let Some(envelope) = driver.transport_mut().poll(now) else {
-                    return;
-                };
-                let message = envelope.message;
-                self.emit(|s| s.on_delivery(now, cam, &message));
-                if let Message::TopologyUpdate(_) = &message {
-                    self.note_update_delivered(cam, now);
+                let slot = self.slot(cam).expect("alive camera is deployed");
+                if let Some(envelope) = self.drivers[slot].transport_mut().poll(now) {
+                    let message = envelope.message;
+                    self.emit(|s| s.on_delivery(now, cam, &message));
+                    if let Message::TopologyUpdate(_) = &message {
+                        self.note_update_delivered(cam, now);
+                    }
+                    self.drivers[slot].deliver(message, now).expect(SIM_SEND);
                 }
-                let driver = self.drivers.get_mut(&cam).expect("alive node exists");
-                driver.deliver(message, now).expect(SIM_SEND);
+                // The poll consumed or sent acks (a reorder fault may hold
+                // one back) and the delivery may have sent replies.
+                self.note_link(slot);
             }
             Endpoint::EdgeStore(i) => {
                 let r = i as usize;
@@ -1327,7 +1459,7 @@ impl SimWorld {
         let (replicas, rest) = self.servers.split_at_mut(last);
         for (r, server) in replicas.iter_mut().enumerate() {
             if self.region_alive[r] {
-                let permit = parented_by(&self.alive, &self.drivers, server.endpoint());
+                let permit = parented_by(&self.alive, &self.ids, &self.drivers, server.endpoint());
                 server
                     .on_envelope(envelope.clone(), now, permit)
                     .expect(SIM_SEND);
@@ -1336,7 +1468,7 @@ impl SimWorld {
         // The last live replica takes the envelope itself, so a single
         // region never copies it.
         let server = &mut rest[0];
-        let permit = parented_by(&self.alive, &self.drivers, server.endpoint());
+        let permit = parented_by(&self.alive, &self.ids, &self.drivers, server.endpoint());
         server.on_envelope(envelope, now, permit).expect(SIM_SEND);
     }
 
@@ -1408,7 +1540,8 @@ impl SimWorld {
         // Administrative fail-back of the region's home cameras.
         let mut outstanding: BTreeSet<CameraId> = BTreeSet::new();
         for (&cam, _) in self.home.iter().filter(|&(_, &h)| h == region) {
-            if let Some(driver) = self.drivers.get_mut(&cam) {
+            if let Ok(slot) = self.ids.binary_search(&cam) {
+                let driver = &mut self.drivers[slot];
                 driver.set_parent(region_endpoint(region));
                 driver.node_mut().set_storage(self.stores.node(r).clone());
                 if self.alive.contains(&cam) {
@@ -1444,6 +1577,10 @@ impl SimWorld {
 
     fn on_kill(&mut self, cam: CameraId, now: SimTime) {
         if self.alive.remove(&cam) {
+            // A dead camera frames nothing: settle the idle frames it owes
+            // for the ticks it was alive.
+            let slot = self.slot(cam).expect("alive camera is deployed");
+            self.sync_frames(slot, self.ticks);
             // A dead camera observes nothing: close its ground-truth
             // intervals at the kill instant. (`in_fov` is cleared on
             // restore, so re-detection reopens them.)
@@ -1463,14 +1600,16 @@ impl SimWorld {
     /// camera was newly revived (`false` if unknown or already alive), so
     /// the caller restarts the heartbeat chain exactly once.
     fn on_restore(&mut self, cam: CameraId, now: SimTime) -> bool {
-        if !self.drivers.contains_key(&cam) {
+        let Some(slot) = self.slot(cam) else {
             return false;
-        }
+        };
         let revived = self.alive.insert(cam);
         if revived {
             // A rebooted camera re-detects whatever is in its FOV: clear
-            // the edge-trigger memory so passages are re-emitted.
-            self.in_fov.remove(&cam);
+            // the edge-trigger memory so passages are re-emitted. Its frame
+            // counter resumes here: dead ticks are not frames.
+            self.in_fov.remove(&slot);
+            self.frames_synced[slot] = self.ticks;
             self.obs.journal().record(
                 JournalKind::NodeRestore,
                 Severity::Info,
@@ -1508,8 +1647,11 @@ impl SimWorld {
         let mut pending: Vec<(CameraId, Message)> = Vec::new();
         let ids: Vec<CameraId> = self.alive.iter().copied().collect();
         for id in ids {
-            let driver = self.drivers.get_mut(&id).expect("alive node exists");
-            let out = driver.node_mut().flush(now_ms, roster.as_ref());
+            // Settle the lazy frame counter, so every node ends the run in
+            // the state a dense run leaves it in.
+            let slot = self.slot(id).expect("alive camera is deployed");
+            self.sync_frames(slot, self.ticks);
+            let out = self.drivers[slot].node_mut().flush(now_ms, roster.as_ref());
             for e in &out.events {
                 self.emit(|s| s.on_event(id, e.ground_truth, now));
                 self.obs.observe_event(id, e, now);
@@ -1525,15 +1667,15 @@ impl SimWorld {
                 continue;
             }
             self.emit(|s| s.on_delivery(now, to, &msg));
-            let driver = self.drivers.get_mut(&to).expect("alive node exists");
-            pending.extend(driver.node_mut().on_message(msg, now_ms));
+            let slot = self.slot(to).expect("alive camera is deployed");
+            pending.extend(self.drivers[slot].node_mut().on_message(msg, now_ms));
         }
         // Publish the histogram scratch-arena hit rate accumulated across
         // every camera's feature extractions (reuse ≫ alloc is what keeps
         // the hot path allocation-free).
         let (reuses, allocs) = self
             .drivers
-            .values()
+            .iter()
             .map(|d| d.node().scratch_stats())
             .fold((0, 0), |(r, a), (dr, da)| (r + dr, a + da));
         let registry = self.obs.registry();

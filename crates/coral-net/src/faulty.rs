@@ -167,9 +167,6 @@ pub struct FaultyTransport<T> {
     /// to partition journal details so cross-region handoff misses can be
     /// attributed to the right region.
     region_label: Option<String>,
-    /// Latest sim-time observed on the send/tick path, used to stamp
-    /// partition events (partition/heal calls carry no clock).
-    last_now: SimTime,
     endpoint: Endpoint,
 }
 
@@ -186,7 +183,6 @@ impl<T: Transport> FaultyTransport<T> {
             counters: None,
             journal: None,
             region_label: None,
-            last_now: SimTime::ZERO,
             endpoint,
         }
     }
@@ -233,23 +229,31 @@ impl<T: Transport> FaultyTransport<T> {
         self.region_label = Some(label.into());
     }
 
-    /// Makes `to` unreachable: subsequent sends toward it are silently
-    /// dropped until [`FaultyTransport::heal`].
-    pub fn partition(&mut self, to: Endpoint) {
+    /// Makes `to` unreachable at sim time `now`: subsequent sends toward
+    /// it are silently dropped until [`FaultyTransport::heal`]. `now`
+    /// stamps the journal event.
+    pub fn partition(&mut self, to: Endpoint, now: SimTime) {
         if self.partitioned.insert(to) {
             self.journal_partition(
                 JournalKind::PartitionOpen,
                 Severity::Warn,
                 to,
                 "partitioned",
+                now,
             );
         }
     }
 
-    /// Removes the partition toward `to`.
-    pub fn heal(&mut self, to: Endpoint) {
+    /// Removes the partition toward `to` at sim time `now`.
+    pub fn heal(&mut self, to: Endpoint, now: SimTime) {
         if self.partitioned.remove(&to) {
-            self.journal_partition(JournalKind::PartitionHeal, Severity::Info, to, "healed");
+            self.journal_partition(
+                JournalKind::PartitionHeal,
+                Severity::Info,
+                to,
+                "healed",
+                now,
+            );
         }
     }
 
@@ -269,14 +273,21 @@ impl<T: Transport> FaultyTransport<T> {
     /// property of one directed link, and downstream attribution
     /// (`explain_track_break`) needs to know which peer became
     /// unreachable. The region label, when set, rides in the detail.
-    fn journal_partition(&self, kind: JournalKind, severity: Severity, to: Endpoint, what: &str) {
+    fn journal_partition(
+        &self,
+        kind: JournalKind,
+        severity: Severity,
+        to: Endpoint,
+        what: &str,
+        now: SimTime,
+    ) {
         if let Some(journal) = &self.journal {
             let subject = format!("{}->{}", self.endpoint, to);
             let detail = match &self.region_label {
                 Some(region) => format!("link {subject} {what} [{region}]"),
                 None => format!("link {subject} {what}"),
             };
-            journal.record(kind, severity, self.last_now.as_micros(), &subject, &detail);
+            journal.record(kind, severity, now.as_micros(), &subject, &detail);
         }
     }
 
@@ -293,7 +304,6 @@ impl<T: Transport> FaultyTransport<T> {
 
 impl<T: Transport> Transport for FaultyTransport<T> {
     fn send(&mut self, now: SimTime, envelope: Envelope) -> Result<(), SendError> {
-        self.last_now = self.last_now.max(now);
         // Partition check first: no randomness consumed, so partitioning
         // and healing does not shift the fault stream of other links.
         if self.partitioned.contains(&envelope.to) {
@@ -341,10 +351,15 @@ impl<T: Transport> Transport for FaultyTransport<T> {
     }
 
     fn tick(&mut self, now: SimTime) {
-        self.last_now = self.last_now.max(now);
         // Bound how long a reordered envelope can be held.
         let _ = self.release_held(now);
         self.inner.tick(now);
+    }
+
+    /// Quiet when no reordered envelope is held back and the wrapped
+    /// transport is quiet.
+    fn is_quiet(&self) -> bool {
+        self.held.is_none() && self.inner.is_quiet()
     }
 
     fn next_due(&self) -> Option<SimTime> {
@@ -512,11 +527,11 @@ mod tests {
         );
         tx.instrument(&registry);
         let mut rx = net.handle(Endpoint::Camera(CameraId(1)));
-        tx.partition(Endpoint::Camera(CameraId(1)));
+        tx.partition(Endpoint::Camera(CameraId(1)), SimTime::ZERO);
         assert!(tx.is_partitioned(Endpoint::Camera(CameraId(1))));
         tx.send(SimTime::ZERO, envelope(0, 1)).unwrap();
         assert!(rx.poll(SimTime::ZERO).is_none());
-        tx.heal(Endpoint::Camera(CameraId(1)));
+        tx.heal(Endpoint::Camera(CameraId(1)), SimTime::ZERO);
         tx.send(SimTime::ZERO, envelope(0, 1)).unwrap();
         assert!(rx.poll(SimTime::ZERO).is_some());
         assert_eq!(
@@ -536,11 +551,14 @@ mod tests {
         );
         tx.set_journal(journal.clone());
         tx.set_region("region1");
-        tx.partition(Endpoint::Camera(CameraId(2)));
-        tx.heal(Endpoint::Camera(CameraId(2)));
+        tx.partition(Endpoint::Camera(CameraId(2)), SimTime::from_millis(1_000));
+        tx.heal(Endpoint::Camera(CameraId(2)), SimTime::from_millis(2_500));
         let mut events = Vec::new();
         journal.for_each(|e| events.push((e.kind, e.subject.clone(), e.detail.clone())));
         assert_eq!(events.len(), 2);
+        let mut stamps = Vec::new();
+        journal.for_each(|e| stamps.push(e.sim_us));
+        assert_eq!(stamps, vec![1_000_000, 2_500_000]);
         // The subject is the directed link, so `explain_track_break` can
         // attribute the outage from either end (the destination camera
         // appears in the subject/detail, not just the sender).
@@ -550,6 +568,46 @@ mod tests {
         assert_eq!(events[1].0, JournalKind::PartitionHeal);
         assert_eq!(events[1].1, "cam0->cam2");
         assert_eq!(events[1].2, "link cam0->cam2 healed [region1]");
+    }
+
+    /// A link that has been quiet for a long stretch (no send, no tick —
+    /// the runtime skips the ticks of quiet links) still stamps a
+    /// partition opened now with the caller's clock, not its last send.
+    #[test]
+    fn partition_after_a_quiet_stretch_is_stamped_with_the_callers_clock() {
+        use coral_obs::Journal;
+        let journal = Journal::new();
+        let net = SimNet::instant();
+        let mut tx = FaultyTransport::transparent(
+            net.handle(Endpoint::Camera(CameraId(0))),
+            Endpoint::Camera(CameraId(0)),
+        );
+        tx.set_journal(journal.clone());
+        tx.send(SimTime::from_millis(100), envelope(0, 1)).unwrap();
+        assert!(tx.is_quiet(), "nothing held: ticks may be skipped");
+        tx.partition(Endpoint::Camera(CameraId(1)), SimTime::from_secs(30));
+        let mut stamps = Vec::new();
+        journal.for_each(|e| stamps.push((e.kind, e.sim_us)));
+        assert_eq!(stamps, vec![(JournalKind::PartitionOpen, 30_000_000)]);
+    }
+
+    #[test]
+    fn held_envelope_keeps_the_link_busy_until_released() {
+        let net = SimNet::instant();
+        let policy = FaultPolicy {
+            reorder: 1.0,
+            ..FaultPolicy::none()
+        };
+        let mut tx = FaultyTransport::new(
+            net.handle(Endpoint::Camera(CameraId(0))),
+            Endpoint::Camera(CameraId(0)),
+            FaultPlan::uniform(policy, 3),
+        );
+        assert!(tx.is_quiet());
+        tx.send(SimTime::ZERO, envelope(0, 9)).unwrap();
+        assert!(!tx.is_quiet(), "a held envelope needs the next tick");
+        tx.tick(SimTime::from_millis(100));
+        assert!(tx.is_quiet());
     }
 
     #[test]

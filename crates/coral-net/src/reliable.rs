@@ -409,6 +409,12 @@ impl<T: Transport> Transport for ReliableTransport<T> {
         self.sync_pending_gauge();
     }
 
+    /// Quiet when no frame awaits an ack (so no retransmission timer is
+    /// armed) and the wrapped transport is quiet.
+    fn is_quiet(&self) -> bool {
+        self.pending.is_empty() && self.inner.is_quiet()
+    }
+
     fn next_due(&self) -> Option<SimTime> {
         let retry = self.pending.values().map(|f| f.next_retry).min();
         match (self.inner.next_due(), retry) {
@@ -512,11 +518,13 @@ mod tests {
         );
         let mut a = ReliableTransport::new(faulty, e0, RetryPolicy::default(), 9);
         let mut b = reliable(&net, 1);
-        a.inner_mut().partition(Endpoint::Camera(CameraId(1)));
+        a.inner_mut()
+            .partition(Endpoint::Camera(CameraId(1)), SimTime::ZERO);
         a.send(SimTime::ZERO, envelope(0, 1)).unwrap();
         assert!(b.poll(SimTime::from_secs(1)).is_none(), "link is down");
         // Heal and let a retry fire.
-        a.inner_mut().heal(Endpoint::Camera(CameraId(1)));
+        a.inner_mut()
+            .heal(Endpoint::Camera(CameraId(1)), SimTime::from_secs(2));
         a.tick(SimTime::from_secs(2));
         let got = b.poll(SimTime::from_secs(2)).expect("retried");
         assert_eq!(got.message, heartbeat(0));
@@ -541,7 +549,8 @@ mod tests {
         };
         let mut a = ReliableTransport::new(faulty, e0, policy, 4);
         a.instrument(&registry);
-        a.inner_mut().partition(Endpoint::Camera(CameraId(1)));
+        a.inner_mut()
+            .partition(Endpoint::Camera(CameraId(1)), SimTime::ZERO);
         a.send(SimTime::ZERO, envelope(0, 1)).unwrap();
         for s in 1..10 {
             a.tick(SimTime::from_secs(s));
@@ -556,6 +565,24 @@ mod tests {
             .counter_value("reliable_retries_total", &[("endpoint", "cam0")])
             .unwrap();
         assert_eq!(retries, 2, "attempts 2 and 3 were retransmissions");
+    }
+
+    #[test]
+    fn quiet_until_a_frame_awaits_its_ack() {
+        let net = SimNet::instant();
+        let mut a = reliable(&net, 0);
+        let mut b = reliable(&net, 1);
+        assert!(a.is_quiet(), "nothing sent, no timer armed");
+        a.send(SimTime::ZERO, envelope(0, 1)).unwrap();
+        assert!(!a.is_quiet(), "the unacked frame arms a retransmission");
+        assert!(b.poll(SimTime::ZERO).is_some());
+        assert!(a.poll(SimTime::ZERO).is_none(), "the ack is consumed");
+        assert!(a.is_quiet(), "acked: tick has nothing left to do");
+        // A passthrough never arms a timer.
+        let e2 = Endpoint::Camera(CameraId(2));
+        let mut p = ReliableTransport::passthrough(net.handle(e2), e2);
+        p.send(SimTime::ZERO, envelope(2, 1)).unwrap();
+        assert!(p.is_quiet());
     }
 
     #[test]

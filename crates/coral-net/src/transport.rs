@@ -147,6 +147,14 @@ pub trait Transport {
         let _ = now;
     }
 
+    /// Whether [`Transport::tick`] would do nothing right now: no
+    /// retransmission timer armed and no envelope held back. A periodic
+    /// driver may skip the tick of a quiet transport. The default answers
+    /// `false` (assume work), which is always safe.
+    fn is_quiet(&self) -> bool {
+        false
+    }
+
     /// The earliest pending due time for this endpoint. Real-time
     /// transports (where "due" has no meaning) return `None`.
     fn next_due(&self) -> Option<SimTime> {
@@ -330,6 +338,11 @@ impl Transport for SimTransport {
 
     fn poll(&mut self, now: SimTime) -> Option<Envelope> {
         self.core.lock().poll(self.endpoint, now)
+    }
+
+    /// The simulated network has no transport-side timers.
+    fn is_quiet(&self) -> bool {
+        true
     }
 
     fn next_due(&self) -> Option<SimTime> {

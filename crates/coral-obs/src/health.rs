@@ -4,8 +4,9 @@
 //! A [`Rule`] names a metric family, how to reduce each series of that
 //! family to a number ([`RuleInput`]), and the [`Thresholds`] that map the
 //! number to a [`Verdict`]. The [`HealthEngine`] evaluates all rules
-//! against a [`crate::Registry::collect`] snapshot (keeping the previous
-//! snapshot so rate/quantile rules see a *window*, not the whole run),
+//! against a [`crate::Registry::collect_families`] snapshot of the
+//! families they read (keeping the previous snapshot of the windowed ones
+//! so rate/quantile rules see a *window*, not the whole run),
 //! groups findings by subject (a label value, e.g. `camera="3"`), and
 //! emits a [`HealthReport`]. Verdict transitions are journaled as
 //! [`JournalKind::HealthChange`] events so the flight recorder shows
@@ -18,7 +19,7 @@
 use crate::journal::{Journal, JournalEvent, JournalKind, Severity};
 use crate::json::{number, quote};
 use crate::registry::{MetricKey, Registry, RegistrySample, SampleValue};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 /// A subject's health state, worst-wins ordered.
@@ -229,6 +230,12 @@ impl HealthReport {
 #[derive(Debug)]
 pub struct HealthEngine {
     rules: Vec<Rule>,
+    /// Every metric family a rule reads (a `Fraction` complement
+    /// included): the only series an evaluation collects.
+    families: Vec<String>,
+    /// The families a windowed rule (rate, quantile, imbalance, fraction)
+    /// reads: the only series the previous snapshot keeps.
+    windowed: BTreeSet<String>,
     prev: Option<PrevSnapshot>,
     verdicts: BTreeMap<String, Verdict>,
     next_journal_seq: u64,
@@ -244,8 +251,26 @@ struct PrevSnapshot {
 impl HealthEngine {
     /// Builds an engine over `rules`.
     pub fn new(rules: Vec<Rule>) -> Self {
+        let mut families = BTreeSet::new();
+        let mut windowed = BTreeSet::new();
+        for rule in &rules {
+            families.insert(rule.metric.clone());
+            match &rule.input {
+                RuleInput::GaugeValue | RuleInput::GaugeStalenessMs => {}
+                RuleInput::RatePerSec | RuleInput::QuantileUs(_) | RuleInput::Imbalance => {
+                    windowed.insert(rule.metric.clone());
+                }
+                RuleInput::Fraction { complement } => {
+                    families.insert(complement.clone());
+                    windowed.insert(rule.metric.clone());
+                    windowed.insert(complement.clone());
+                }
+            }
+        }
         Self {
             rules,
+            families: families.into_iter().collect(),
+            windowed,
             prev: None,
             verdicts: BTreeMap::new(),
             next_journal_seq: 0,
@@ -265,14 +290,16 @@ impl HealthEngine {
 
     /// Evaluates every rule against the registry's current state at
     /// `now_ms`, attaches the journal events recorded since the previous
-    /// evaluation, and journals verdict transitions.
+    /// evaluation, and journals verdict transitions. The report is kept as
+    /// [`HealthEngine::latest`] and returned by reference; clone it to own
+    /// it.
     pub fn evaluate(
         &mut self,
         registry: &Registry,
         journal: Option<&Journal>,
         now_ms: u64,
-    ) -> HealthReport {
-        let samples = registry.collect();
+    ) -> &HealthReport {
+        let samples = registry.collect_families(&self.families);
         let dt_s = self
             .prev
             .as_ref()
@@ -351,19 +378,23 @@ impl HealthEngine {
             .filter(|(_, v)| *v != Verdict::Ok)
             .collect();
 
+        // Only windowed rules read the previous snapshot.
+        let windowed = &self.windowed;
         self.prev = Some(PrevSnapshot {
             at_ms: now_ms,
-            samples: samples.into_iter().map(|s| (s.key, s.value)).collect(),
+            samples: samples
+                .into_iter()
+                .filter(|s| windowed.contains(&s.key.name))
+                .map(|s| (s.key, s.value))
+                .collect(),
         });
 
-        let report = HealthReport {
+        self.latest.insert(HealthReport {
             at_ms: now_ms,
             overall,
             subjects,
             events,
-        };
-        self.latest = Some(report.clone());
-        report
+        })
     }
 }
 

@@ -143,17 +143,17 @@ fn handle_connection(mut stream: TcpStream, state: &OpsState) -> std::io::Result
         }
         "/healthz" => {
             let now_ms = (state.clock_ms)();
-            let report = state
-                .health
-                .lock()
-                .expect("health engine poisoned")
-                .evaluate(&state.registry, Some(&state.journal), now_ms);
-            let status = if report.overall == Verdict::Critical {
-                503
-            } else {
-                200
+            let (status, body) = {
+                let mut health = state.health.lock().expect("health engine poisoned");
+                let report = health.evaluate(&state.registry, Some(&state.journal), now_ms);
+                let status = if report.overall == Verdict::Critical {
+                    503
+                } else {
+                    200
+                };
+                (status, report.to_json())
             };
-            respond(&mut stream, status, "application/json", &report.to_json())
+            respond(&mut stream, status, "application/json", &body)
         }
         "/journal" => {
             let last = query

@@ -479,21 +479,32 @@ impl Registry {
     /// (counters, gauges, histograms; BTreeMap key) order. This is the
     /// read path the health engine evaluates rules over.
     pub fn collect(&self) -> Vec<RegistrySample> {
+        self.collect_where(|_| true)
+    }
+
+    /// [`Registry::collect`] restricted to the named metric families, in
+    /// the same order. Other series are skipped before their keys are
+    /// copied or their histograms snapshotted.
+    pub fn collect_families<S: AsRef<str>>(&self, families: &[S]) -> Vec<RegistrySample> {
+        self.collect_where(|name| families.iter().any(|f| f.as_ref() == name))
+    }
+
+    fn collect_where(&self, keep: impl Fn(&str) -> bool) -> Vec<RegistrySample> {
         let g = self.inner.lock().expect("registry poisoned");
-        let mut out = Vec::with_capacity(g.counters.len() + g.gauges.len() + g.histograms.len());
-        for (key, c) in &g.counters {
+        let mut out = Vec::new();
+        for (key, c) in g.counters.iter().filter(|(k, _)| keep(&k.name)) {
             out.push(RegistrySample {
                 key: key.clone(),
                 value: SampleValue::Counter(c.get()),
             });
         }
-        for (key, gauge) in &g.gauges {
+        for (key, gauge) in g.gauges.iter().filter(|(k, _)| keep(&k.name)) {
             out.push(RegistrySample {
                 key: key.clone(),
                 value: SampleValue::Gauge(gauge.get()),
             });
         }
-        for (key, h) in &g.histograms {
+        for (key, h) in g.histograms.iter().filter(|(k, _)| keep(&k.name)) {
             out.push(RegistrySample {
                 key: key.clone(),
                 value: SampleValue::Histogram(Box::new(h.snapshot())),
@@ -897,6 +908,34 @@ mod tests {
             }
             other => panic!("expected histogram, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn collect_families_is_collect_filtered_by_name() {
+        let reg = Registry::new();
+        reg.counter("a_total", &[("k", "2")]).add(2);
+        reg.counter("a_total", &[("k", "1")]).add(1);
+        reg.counter("ab_total", &[]).add(9);
+        reg.counter("b_total", &[]).add(4);
+        reg.gauge("a_total", &[("k", "g")]).set(7);
+        reg.gauge("c", &[]).set(5);
+        reg.histogram("b_total", &[]).observe_us(3);
+        let render = |samples: Vec<RegistrySample>| -> Vec<String> {
+            samples
+                .iter()
+                .map(|s| format!("{:?} {:?}", s.key, s.value))
+                .collect()
+        };
+        let wanted = ["b_total", "a_total", "a_total"];
+        let filtered: Vec<RegistrySample> = reg
+            .collect()
+            .into_iter()
+            .filter(|s| wanted.contains(&s.key.name.as_str()))
+            .collect();
+        assert_eq!(render(reg.collect_families(&wanted)), render(filtered));
+        // A prefix of another family's name selects only its own series.
+        assert_eq!(reg.collect_families(&["a_total"]).len(), 3);
+        assert!(reg.collect_families(&["missing"]).is_empty());
     }
 
     #[test]

@@ -110,7 +110,8 @@ pub struct OccupancyIndex {
     /// Per-slot candidate lists for the current tick: indices into the
     /// `states` slice last passed to [`OccupancyIndex::assign`], ascending.
     candidates: Vec<Vec<u32>>,
-    /// Slots with non-empty candidate lists this tick (lazy clearing).
+    /// Slots with non-empty candidate lists this tick, ascending (also
+    /// the lazy-clearing list).
     touched: Vec<u32>,
     tick: u64,
     refreshes: u64,
@@ -201,6 +202,9 @@ impl OccupancyIndex {
                 list.push(idx as u32);
             }
         }
+        // Slot order lets the runtime walk touched cameras in `CameraId`
+        // order without scanning every slot.
+        self.touched.sort_unstable();
         // Sweep entries for vehicles that left the network. Map iteration
         // order never reaches any output, so the HashMap is safe here.
         if self.tick.is_multiple_of(CACHE_TTL_TICKS) {
@@ -214,6 +218,12 @@ impl OccupancyIndex {
     /// ascending.
     pub fn candidates(&self, slot: usize) -> &[u32] {
         &self.candidates[slot]
+    }
+
+    /// The slots whose candidate list is non-empty this tick, ascending:
+    /// the only cameras a vehicle can be near.
+    pub fn touched(&self) -> &[u32] {
+        &self.touched
     }
 
     /// Camera-list recomputations performed (vehicle drifted past the
@@ -319,7 +329,13 @@ mod tests {
                 }
                 // Candidate lists are ascending state indices.
                 assert!(listed.windows(2).all(|w| w[0] < w[1]));
+                // A slot is touched exactly when its list is non-empty.
+                assert_eq!(
+                    index.touched().binary_search(&(slot as u32)).is_ok(),
+                    !listed.is_empty()
+                );
             }
+            assert!(index.touched().windows(2).all(|w| w[0] < w[1]));
         }
         assert!(index.reuses() > index.refreshes(), "anchor cache must win");
     }

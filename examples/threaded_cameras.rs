@@ -187,7 +187,8 @@ fn main() {
         println!("{cam}: {events} detection events, {reids} re-identifications");
     }
     server.join().expect("server thread ok");
-    let report = obs.health_tick(clock_ms.load(Ordering::Relaxed));
+    obs.health_tick(clock_ms.load(Ordering::Relaxed));
+    let report = obs.latest_health().expect("health was just evaluated");
     println!("final health: {:?}", report.overall);
     if let Some(ops) = ops_server {
         ops.shutdown();

@@ -1,13 +1,16 @@
 //! Sparse (event-driven) stepping is invisible to behavior: a run's full
-//! fingerprint — telemetry stream, storage graph, accuracy report — is
+//! fingerprint — telemetry stream, ground-truth FOV intervals, storage
+//! graph with edge weights, per-camera frame counts, accuracy report — is
 //! byte-identical with `SystemConfig::sparse_stepping` on or off.
 //!
 //! Sparse stepping consults the spatial occupancy index each tick and
-//! early-outs cameras with no nearby vehicle and no live tracks; cameras
-//! with live tracks but an empty candidate list still run the full path on
-//! an empty scene so tracker aging and detector clutter draws advance
-//! exactly as in a dense run (DESIGN.md §7). The default tests pin a fast
-//! smoke subset; `ci.sh` runs the full 9-scenario × 3-seed matrix via
+//! steps only cameras with a nearby vehicle, live tracks or a clutter
+//! burst; cameras with live tracks but an empty candidate list still run
+//! the full path on an empty scene so tracker aging and detector clutter
+//! draws advance exactly as in a dense run. The commit walk then visits
+//! only the stepped cameras plus idle ones owing an exit edge or a link
+//! tick (DESIGN.md §7). The default tests pin a fast
+//! smoke subset; `ci.sh` runs the full 11-scenario × 3-seed matrix via
 //! `--ignored`.
 
 use coral_pie::core::{CameraSpec, CoralPieSystem, NodeConfig, SystemConfig};
@@ -60,8 +63,25 @@ fn fingerprint(sys: &CoralPieSystem) -> String {
             r.killed, r.killed_at, r.recovered_at
         );
     }
+    // The ground-truth FOV intervals pin the commit walk's exit edges.
+    for iv in sys.ground_truth().intervals() {
+        let _ = writeln!(s, "fov {iv:?}");
+    }
     let _ = writeln!(s, "storage {:?}", sys.storage().stats());
+    // Edge weights are signature distances.
+    sys.with_trajectory_graph(|g| {
+        for e in g.edges() {
+            let _ = writeln!(s, "edge {:?} {:?} {:x}", e.from, e.to, e.weight.to_bits());
+        }
+    });
     let _ = writeln!(s, "alive {:?}", sys.alive());
+    // Frame ids seed render noise; the lazy per-camera frame counters must
+    // settle to the dense counts.
+    let frames: Vec<u64> = (0..)
+        .map_while(|c| sys.node(CameraId(c)))
+        .map(|n| n.frame_count())
+        .collect();
+    let _ = writeln!(s, "frames {frames:?}");
     let _ = writeln!(s, "redundancy {:?}", sys.inform_redundancy());
     let rep = sys.report();
     let _ = writeln!(s, "detection {:?}", rep.detection);
@@ -97,7 +117,7 @@ fn config(seed: u64, sparse: bool) -> SystemConfig {
     }
 }
 
-// ---- The 8 scenarios. Each maps (seed, sparse) -> fingerprint. ----
+// ---- The 11 scenarios. Each maps (seed, sparse) -> fingerprint. ----
 
 /// 1. Open Poisson workload on a 4-camera corridor, noisy detectors.
 fn open_corridor(seed: u64, sparse: bool) -> String {
@@ -162,8 +182,9 @@ fn single_vehicle_impl(broadcast: bool, seed: u64, sparse: bool) -> String {
     fingerprint(&sys)
 }
 
-/// 5. Mid-run camera kill: dead cameras keep their occupancy slot but
-///    must not be stepped (or idle-advanced) at all.
+/// 5. Mid-run camera kill and restore: dead cameras keep their occupancy
+///    slot but must not be stepped (or idle-advanced) at all, and a
+///    restored camera's frame counter resumes without its dead ticks.
 fn failure_run(seed: u64, sparse: bool) -> String {
     let net = generators::corridor(5, 120.0, 12.0);
     let cfg = SystemConfig {
@@ -177,6 +198,11 @@ fn failure_run(seed: u64, sparse: bool) -> String {
         at: SimTime::from_secs(10),
         camera: CameraId(2),
         kind: FailureKind::Kill,
+    });
+    schedule.push(FailureEvent {
+        at: SimTime::from_secs(50),
+        camera: CameraId(2),
+        kind: FailureKind::Restore,
     });
     sys.set_failures(&schedule);
     let r = route::shortest_path(&net, IntersectionId(0), IntersectionId(4)).unwrap();
@@ -241,7 +267,40 @@ fn chaos_run(seed: u64, sparse: bool) -> String {
     fingerprint(&sys)
 }
 
-/// 8. A 2×3 grid with arrivals from two corners — non-corridor topology
+/// 8. Reordering and delaying links under at-least-once delivery. A
+///    reorder fault holds an envelope back until the link's next send or
+///    tick, so a camera that goes idle right after a send (a heartbeat, an
+///    ack, an inform) still owes its link a tick: the commit walk must keep
+///    visiting it until the held envelope is released.
+fn chaos_reorder_run(seed: u64, sparse: bool) -> String {
+    let net = generators::corridor(4, 120.0, 12.0);
+    let cfg = SystemConfig {
+        node: perfect_node(),
+        faults: Some(FaultPlan::uniform(
+            FaultPolicy {
+                reorder: 0.2,
+                delay: 0.1,
+                delay_by: SimDuration::from_millis(150),
+                ..FaultPolicy::default()
+            },
+            seed ^ 0x0de1,
+        )),
+        reliability: Some(RetryPolicy::default()),
+        ..config(seed, sparse)
+    };
+    let mut sys = CoralPieSystem::new(net, &corridor_specs(4), cfg);
+    sys.set_arrivals(PoissonArrivals::new(
+        0.25,
+        vec![IntersectionId(0), IntersectionId(3)],
+        2,
+        seed ^ 0xbeef,
+    ));
+    sys.run_until(SimTime::from_secs(45));
+    sys.finish();
+    fingerprint(&sys)
+}
+
+/// 9. A 2×3 grid with arrivals from two corners — non-corridor topology
 ///    where occupancy cells cover several cameras at once.
 fn grid_run(seed: u64, sparse: bool) -> String {
     let net = generators::grid(2, 3, 120.0, 12.0);
@@ -264,11 +323,11 @@ fn grid_run(seed: u64, sparse: bool) -> String {
     fingerprint(&sys)
 }
 
-/// 9. Fast traffic: IDM vehicles cruising near 30 m/s — several times the
-///    ~11 m/s city profile the default anchor slack was tuned for. The
-///    speed-derived slack (`slack_for`) must keep the candidate superset
-///    exact (the drift test is speed-independent), so sparse and dense
-///    fingerprints still agree byte-for-byte.
+/// 10. Fast traffic: IDM vehicles cruising near 30 m/s — several times the
+///     ~11 m/s city profile the default anchor slack was tuned for. The
+///     speed-derived slack (`slack_for`) must keep the candidate superset
+///     exact (the drift test is speed-independent), so sparse and dense
+///     fingerprints still agree byte-for-byte.
 fn fast_vehicle_run(seed: u64, sparse: bool) -> String {
     let net = generators::corridor(4, 120.0, 30.0);
     let cfg = SystemConfig {
@@ -292,10 +351,39 @@ fn fast_vehicle_run(seed: u64, sparse: bool) -> String {
     fingerprint(&sys)
 }
 
+/// 11. Blind detectors: vehicles are in ground truth but never tracked,
+///     and each route ends inside the last camera's FOV. The vehicle
+///     vanishes there with no track to keep the camera stepping, so its
+///     ground-truth exit edge comes from the commit walk's previous-FOV
+///     set alone.
+fn blind_despawn_run(seed: u64, sparse: bool) -> String {
+    let net = generators::corridor(3, 120.0, 12.0);
+    let cfg = SystemConfig {
+        node: NodeConfig {
+            detector_noise: DetectorNoise {
+                miss_rate: 1.0,
+                clutter_rate: 0.0,
+                ..DetectorNoise::perfect()
+            },
+            ..NodeConfig::default()
+        },
+        ..config(seed, sparse)
+    };
+    let mut sys = CoralPieSystem::new(net.clone(), &corridor_specs(3), cfg);
+    for k in 0..3u64 {
+        let r = route::shortest_path(&net, IntersectionId(0), IntersectionId(2)).unwrap();
+        sys.traffic_mut()
+            .spawn(SimTime::from_secs(1 + 5 * k), r, Some(ObjectClass::Car));
+    }
+    sys.run_until(SimTime::from_secs(60));
+    sys.finish();
+    fingerprint(&sys)
+}
+
 /// A scenario maps (seed, sparse) to the run's fingerprint.
 type Scenario = fn(u64, bool) -> String;
 
-const SCENARIOS: [(&str, Scenario); 9] = [
+const SCENARIOS: [(&str, Scenario); 11] = [
     ("open_corridor", open_corridor),
     ("open_corridor_broadcast", open_corridor_broadcast),
     ("single_vehicle", single_vehicle),
@@ -303,8 +391,10 @@ const SCENARIOS: [(&str, Scenario); 9] = [
     ("failure_run", failure_run),
     ("platoon_run", platoon_run),
     ("chaos_run", chaos_run),
+    ("chaos_reorder_run", chaos_reorder_run),
     ("grid_run", grid_run),
     ("fast_vehicle_run", fast_vehicle_run),
+    ("blind_despawn_run", blind_despawn_run),
 ];
 
 fn assert_matrix(scenarios: &[(&str, Scenario)], seeds: &[u64]) {
@@ -322,13 +412,17 @@ fn assert_matrix(scenarios: &[(&str, Scenario)], seeds: &[u64]) {
 }
 
 /// Fast smoke subset for `cargo test`: the scripted single vehicle (long
-/// all-idle stretches) and the noisy open workload, one seed.
+/// all-idle stretches), the noisy open workload, the reordering chaos
+/// stack (held envelopes on idle cameras) and the blind-detector despawn
+/// (exit edges on idle cameras), one seed.
 #[test]
 fn sparse_matches_dense_smoke() {
     assert_matrix(
         &[
             ("single_vehicle", single_vehicle as Scenario),
             ("open_corridor", open_corridor),
+            ("chaos_reorder_run", chaos_reorder_run),
+            ("blind_despawn_run", blind_despawn_run),
         ],
         &[SEEDS[0]],
     );
@@ -344,7 +438,7 @@ fn sparse_matches_dense_fast_vehicles() {
     );
 }
 
-/// The full acceptance matrix: 9 scenarios × 3 seeds, sparse vs dense.
+/// The full acceptance matrix: 11 scenarios × 3 seeds, sparse vs dense.
 /// Slow; run by `ci.sh` via `cargo test --test sparse_equivalence --
 /// --ignored`.
 #[test]
@@ -355,7 +449,9 @@ fn sparse_matches_dense_full_matrix() {
 
 /// The sparse path actually skips work: on the scripted single-vehicle
 /// corridor most camera-ticks are idle, and the counters prove the
-/// early-out fired. Dense mode must report zero skips.
+/// early-out fired. Once the vehicle has left and the links are quiet,
+/// ticks keep running but no camera is committed. Dense mode must report
+/// zero skips.
 #[test]
 fn sparse_skip_counters_advance() {
     let net = generators::corridor(3, 120.0, 12.0);
@@ -371,8 +467,38 @@ fn sparse_skip_counters_advance() {
     sys.traffic_mut()
         .spawn(SimTime::from_secs(2), r, Some(ObjectClass::Car));
     sys.run_until(SimTime::from_secs(40));
+    let counter = |sys: &CoralPieSystem, name: &str| {
+        sys.observability()
+            .registry()
+            .counter_value(name, &[])
+            .unwrap_or(0)
+    };
+    let (ticks, committed) = (
+        counter(&sys, "core_tick_total"),
+        counter(&sys, "core_cameras_committed_total"),
+    );
+    assert!(committed > 0, "the vehicle's cameras commit");
+    // The vehicle is gone and the default links are passthroughs (always
+    // quiet): heartbeats keep flowing, but no camera has a frame to commit.
+    sys.run_until(SimTime::from_secs(50));
+    assert!(
+        counter(&sys, "core_tick_total") > ticks,
+        "ticks keep running"
+    );
+    assert_eq!(
+        counter(&sys, "core_cameras_committed_total"),
+        committed,
+        "idle cameras on quiet links are not committed"
+    );
     sys.finish();
     let reg = sys.observability().registry();
+    // Only committed frames are observed: an idle camera outside the
+    // commit set costs (and records) nothing.
+    assert_eq!(
+        reg.histogram("node_frame_handle_us", &[]).count(),
+        committed,
+        "one frame-handling observation per committed camera-tick"
+    );
     let stepped = reg
         .counter_value("core_cameras_stepped_total", &[])
         .unwrap_or(0);
@@ -385,6 +511,11 @@ fn sparse_skip_counters_advance() {
         skipped > stepped,
         "one vehicle on a 3-camera corridor: most camera-ticks idle \
          (stepped={stepped} skipped={skipped})"
+    );
+    assert!(
+        (stepped..stepped + skipped).contains(&committed),
+        "every stepped camera commits, most idle ones do not \
+         (stepped={stepped} committed={committed})"
     );
     // Scratch arenas: after the first extraction per camera, every
     // histogram reuses the arena.
