@@ -158,6 +158,15 @@ if [ "$quick" -eq 0 ]; then
     cargo test -q --release --test parallel_determinism -- --ignored
 fi
 
+# Incremental MDCS equivalence: the topology server's footprint-selected
+# recompute must match a full-recompute oracle update for update, and the
+# iterative search kernel the recursive DFS it replaced (the default case
+# count already ran with the workspace tests).
+if [ "$quick" -eq 0 ]; then
+    echo "==> incremental MDCS equivalence proptests (release, 1024 cases)"
+    PROPTEST_CASES=1024 cargo test -q --release -p coral-topology --test incremental_equivalence
+fi
+
 # Sparse-stepping equivalence matrix: the occupancy-index early-out must
 # fingerprint byte-identically to dense stepping on every scenario x seed
 # (the smoke subset already ran in `cargo test -q`).

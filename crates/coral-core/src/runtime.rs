@@ -376,25 +376,23 @@ impl<T: Transport> ServerDriver<T> {
         now: SimTime,
         mut permit: impl FnMut(CameraId) -> bool,
     ) -> Result<LivenessOutcome, SendError> {
-        let before: BTreeSet<CameraId> = self.server.active_cameras().into_iter().collect();
         let start = self.obs.is_some().then(Instant::now);
-        let updates = self.server.check_liveness(now.as_millis());
+        let sweep = self.server.check_liveness(now.as_millis());
         if let (Some(obs), Some(start)) = (&self.obs, start) {
             obs.note_liveness(start.elapsed());
         }
-        if updates.is_empty() {
+        if sweep.evicted.is_empty() {
             return Ok(LivenessOutcome::default());
         }
-        let after: BTreeSet<CameraId> = self.server.active_cameras().into_iter().collect();
-        let removed: Vec<CameraId> = before.difference(&after).copied().collect();
-        let recipients: BTreeSet<CameraId> = updates
+        let recipients: BTreeSet<CameraId> = sweep
+            .updates
             .iter()
             .map(|u| u.camera)
             .filter(|&c| permit(c))
             .collect();
-        self.send_updates(updates, now, permit)?;
+        self.send_updates(sweep.updates, now, permit)?;
         Ok(LivenessOutcome {
-            removed,
+            removed: sweep.evicted,
             recipients,
         })
     }

@@ -37,5 +37,5 @@ pub mod topology;
 
 pub use camera::{Camera, CameraId, CameraSite};
 pub use mdcs::{mdcs_for, mdcs_table, mean_mdcs_size, MdcsOptions, MdcsTable};
-pub use server::{MdcsUpdate, ServerConfig, TimestampMs, TopologyServer};
+pub use server::{LivenessSweep, MdcsUpdate, ServerConfig, TimestampMs, TopologyServer};
 pub use topology::{CameraTopology, TopologyError};

@@ -5,13 +5,14 @@
 //! minimum downstream camera set" (paper §3.2). For a given camera and
 //! vehicle heading, a depth-first search walks the road graph and each
 //! branch returns as soon as it encounters a camera — whether at a vertex or
-//! along a lane (paper §3.3, §4.3).
+//! along a lane (paper §3.3, §4.3). Every search runs on one iterative
+//! kernel whose scratch is reused across calls.
 
-use crate::camera::{CameraId, CameraSite};
+use crate::camera::{Camera, CameraId, CameraSite};
 use crate::topology::CameraTopology;
-use coral_geo::{Heading, LaneId};
+use coral_geo::{Heading, IntersectionId, LaneId, RoadNetwork};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Options controlling the MDCS search.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -111,54 +112,10 @@ pub fn mdcs_for(
     heading: Heading,
     opts: MdcsOptions,
 ) -> BTreeSet<CameraId> {
-    let mut out = BTreeSet::new();
-    let Some(cam) = topo.camera(camera) else {
-        return out;
-    };
-    let net = topo.network();
-    let mut visited: HashSet<LaneId> = HashSet::new();
-    match cam.site {
-        CameraSite::Intersection(v) => {
-            let lanes = seed_lanes(topo, v, heading, opts.heading_tolerance_deg);
-            for lane in lanes {
-                if visited.insert(lane) {
-                    dfs_lane(topo, camera, lane, None, &mut visited, &mut out);
-                }
-            }
-        }
-        CameraSite::Lane { lane, offset } => {
-            // Orient the search along the lane direction closest to the
-            // vehicle heading (see below).
-            let fwd_heading = net.lane_heading(lane).expect("registered lane exists");
-            let rev = net.reverse_lane(lane);
-            let (oriented, oriented_offset) = match rev {
-                Some(rev_lane) => {
-                    let rev_heading = net.lane_heading(rev_lane).expect("reverse exists");
-                    if heading.angle_to(fwd_heading) <= heading.angle_to(rev_heading) {
-                        (lane, offset)
-                    } else {
-                        (rev_lane, 1.0 - offset)
-                    }
-                }
-                None => (lane, offset),
-            };
-            visited.insert(oriented);
-            dfs_lane(
-                topo,
-                camera,
-                oriented,
-                Some(oriented_offset),
-                &mut visited,
-                &mut out,
-            );
-        }
+    match topo.camera(camera) {
+        Some(cam) => MdcsSearch::default().downstream(topo, cam, heading, opts),
+        None => BTreeSet::new(),
     }
-    if opts.include_self_uturn {
-        // Even with an empty downstream set (a dead end), the vehicle can
-        // only come back — self is the entire MDCS.
-        out.insert(camera);
-    }
-    out
 }
 
 /// Computes the full per-heading MDCS table for `camera`.
@@ -167,40 +124,17 @@ pub fn mdcs_for(
 /// intersection (or of the camera's lane and its reverse for lane-resident
 /// cameras).
 pub fn mdcs_table(topo: &CameraTopology, camera: CameraId, opts: MdcsOptions) -> MdcsTable {
-    let mut table = MdcsTable::default();
-    let Some(cam) = topo.camera(camera) else {
-        return table;
-    };
-    let net = topo.network();
-    let headings: BTreeSet<Heading> = match cam.site {
-        CameraSite::Intersection(v) => net
-            .out_lanes(v)
-            .iter()
-            .map(|&l| net.lane_heading(l).expect("adjacent lane exists"))
-            .collect(),
-        CameraSite::Lane { lane, .. } => {
-            let mut hs = BTreeSet::new();
-            hs.insert(net.lane_heading(lane).expect("registered lane exists"));
-            if let Some(rev) = net.reverse_lane(lane) {
-                hs.insert(net.lane_heading(rev).expect("reverse exists"));
-            }
-            hs
-        }
-    };
-    for h in headings {
-        let set = mdcs_for(topo, camera, h, opts);
-        table.per_heading.insert(h, set);
-    }
-    table
+    MdcsSearch::default().table(topo, camera, opts)
 }
 
 /// Mean MDCS size across all cameras and their admitted headings — the
 /// scalability metric of Fig. 12(a).
 pub fn mean_mdcs_size(topo: &CameraTopology, opts: MdcsOptions) -> f64 {
+    let mut search = MdcsSearch::default();
     let mut total = 0usize;
     let mut entries = 0usize;
     for cam in topo.cameras() {
-        let table = mdcs_table(topo, cam.id, opts);
+        let table = search.table(topo, cam.id, opts);
         for (_, set) in table.iter() {
             total += set.len();
             entries += 1;
@@ -213,75 +147,218 @@ pub fn mean_mdcs_size(topo: &CameraTopology, opts: MdcsOptions) -> f64 {
     }
 }
 
-/// Outgoing lanes at `v` compatible with `heading` (within tolerance, or
-/// the closest ones if none are).
-fn seed_lanes(
-    topo: &CameraTopology,
-    v: coral_geo::IntersectionId,
-    heading: Heading,
-    tolerance_deg: f64,
-) -> Vec<LaneId> {
-    let net = topo.network();
-    let lanes = net.out_lanes(v);
-    let mut within: Vec<LaneId> = lanes
-        .iter()
-        .copied()
-        .filter(|&l| heading.angle_to(net.lane_heading(l).expect("adjacent lane")) <= tolerance_deg)
-        .collect();
-    if within.is_empty() && !lanes.is_empty() {
-        let best = lanes
-            .iter()
-            .map(|&l| heading.angle_to(net.lane_heading(l).expect("adjacent lane")))
-            .fold(f64::INFINITY, f64::min);
-        within = lanes
-            .iter()
-            .copied()
-            .filter(|&l| {
-                (heading.angle_to(net.lane_heading(l).expect("adjacent lane")) - best).abs() < 1e-9
-            })
-            .collect();
-    }
-    within
+/// The MDCS search kernel: an iterative depth-first walk whose scratch is
+/// reused across calls, so a search allocates nothing but its result.
+///
+/// A walk enters each lane at most once. On entering a lane it reads that
+/// lane's cameras and, if none stops the branch, the camera at the lane's
+/// destination vertex; if neither does, it fans out over the destination's
+/// outgoing lanes, never reversing back along the lane just walked. Which
+/// lanes are entered depends only on those reads, not on the visiting
+/// order, so the result equals the recursive DFS of paper §3.3.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct MdcsSearch {
+    /// Per lane: the generation of the last walk that entered it.
+    stamp: Vec<u32>,
+    /// The current walk's generation; never 0 once a walk has begun.
+    generation: u32,
+    /// Per vertex: the generation of the last walk that entered all of
+    /// its outgoing lanes.
+    done: Vec<u32>,
+    /// Lanes entered but not yet expanded.
+    stack: Vec<LaneId>,
+    /// One bit per `LaneId`: every lane entered by the walks of the last
+    /// [`MdcsSearch::table`].
+    footprint: Vec<u64>,
 }
 
-/// Walks one lane: stops at the first camera found along the lane or at its
-/// destination vertex, otherwise fans out over the destination's outgoing
-/// lanes (never reversing back along the lane just traversed).
-fn dfs_lane(
-    topo: &CameraTopology,
-    origin: CameraId,
-    lane: LaneId,
-    past_offset: Option<f64>,
-    visited: &mut HashSet<LaneId>,
-    out: &mut BTreeSet<CameraId>,
-) {
-    let net = topo.network();
-    for &(off, cam) in topo.cameras_on_lane(lane) {
-        if let Some(skip) = past_offset {
-            if off <= skip {
-                continue;
+impl MdcsSearch {
+    /// The lanes the walks of the last [`MdcsSearch::table`] entered, one
+    /// bit per `LaneId`. These are the only lanes whose camera lookups
+    /// (`cameras_on_lane(l)`, `camera_at_vertex(l.to)`) the search read.
+    pub(crate) fn footprint(&self) -> &[u64] {
+        &self.footprint
+    }
+
+    /// Computes `camera`'s per-heading table (see [`mdcs_table`]) and
+    /// records its footprint.
+    pub(crate) fn table(
+        &mut self,
+        topo: &CameraTopology,
+        camera: CameraId,
+        opts: MdcsOptions,
+    ) -> MdcsTable {
+        self.footprint.clear();
+        let mut table = MdcsTable::default();
+        let Some(cam) = topo.camera(camera) else {
+            return table;
+        };
+        let headings: BTreeSet<Heading> = match cam.site {
+            CameraSite::Intersection(v) => topo
+                .network()
+                .out_lanes(v)
+                .iter()
+                .map(|&l| topo.lane_heading(l))
+                .collect(),
+            CameraSite::Lane { lane, .. } => std::iter::once(lane)
+                .chain(topo.reverse_lane(lane))
+                .map(|l| topo.lane_heading(l))
+                .collect(),
+        };
+        for h in headings {
+            let set = self.downstream(topo, cam, h, opts);
+            table.per_heading.insert(h, set);
+        }
+        table
+    }
+
+    /// One walk: the MDCS of `cam` along `heading`.
+    fn downstream(
+        &mut self,
+        topo: &CameraTopology,
+        cam: &Camera,
+        heading: Heading,
+        opts: MdcsOptions,
+    ) -> BTreeSet<CameraId> {
+        self.begin(topo.network());
+        let mut out = BTreeSet::new();
+        match cam.site {
+            CameraSite::Intersection(v) => {
+                self.seed(topo, v, heading, opts.heading_tolerance_deg);
+            }
+            CameraSite::Lane { lane, offset } => {
+                // Orient the walk along the lane direction closest to the
+                // vehicle heading; on that first lane only the cameras past
+                // this one's own offset lie ahead.
+                let (oriented, oriented_offset) = match topo.reverse_lane(lane) {
+                    Some(rev) => {
+                        let fwd_heading = topo.lane_heading(lane);
+                        let rev_heading = topo.lane_heading(rev);
+                        if heading.angle_to(fwd_heading) <= heading.angle_to(rev_heading) {
+                            (lane, offset)
+                        } else {
+                            (rev, 1.0 - offset)
+                        }
+                    }
+                    None => (lane, offset),
+                };
+                self.enter(oriented);
+                self.expand(topo, cam.id, oriented, Some(oriented_offset), &mut out);
             }
         }
-        if cam == origin {
-            continue; // self-inclusion is handled by the caller
+        while let Some(lane) = self.stack.pop() {
+            self.expand(topo, cam.id, lane, None, &mut out);
         }
-        out.insert(cam);
-        return;
+        if opts.include_self_uturn {
+            // Even with an empty downstream set (a dead end), the vehicle can
+            // only come back — self is the entire MDCS.
+            out.insert(cam.id);
+        }
+        out
     }
-    let to = net.lane(lane).expect("visited lane exists").to;
-    if let Some(cam) = topo.camera_at_vertex(to) {
-        if cam != origin {
+
+    /// Starts a walk over `net`: bumping the generation empties the
+    /// visited sets without touching them.
+    fn begin(&mut self, net: &RoadNetwork) {
+        if self.stamp.len() < net.lane_count() {
+            self.stamp.resize(net.lane_count(), 0);
+        }
+        if self.done.len() < net.intersection_count() {
+            self.done.resize(net.intersection_count(), 0);
+        }
+        self.footprint.resize(net.lane_count().div_ceil(64), 0);
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            self.stamp.fill(0);
+            self.done.fill(0);
+            self.generation = 1;
+        }
+        self.stack.clear();
+    }
+
+    /// Marks `lane` entered by the current walk; false if it already was.
+    fn enter(&mut self, lane: LaneId) -> bool {
+        let i = lane.0 as usize;
+        if self.stamp[i] == self.generation {
+            return false;
+        }
+        self.stamp[i] = self.generation;
+        self.footprint[i / 64] |= 1 << (i % 64);
+        true
+    }
+
+    /// Enters the outgoing lanes at `v` compatible with `heading` (within
+    /// tolerance, or the closest ones if none are).
+    fn seed(
+        &mut self,
+        topo: &CameraTopology,
+        v: IntersectionId,
+        heading: Heading,
+        tolerance_deg: f64,
+    ) {
+        let lanes = topo.network().out_lanes(v);
+        let angle = |l: LaneId| heading.angle_to(topo.lane_heading(l));
+        let any_within = lanes.iter().any(|&l| angle(l) <= tolerance_deg);
+        let best = lanes
+            .iter()
+            .map(|&l| angle(l))
+            .fold(f64::INFINITY, f64::min);
+        for &l in lanes {
+            let seeds = if any_within {
+                angle(l) <= tolerance_deg
+            } else {
+                (angle(l) - best).abs() < 1e-9
+            };
+            if seeds && self.enter(l) {
+                self.stack.push(l);
+            }
+        }
+    }
+
+    /// Expands one entered lane: the branch stops at the first camera ahead
+    /// on the lane or at its destination vertex, otherwise the
+    /// destination's outgoing lanes are entered (never the reverse of
+    /// `lane`).
+    fn expand(
+        &mut self,
+        topo: &CameraTopology,
+        origin: CameraId,
+        lane: LaneId,
+        past_offset: Option<f64>,
+        out: &mut BTreeSet<CameraId>,
+    ) {
+        for &(off, cam) in topo.cameras_on_lane(lane) {
+            if past_offset.is_some_and(|skip| off <= skip) || cam == origin {
+                continue; // behind the origin, or self (the caller's choice)
+            }
             out.insert(cam);
+            return;
         }
-        return;
-    }
-    let reverse = net.reverse_lane(lane);
-    for &next in net.out_lanes(to) {
-        if Some(next) == reverse {
-            continue;
+        let net = topo.network();
+        let to = net.lane(lane).expect("entered lane exists").to;
+        if let Some(cam) = topo.camera_at_vertex(to) {
+            if cam != origin {
+                out.insert(cam);
+            }
+            return;
         }
-        if visited.insert(next) {
-            dfs_lane(topo, origin, next, None, visited, out);
+        // Once every outgoing lane of `to` is entered, a later arrival there
+        // would enter nothing: skip it without changing what is entered.
+        let v = to.0 as usize;
+        if self.done[v] == self.generation {
+            return;
+        }
+        let reverse = topo.reverse_lane(lane);
+        let mut all = true;
+        for &next in net.out_lanes(to) {
+            if Some(next) == reverse {
+                all &= self.stamp[next.0 as usize] == self.generation;
+            } else if self.enter(next) {
+                self.stack.push(next);
+            }
+        }
+        if all {
+            self.done[v] = self.generation;
         }
     }
 }

@@ -2,17 +2,17 @@
 //!
 //! The server maintains the annotated road graph, tracks camera liveness
 //! through periodic heartbeats, and recomputes the MDCS of affected cameras
-//! when cameras join or fail — the self-healing mechanism evaluated in the
-//! paper's Fig. 11 (§3.3, §5.4).
+//! (and only those) when cameras join or fail — the self-healing mechanism
+//! evaluated in the paper's Fig. 11 (§3.3, §5.4).
 //!
 //! The server is transport-agnostic: callers feed it heartbeats and clock
 //! ticks and disseminate the [`MdcsUpdate`]s it returns (the discrete-event
 //! simulator and the TCP transport both drive it this way).
 
-use crate::camera::CameraId;
-use crate::mdcs::{mdcs_table, MdcsOptions, MdcsTable};
+use crate::camera::{CameraId, CameraSite};
+use crate::mdcs::{MdcsOptions, MdcsSearch, MdcsTable};
 use crate::topology::{CameraTopology, TopologyError};
-use coral_geo::{GeoPoint, RoadNetwork};
+use coral_geo::{GeoPoint, LaneId, RoadNetwork};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -61,7 +61,27 @@ pub struct MdcsUpdate {
     pub version: u64,
 }
 
+/// What one liveness sweep did.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct LivenessSweep {
+    /// Cameras evicted by the sweep, in id order.
+    pub evicted: Vec<CameraId>,
+    /// MDCS updates for the survivors whose tables changed.
+    pub updates: Vec<MdcsUpdate>,
+}
+
 /// The camera topology server.
+///
+/// A topology change recomputes only the tables it can alter. Each table
+/// is stored with the *footprint* of the search that computed it: the
+/// lanes that search entered. For an entered lane `l` the search read
+/// `cameras_on_lane(l)` and `camera_at_vertex(l.to)`, and it read no other
+/// placement. A camera at vertex `v` changes only the lookups made from
+/// `in_lanes(v)`; a camera on lane `L` changes only those on `L` and its
+/// reverse. A camera whose footprint holds none of the changed lanes would
+/// re-read exactly what it read before, so its table and footprint stay as
+/// they are. The changed tables, and so the updates and their versions,
+/// are those a full recompute would produce.
 ///
 /// # Examples
 ///
@@ -84,8 +104,27 @@ pub struct TopologyServer {
     topo: CameraTopology,
     config: ServerConfig,
     last_seen: BTreeMap<CameraId, TimestampMs>,
-    tables: BTreeMap<CameraId, MdcsTable>,
+    tables: BTreeMap<CameraId, Disseminated>,
+    search: MdcsSearch,
     version: u64,
+}
+
+/// A camera's last disseminated table and the footprint of the search
+/// that computed it.
+#[derive(Debug, Clone)]
+struct Disseminated {
+    table: MdcsTable,
+    /// One bit per `LaneId`: the lanes the search entered.
+    footprint: Vec<u64>,
+}
+
+impl Disseminated {
+    fn touches(&self, lane: LaneId) -> bool {
+        let i = lane.0 as usize;
+        self.footprint
+            .get(i / 64)
+            .is_some_and(|w| w >> (i % 64) & 1 == 1)
+    }
 }
 
 impl TopologyServer {
@@ -96,6 +135,7 @@ impl TopologyServer {
             config,
             last_seen: BTreeMap::new(),
             tables: BTreeMap::new(),
+            search: MdcsSearch::default(),
             version: 0,
         }
     }
@@ -112,7 +152,7 @@ impl TopologyServer {
 
     /// The last MDCS table disseminated to `camera`.
     pub fn table(&self, camera: CameraId) -> Option<&MdcsTable> {
-        self.tables.get(&camera)
+        self.tables.get(&camera).map(|d| &d.table)
     }
 
     /// Ids of currently active (registered, live) cameras.
@@ -149,41 +189,44 @@ impl TopologyServer {
             seen.insert(now);
             return Ok(Vec::new());
         }
-        self.topo.place_by_position(
+        let site = self.topo.place_by_position(
             camera,
             position,
             self.config.snap_radius_m,
             videoing_angle_deg,
         )?;
         self.last_seen.insert(camera, now);
-        Ok(self.recompute())
+        Ok(self.recompute(&[site]))
     }
 
-    /// Scans for cameras whose heartbeats stopped and removes them,
-    /// returning the MDCS updates for the affected survivors.
+    /// Scans for cameras whose heartbeats stopped and evicts them,
+    /// returning the evicted cameras and the MDCS updates for the affected
+    /// survivors.
     ///
     /// A camera is declared failed once `miss_threshold` consecutive
     /// heartbeat periods elapse without a beat. The comparison is strict:
     /// a beat that lands exactly at the deadline still counts as alive —
     /// `miss_threshold` periods must have *fully* elapsed, or a sweep
     /// aligned with the heartbeat cadence would evict punctual cameras.
-    pub fn check_liveness(&mut self, now: TimestampMs) -> Vec<MdcsUpdate> {
+    pub fn check_liveness(&mut self, now: TimestampMs) -> LivenessSweep {
         let deadline = self.config.heartbeat_interval_ms * u64::from(self.config.miss_threshold);
-        let dead: Vec<CameraId> = self
+        let evicted: Vec<CameraId> = self
             .last_seen
             .iter()
             .filter(|&(_, &seen)| now.saturating_sub(seen) > deadline)
             .map(|(&c, _)| c)
             .collect();
-        if dead.is_empty() {
-            return Vec::new();
+        if evicted.is_empty() {
+            return LivenessSweep::default();
         }
-        for cam in dead {
-            let _ = self.topo.remove_camera(cam);
-            self.last_seen.remove(&cam);
-            self.tables.remove(&cam);
+        let sites: Vec<CameraSite> = evicted
+            .iter()
+            .filter_map(|&cam| self.evict(cam).ok())
+            .collect();
+        LivenessSweep {
+            updates: self.recompute(&sites),
+            evicted,
         }
-        self.recompute()
     }
 
     /// Forcibly removes a camera (administrative decommissioning), returning
@@ -193,22 +236,53 @@ impl TopologyServer {
     ///
     /// Returns an error if the camera is not registered.
     pub fn remove_camera(&mut self, camera: CameraId) -> Result<Vec<MdcsUpdate>, TopologyError> {
-        self.topo.remove_camera(camera)?;
-        self.last_seen.remove(&camera);
-        self.tables.remove(&camera);
-        Ok(self.recompute())
+        let site = self.evict(camera)?;
+        Ok(self.recompute(&[site]))
     }
 
-    /// Recomputes every camera's MDCS table and returns those that changed
-    /// since the last dissemination, stamped with a fresh version.
-    fn recompute(&mut self) -> Vec<MdcsUpdate> {
+    /// Drops a registered camera with its table and footprint, returning
+    /// the site it held.
+    fn evict(&mut self, camera: CameraId) -> Result<CameraSite, TopologyError> {
+        let cam = self.topo.remove_camera(camera)?;
+        self.last_seen.remove(&camera);
+        self.tables.remove(&camera);
+        Ok(cam.site)
+    }
+
+    /// Recomputes, in id order, every table that placing or removing
+    /// cameras at `sites` can change — the newcomer's (it has none yet)
+    /// and those whose footprint holds a lane whose lookups changed — and
+    /// returns those that differ from the last dissemination, stamped with
+    /// a fresh version.
+    fn recompute(&mut self, sites: &[CameraSite]) -> Vec<MdcsUpdate> {
+        let net = self.topo.network();
+        let mut changed: Vec<LaneId> = Vec::new();
+        for &site in sites {
+            match site {
+                CameraSite::Intersection(v) => changed.extend_from_slice(net.in_lanes(v)),
+                CameraSite::Lane { lane, .. } => {
+                    changed.push(lane);
+                    changed.extend(self.topo.reverse_lane(lane));
+                }
+            }
+        }
         let mut updates = Vec::new();
         for cam in self.topo.cameras().map(|c| c.id) {
-            let table = mdcs_table(&self.topo, cam, self.config.mdcs);
-            let changed = self.tables.get(&cam) != Some(&table);
-            if changed {
+            let last = self.tables.get(&cam);
+            if last.is_some_and(|d| !changed.iter().any(|&l| d.touches(l))) {
+                continue;
+            }
+            let fresh = last.is_none();
+            let table = self.search.table(&self.topo, cam, self.config.mdcs);
+            let d = self.tables.entry(cam).or_insert_with(|| Disseminated {
+                table: MdcsTable::default(),
+                footprint: Vec::new(),
+            });
+            d.footprint.clear();
+            d.footprint.extend_from_slice(self.search.footprint());
+            if fresh || d.table != table {
                 self.version += 1;
-                self.tables.insert(cam, table.clone());
+                d.table = table.clone();
                 updates.push(MdcsUpdate {
                     camera: cam,
                     table,
@@ -282,11 +356,12 @@ mod tests {
         }
         // At t=4000 camera 2's two missed intervals have not *fully*
         // elapsed (its last beat was at t=0, the deadline boundary).
-        assert!(server.check_liveness(4_000).is_empty());
+        assert_eq!(server.check_liveness(4_000), LivenessSweep::default());
         // Past the boundary camera 2 is declared dead; neighbours 1 and 3
         // heal.
-        let updates = server.check_liveness(4_001);
-        let cams: Vec<CameraId> = updates.iter().map(|u| u.camera).collect();
+        let sweep = server.check_liveness(4_001);
+        assert_eq!(sweep.evicted, vec![CameraId(2)]);
+        let cams: Vec<CameraId> = sweep.updates.iter().map(|u| u.camera).collect();
         assert!(cams.contains(&CameraId(1)), "updates: {cams:?}");
         assert!(cams.contains(&CameraId(3)), "updates: {cams:?}");
         assert!(!server.active_cameras().contains(&CameraId(2)));
@@ -309,7 +384,7 @@ mod tests {
                 .unwrap();
         }
         // Sweep exactly at the deadline: everyone survives.
-        assert!(server.check_liveness(4_000).is_empty());
+        assert_eq!(server.check_liveness(4_000), LivenessSweep::default());
         assert_eq!(server.active_cameras().len(), pos.len());
         // A camera that beats exactly at its deadline keeps beating on a
         // boundary-aligned cadence and must never be evicted.
@@ -371,7 +446,11 @@ mod tests {
         server
             .handle_heartbeat(CameraId(1), pos[1], 0.0, 0)
             .unwrap();
-        server.check_liveness(4_001); // both die (no beats since 0)
+        // Both die (no beats since 0). The sweep reports the evictions
+        // even though no survivor's table changed.
+        let sweep = server.check_liveness(4_001);
+        assert_eq!(sweep.evicted, vec![CameraId(0), CameraId(1)]);
+        assert!(sweep.updates.is_empty());
         assert!(server.active_cameras().is_empty());
         let u = server
             .handle_heartbeat(CameraId(0), pos[0], 0.0, 5_000)

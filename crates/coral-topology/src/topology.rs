@@ -5,10 +5,11 @@
 //! intersections) equipped with cameras" (paper §3.3). This module keeps
 //! that annotated graph and the indexes needed for MDCS searches: a
 //! per-vertex camera and, for cameras along lanes, a geographically ordered
-//! list per road segment (paper §4.3).
+//! list per road segment (paper §4.3). Both indexes are flat vectors
+//! indexed by vertex and lane id, so a search lookup is one bounds check.
 
 use crate::camera::{Camera, CameraId, CameraSite};
-use coral_geo::{GeoPoint, IntersectionId, LaneId, RoadNetwork};
+use coral_geo::{GeoPoint, Heading, IntersectionId, LaneId, RoadNetwork};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -57,20 +58,35 @@ impl std::error::Error for TopologyError {}
 pub struct CameraTopology {
     net: RoadNetwork,
     cameras: BTreeMap<CameraId, Camera>,
-    vertex_cams: BTreeMap<IntersectionId, CameraId>,
-    /// Cameras along each lane, ordered by offset from the lane's source.
-    /// Entries are mirrored onto the reverse lane of two-way roads.
-    lane_cams: BTreeMap<LaneId, Vec<(f64, CameraId)>>,
+    /// The camera at each vertex, indexed by `IntersectionId`.
+    vertex_cams: Vec<Option<CameraId>>,
+    /// Cameras along each lane, indexed by `LaneId` and ordered by offset
+    /// from the lane's source. Entries are mirrored onto the reverse lane
+    /// of two-way roads.
+    lane_cams: Vec<Vec<(f64, CameraId)>>,
+    /// Each lane's reverse lane ([`RoadNetwork::reverse_lane`]), indexed by
+    /// `LaneId`.
+    reverse: Vec<Option<LaneId>>,
+    /// Each lane's compass heading ([`RoadNetwork::lane_heading`]), indexed
+    /// by `LaneId`.
+    headings: Vec<Heading>,
 }
 
 impl CameraTopology {
     /// Creates a topology over `net` with no cameras.
     pub fn new(net: RoadNetwork) -> Self {
+        let reverse = net.lanes().map(|l| net.reverse_lane(l.id)).collect();
+        let headings = net
+            .lanes()
+            .map(|l| net.lane_heading(l.id).expect("network lane exists"))
+            .collect();
         Self {
-            net,
             cameras: BTreeMap::new(),
-            vertex_cams: BTreeMap::new(),
-            lane_cams: BTreeMap::new(),
+            vertex_cams: vec![None; net.intersection_count()],
+            lane_cams: vec![Vec::new(); net.lane_count()],
+            reverse,
+            headings,
+            net,
         }
     }
 
@@ -96,13 +112,31 @@ impl CameraTopology {
 
     /// The camera at a vertex, if any.
     pub fn camera_at_vertex(&self, v: IntersectionId) -> Option<CameraId> {
-        self.vertex_cams.get(&v).copied()
+        self.vertex_cams.get(v.0 as usize).copied().flatten()
     }
 
     /// Cameras along `lane` ordered by offset from the lane's source
     /// intersection (traversal order).
     pub fn cameras_on_lane(&self, lane: LaneId) -> &[(f64, CameraId)] {
-        self.lane_cams.get(&lane).map_or(&[], |v| v.as_slice())
+        self.lane_cams
+            .get(lane.0 as usize)
+            .map_or(&[], Vec::as_slice)
+    }
+
+    /// The lane opposing `lane` on a two-way road, cached from
+    /// [`RoadNetwork::reverse_lane`].
+    pub(crate) fn reverse_lane(&self, lane: LaneId) -> Option<LaneId> {
+        self.reverse.get(lane.0 as usize).copied().flatten()
+    }
+
+    /// The compass heading of `lane`, cached from
+    /// [`RoadNetwork::lane_heading`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is not a lane of the network.
+    pub(crate) fn lane_heading(&self, lane: LaneId) -> Heading {
+        self.headings[lane.0 as usize]
     }
 
     /// Places a camera at an intersection.
@@ -119,7 +153,7 @@ impl CameraTopology {
         if self.cameras.contains_key(&id) {
             return Err(TopologyError::DuplicateCamera(id));
         }
-        if self.vertex_cams.contains_key(&vertex) {
+        if self.camera_at_vertex(vertex).is_some() {
             return Err(TopologyError::VertexOccupied(vertex));
         }
         let position = self
@@ -136,7 +170,7 @@ impl CameraTopology {
                 videoing_angle_deg,
             },
         );
-        self.vertex_cams.insert(vertex, id);
+        self.vertex_cams[vertex.0 as usize] = Some(id);
         Ok(())
     }
 
@@ -179,9 +213,9 @@ impl CameraTopology {
                 videoing_angle_deg,
             },
         );
-        insert_sorted(self.lane_cams.entry(lane).or_default(), offset, id);
-        if let Some(rev) = self.net.reverse_lane(lane) {
-            insert_sorted(self.lane_cams.entry(rev).or_default(), 1.0 - offset, id);
+        insert_sorted(&mut self.lane_cams[lane.0 as usize], offset, id);
+        if let Some(rev) = self.reverse_lane(lane) {
+            insert_sorted(&mut self.lane_cams[rev.0 as usize], 1.0 - offset, id);
         }
         Ok(())
     }
@@ -210,7 +244,7 @@ impl CameraTopology {
             .nearest_intersection(position)
             .ok_or_else(|| TopologyError::InvalidSite("empty road network".into()))?;
         let vpos = self.net.intersection(vertex).expect("exists").position;
-        if vpos.planar_m(position) <= snap_radius_m && !self.vertex_cams.contains_key(&vertex) {
+        if vpos.planar_m(position) <= snap_radius_m && self.camera_at_vertex(vertex).is_none() {
             self.place_at_intersection(id, vertex, videoing_angle_deg)?;
             return Ok(CameraSite::Intersection(vertex));
         }
@@ -235,16 +269,12 @@ impl CameraTopology {
             .ok_or(TopologyError::UnknownCamera(id))?;
         match cam.site {
             CameraSite::Intersection(v) => {
-                self.vertex_cams.remove(&v);
+                self.vertex_cams[v.0 as usize] = None;
             }
             CameraSite::Lane { lane, .. } => {
-                if let Some(v) = self.lane_cams.get_mut(&lane) {
-                    v.retain(|&(_, c)| c != id);
-                }
-                if let Some(rev) = self.net.reverse_lane(lane) {
-                    if let Some(v) = self.lane_cams.get_mut(&rev) {
-                        v.retain(|&(_, c)| c != id);
-                    }
+                self.lane_cams[lane.0 as usize].retain(|&(_, c)| c != id);
+                if let Some(rev) = self.reverse_lane(lane) {
+                    self.lane_cams[rev.0 as usize].retain(|&(_, c)| c != id);
                 }
             }
         }

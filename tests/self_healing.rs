@@ -1,7 +1,7 @@
 //! Cross-crate integration: failure detection, MDCS healing and rejoin.
 
 use coral_pie::core::{CameraSpec, CoralPieSystem, NodeConfig, SystemConfig};
-use coral_pie::geo::{generators, route, IntersectionId};
+use coral_pie::geo::{generators, route, GeoPoint, IntersectionId, RoadNetwork};
 use coral_pie::sim::{FailureEvent, FailureKind, FailureSchedule, SimDuration, SimTime};
 use coral_pie::topology::CameraId;
 use coral_pie::vision::{DetectorNoise, ObjectClass};
@@ -223,4 +223,75 @@ fn multiple_overlapping_failures_all_recover() {
     };
     assert!(down(1).contains(&CameraId(3)));
     assert!(down(4).contains(&CameraId(6)));
+}
+
+/// Runs `sys` with camera `cam` killed at 10 s and asserts that its
+/// eviction produces exactly one recovery, closed at the eviction sweep:
+/// the camera is still registered just before `recovered_at` and gone at
+/// it (`replay` rebuilds the same system to step up to that instant).
+fn assert_recovered_at_eviction(replay: impl Fn() -> CoralPieSystem, cam: u32) {
+    let mut sys = replay();
+    sys.run_until(SimTime::from_secs(8));
+    sys.set_failures(&kill(10, cam));
+    sys.run_until(SimTime::from_secs(40));
+    let recoveries = &sys.telemetry().recoveries;
+    assert_eq!(recoveries.len(), 1, "{recoveries:?}");
+    let r = recoveries[0];
+    assert_eq!(r.killed, CameraId(cam));
+    assert_eq!(r.killed_at, SimTime::from_secs(10));
+    assert!(
+        r.duration() <= SimDuration::from_secs(4) + SimDuration::from_millis(700),
+        "{r:?}"
+    );
+    let mut twin = replay();
+    twin.run_until(SimTime::from_secs(8));
+    twin.set_failures(&kill(10, cam));
+    twin.run_until(r.recovered_at - SimDuration::from_millis(1));
+    assert!(twin.server().active_cameras().contains(&CameraId(cam)));
+    twin.run_until(r.recovered_at);
+    assert!(!twin.server().active_cameras().contains(&CameraId(cam)));
+}
+
+#[test]
+fn lone_camera_eviction_recovers_instantly() {
+    // No survivor has a table to change, so the eviction sends no update;
+    // the recovery closes at the sweep that evicts the camera.
+    let replay = || {
+        let spec = CameraSpec {
+            id: CameraId(0),
+            site: IntersectionId(1),
+            videoing_angle_deg: 0.0,
+        };
+        let net = generators::corridor(3, 120.0, 12.0);
+        CoralPieSystem::new(net, &[spec], SystemConfig::default())
+    };
+    assert_recovered_at_eviction(replay, 0);
+}
+
+#[test]
+fn upstream_only_camera_eviction_recovers_instantly() {
+    // One-way road v0 -> v1 -> v2 with cameras at v0 and v2: camera 0 is
+    // upstream of camera 1 but in no survivor's MDCS, so evicting it
+    // changes no table.
+    let replay = || {
+        let base = GeoPoint::new(33.77, -84.39);
+        let mut net = RoadNetwork::new();
+        let v: Vec<IntersectionId> = (0..3)
+            .map(|i| net.add_intersection(base.offset_m(0.0, 120.0 * f64::from(i))))
+            .collect();
+        net.add_lane(v[0], v[1], 12.0).unwrap();
+        net.add_lane(v[1], v[2], 12.0).unwrap();
+        let specs = [(0, v[0]), (1, v[2])].map(|(id, site)| CameraSpec {
+            id: CameraId(id),
+            site,
+            videoing_angle_deg: 0.0,
+        });
+        CoralPieSystem::new(net, &specs, SystemConfig::default())
+    };
+    let mut sys = replay();
+    sys.run_until(SimTime::from_secs(8));
+    let table = |cam: u32| sys.server().table(CameraId(cam)).unwrap().all_downstream();
+    assert_eq!(table(0), [CameraId(1)].into());
+    assert!(table(1).is_empty());
+    assert_recovered_at_eviction(replay, 0);
 }
