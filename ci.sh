@@ -167,6 +167,14 @@ if [ "$quick" -eq 0 ]; then
     PROPTEST_CASES=1024 cargo test -q --release -p coral-topology --test incremental_equivalence
 fi
 
+# Row-kernel oracle: the span renderer and the hoisted signature weights
+# must match the per-pixel reference bit for bit (the default case count
+# already ran with the workspace tests).
+if [ "$quick" -eq 0 ]; then
+    echo "==> row-kernel oracle proptests (release, 2048 cases)"
+    PROPTEST_CASES=2048 cargo test -q --release -p coral-vision --test row_kernel_oracle
+fi
+
 # Sparse-stepping equivalence matrix: the occupancy-index early-out must
 # fingerprint byte-identically to dense stepping on every scenario x seed
 # (the smoke subset already ran in `cargo test -q`).

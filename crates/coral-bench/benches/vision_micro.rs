@@ -176,6 +176,37 @@ fn bench_render(c: &mut Criterion) {
             scratch.bins()[0]
         });
     });
+    // The city shape: one ~1000-pixel track box, overlapped by two more
+    // actors drawn over it, read from a noisy lazy view.
+    let scene = Scene {
+        width: 240,
+        height: 192,
+        actors: [
+            (100.0, 80.0, 140.0, 105.0),
+            (125.0, 70.0, 160.0, 92.0),
+            (88.0, 96.0, 118.0, 120.0),
+        ]
+        .iter()
+        .enumerate()
+        .map(|(i, &(x0, y0, x1, y1))| SceneActor {
+            gt: coral_vision::GroundTruthId(i as u64),
+            class: ObjectClass::Car,
+            bbox: BoundingBox::new(x0, y0, x1, y1).expect("valid"),
+            appearance: VehicleAppearance::from_seed(i as u64),
+        })
+        .collect(),
+    };
+    let track = scene.actors[0].bbox;
+    c.bench_function("histogram_lazy_track_box_3actors", |b| {
+        let mut scratch = HistogramScratch::new();
+        let mut seed = 0u64;
+        b.iter(|| {
+            seed += 1;
+            let view = renderer.view(&scene, seed);
+            ColorHistogram::extract_into(&view, &track, &config, &mut scratch);
+            scratch.bins()[0]
+        });
+    });
 }
 
 criterion_group!(

@@ -55,13 +55,15 @@ impl Frame {
     ///
     /// # Panics
     ///
-    /// Panics if `width` or `height` is zero.
+    /// Panics if `width` or `height` is zero, or if the frame's byte size
+    /// overflows `usize`.
     pub fn filled(width: u32, height: u32, fill: Rgb) -> Self {
         assert!(width > 0 && height > 0, "frame must be non-empty");
-        let mut data = Vec::with_capacity((width * height * 3) as usize);
-        for _ in 0..width * height {
-            data.extend_from_slice(&[fill.r, fill.g, fill.b]);
-        }
+        let pixels = (width as usize)
+            .checked_mul(height as usize)
+            .filter(|n| n.checked_mul(3).is_some())
+            .expect("frame byte size overflows usize");
+        let data = [fill.r, fill.g, fill.b].repeat(pixels);
         Self {
             width,
             height,
@@ -76,7 +78,10 @@ impl Frame {
     /// Returns an error message if the buffer length is not
     /// `width * height * 3`.
     pub fn from_raw(width: u32, height: u32, data: Vec<u8>) -> Result<Self, FrameSizeError> {
-        let expected = (width as usize) * (height as usize) * 3;
+        let expected = (width as usize)
+            .checked_mul(height as usize)
+            .and_then(|n| n.checked_mul(3))
+            .unwrap_or(usize::MAX);
         if data.len() != expected || width == 0 || height == 0 {
             return Err(FrameSizeError {
                 expected,
@@ -118,21 +123,32 @@ impl Frame {
     #[inline]
     pub fn pixel(&self, x: u32, y: u32) -> Rgb {
         assert!(x < self.width && y < self.height, "pixel out of bounds");
-        let idx = ((y * self.width + x) * 3) as usize;
+        let idx = byte_offset(self.width, x, y);
         Rgb::new(self.data[idx], self.data[idx + 1], self.data[idx + 2])
     }
 }
 
-/// Read access to a grid of pixels: a rendered [`Frame`], or a lazy
-/// [`SceneView`](crate::render::SceneView) that computes each pixel only
-/// when it is read. Signature extraction reads through this seam.
+/// Offset of pixel `(x, y)` in a row-major RGB buffer `width` pixels wide,
+/// computed in `usize`: a frame may hold more than `u32::MAX` bytes. For a
+/// pixel inside an allocated frame the offset is below the buffer length,
+/// so it cannot overflow.
+#[inline]
+fn byte_offset(width: u32, x: u32, y: u32) -> usize {
+    (y as usize * width as usize + x as usize) * 3
+}
+
+/// Read access to a grid of pixels, one row span at a time: a rendered
+/// [`Frame`], or a lazy [`SceneView`](crate::render::SceneView) that
+/// computes only the spans it is asked for. Signature extraction reads
+/// through this seam.
 pub trait PixelSource {
     /// Width in pixels.
     fn width(&self) -> u32;
     /// Height in pixels.
     fn height(&self) -> u32;
-    /// The pixel at `(x, y)`, which must lie inside the grid.
-    fn pixel(&self, x: u32, y: u32) -> Rgb;
+    /// Replaces the contents of `out` with the pixels `x0..x1` of row `y`,
+    /// left to right. Requires `x0 <= x1 <= width` and `y < height`.
+    fn row_into(&self, y: u32, x0: u32, x1: u32, out: &mut Vec<Rgb>);
 }
 
 impl PixelSource for Frame {
@@ -144,9 +160,14 @@ impl PixelSource for Frame {
         self.height
     }
 
-    #[inline]
-    fn pixel(&self, x: u32, y: u32) -> Rgb {
-        Frame::pixel(self, x, y)
+    fn row_into(&self, y: u32, x0: u32, x1: u32, out: &mut Vec<Rgb>) {
+        assert!(
+            x0 <= x1 && x1 <= self.width && y < self.height,
+            "row span out of bounds"
+        );
+        let span = &self.data[byte_offset(self.width, x0, y)..byte_offset(self.width, x1, y)];
+        out.clear();
+        out.extend(span.chunks_exact(3).map(|p| Rgb::new(p[0], p[1], p[2])));
     }
 }
 
@@ -200,5 +221,55 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn pixel_oob_panics() {
         Frame::filled(2, 2, Rgb::default()).pixel(2, 0);
+    }
+
+    #[test]
+    fn row_into_copies_the_span() {
+        let data = (0..4 * 3 * 3).map(|v| v as u8).collect();
+        let f = Frame::from_raw(4, 3, data).unwrap();
+        let mut row = vec![Rgb::default(); 7];
+        f.row_into(1, 1, 3, &mut row);
+        assert_eq!(row, [f.pixel(1, 1), f.pixel(2, 1)]);
+        f.row_into(2, 4, 4, &mut row);
+        assert!(row.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "row span out of bounds")]
+    fn row_into_past_the_edge_panics() {
+        Frame::filled(2, 2, Rgb::default()).row_into(0, 1, 3, &mut Vec::new());
+    }
+
+    /// Offsets past `u32::MAX` bytes are exact: the old `u32` arithmetic
+    /// wrapped (release) or panicked (debug) on frames above 4 GiB.
+    #[test]
+    fn byte_offset_does_not_wrap_at_u32_scale() {
+        assert_eq!(
+            byte_offset(u32::MAX, 5, 2),
+            (2 * (u32::MAX as usize) + 5) * 3
+        );
+        assert_eq!(
+            byte_offset(70_000, 69_999, 69_999),
+            (69_999 * 70_000 + 69_999) * 3
+        );
+        assert_eq!(
+            byte_offset(u32::MAX, u32::MAX - 1, 0),
+            (u32::MAX as usize - 1) * 3
+        );
+    }
+
+    #[test]
+    fn oversized_frames_are_rejected_not_wrapped() {
+        // 2^32 x 2^32 x 3 bytes overflows usize: no buffer can match.
+        let err = Frame::from_raw(u32::MAX, u32::MAX, Vec::new()).unwrap_err();
+        assert!(err.to_string().contains(&usize::MAX.to_string()));
+        // 65 536 x 65 536 x 3 wraps to 0 in u32; in usize it is 12 GiB.
+        assert!(Frame::from_raw(65_536, 65_536, Vec::new()).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows usize")]
+    fn filled_rejects_a_size_that_overflows_usize() {
+        Frame::filled(u32::MAX, u32::MAX, Rgb::default());
     }
 }

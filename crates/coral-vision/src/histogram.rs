@@ -8,7 +8,7 @@
 //! Bhattacharyya distance (§4.1.4).
 
 use crate::bbox::BoundingBox;
-use crate::frame::PixelSource;
+use crate::frame::{PixelSource, Rgb};
 use serde::{Deserialize, Serialize};
 
 /// Histogram extraction configuration.
@@ -35,10 +35,15 @@ impl Default for HistogramConfig {
 /// histogram a camera extracts, plus effectiveness counters. The per-frame
 /// hot path ([`ColorHistogram::extract_into`]) touches no allocator as long
 /// as consecutive extractions share a cell count — the common case, since a
-/// camera's [`HistogramConfig`] is fixed for its lifetime.
+/// camera's [`HistogramConfig`] is fixed for its lifetime — and once its
+/// column and row buffers have grown to the widest box extracted.
 #[derive(Debug, Clone, Default)]
 pub struct HistogramScratch {
     bins: Vec<f64>,
+    /// `dx²` of each column of the box being extracted.
+    dx2: Vec<f64>,
+    /// The row span of pixels being binned.
+    row: Vec<Rgb>,
     reuses: u64,
     allocs: u64,
 }
@@ -183,8 +188,14 @@ impl ColorHistogram {
     /// Allocation-free extraction: identical numerics to
     /// [`ColorHistogram::extract`], written into the arena's recycled
     /// buffer instead of a fresh `Vec`. Read the result from
-    /// [`HistogramScratch::bins`]. Only the pixels inside `bbox` are read,
-    /// so a lazy [`SceneView`](crate::render::SceneView) renders just those.
+    /// [`HistogramScratch::bins`]. Only the row spans inside `bbox` are
+    /// read, so a lazy [`SceneView`](crate::render::SceneView) renders just
+    /// those.
+    ///
+    /// Each pixel's weight is `exp(-(dx² + dy²) / 2)`, with `dx²` computed
+    /// once per column and `dy²` once per row; pixels are binned in
+    /// row-major order. Both keep every bin bit-identical to evaluating
+    /// the weight in full at each pixel.
     pub fn extract_into<P: PixelSource + ?Sized>(
         frame: &P,
         bbox: &BoundingBox,
@@ -193,7 +204,6 @@ impl ColorHistogram {
     ) {
         let b = config.bins_per_channel.max(1);
         scratch.reset(b * b * b);
-        let bins = &mut scratch.bins;
         let clamped = bbox.clamp_to(frame.width(), frame.height());
         let (x0, y0) = (clamped.x0.floor() as u32, clamped.y0.floor() as u32);
         let (x1, y1) = (
@@ -203,15 +213,22 @@ impl ColorHistogram {
         let c = bbox.centroid();
         let sx = (bbox.width() / 2.0 * config.center_sigma_frac).max(1.0);
         let sy = (bbox.height() / 2.0 * config.center_sigma_frac).max(1.0);
+        // An inverted box (its fields are public) covers no columns.
+        let x1 = x1.max(x0);
+        scratch.dx2.clear();
+        scratch.dx2.extend((x0..x1).map(|x| {
+            let dx = (f64::from(x) + 0.5 - c.x) / sx;
+            dx * dx
+        }));
+        let HistogramScratch { bins, dx2, row, .. } = scratch;
         let mut total = 0.0;
         for y in y0..y1 {
-            for x in x0..x1 {
-                let px = frame.pixel(x, y);
-                let dx = (f64::from(x) + 0.5 - c.x) / sx;
-                let dy = (f64::from(y) + 0.5 - c.y) / sy;
-                let w = (-(dx * dx + dy * dy) / 2.0).exp();
-                let idx = bin_index(px.r, px.g, px.b, b);
-                bins[idx] += w;
+            let dy = (f64::from(y) + 0.5 - c.y) / sy;
+            let dy2 = dy * dy;
+            frame.row_into(y, x0, x1, row);
+            for (px, &dx2) in row.iter().zip(dx2.iter()) {
+                let w = (-(dx2 + dy2) / 2.0).exp();
+                bins[bin_index(px.r, px.g, px.b, b)] += w;
                 total += w;
             }
         }
@@ -476,6 +493,16 @@ mod tests {
         let h = ColorHistogram::extract(&frame, &bbox, &HistogramConfig::default());
         let u = ColorHistogram::uniform(8);
         assert!(h.bhattacharyya_distance(&u) < 1e-9);
+    }
+
+    #[test]
+    fn inverted_box_is_uniform() {
+        // The fields are public, so a caller can build x0 > x1.
+        let frame = Frame::filled(16, 16, Rgb::new(100, 100, 100));
+        let mut bbox = BoundingBox::new(2.0, 2.0, 10.0, 10.0).unwrap();
+        bbox.x0 = 12.0;
+        let h = ColorHistogram::extract(&frame, &bbox, &HistogramConfig::default());
+        assert!(h.bhattacharyya_distance(&ColorHistogram::uniform(8)) < 1e-9);
     }
 
     #[test]

@@ -8,10 +8,11 @@
 //! would consume camera output, so cross-camera matching accuracy *emerges*
 //! from appearance rather than being hardcoded.
 //!
-//! [`Renderer::pixel`] is the one definition of a rendered pixel. A
-//! [`SceneView`] computes pixels on demand, so signature extraction pays
-//! only for the pixels inside track boxes; [`Renderer::render`] fills a
-//! whole [`Frame`] from the same definition when the raw frame is kept.
+//! The [`SceneView`] row kernel is the one definition of a rendered
+//! pixel. It produces pixels one row span at a time, on demand, so
+//! signature extraction pays only for the spans inside track boxes;
+//! [`Renderer::render`] fills a whole [`Frame`] through the same kernel
+//! when the raw frame is kept.
 
 use crate::bbox::BoundingBox;
 use crate::frame::{Frame, PixelSource, Rgb};
@@ -188,9 +189,8 @@ impl Default for Renderer {
 impl Renderer {
     /// Rasterises `scene` into a raw frame. `frame_seed` decorrelates the
     /// sensor noise between frames while keeping rendering deterministic.
-    /// Every pixel is shaded by the definition behind
-    /// [`Renderer::pixel`], so full frames and on-demand pixels cannot
-    /// drift apart.
+    /// Every row is produced by the [`SceneView`] row kernel, so full
+    /// frames and on-demand spans cannot drift apart.
     ///
     /// # Panics
     ///
@@ -198,30 +198,17 @@ impl Renderer {
     pub fn render(&self, scene: &Scene, frame_seed: u64) -> Frame {
         let view = self.view(scene, frame_seed);
         let mut data = Vec::with_capacity(scene.width as usize * scene.height as usize * 3);
-        let mut row = Vec::with_capacity(scene.actors.len());
+        let mut row = Vec::with_capacity(scene.width as usize);
         for y in 0..scene.height {
-            // Only the actors spanning this row can cover its pixels.
-            row.clear();
-            row.extend(view.actors().filter(|(r, _)| r.spans_row(i64::from(y))));
-            for x in 0..scene.width {
-                let p = self.pixel_among(row.iter().copied(), frame_seed, x, y);
-                data.extend_from_slice(&[p.r, p.g, p.b]);
-            }
+            view.row_into(y, 0, scene.width, &mut row);
+            data.extend(row.iter().flat_map(|p| [p.r, p.g, p.b]));
         }
         Frame::from_raw(scene.width, scene.height, data).expect("frame must be non-empty")
     }
 
-    /// The one definition of a rendered pixel: `(x, y)` of `scene` as
-    /// [`Renderer::render`] would write it. The pixel belongs to the last
-    /// actor in draw order whose integer footprint covers it (later actors
-    /// occlude earlier ones), else to the noisy background.
-    pub fn pixel(&self, scene: &Scene, frame_seed: u64, x: u32, y: u32) -> Rgb {
-        let actors = scene.actors.iter().map(|a| (PixelRect::of(&a.bbox), a));
-        self.pixel_among(actors, frame_seed, x, y)
-    }
-
-    /// A lazy view of `scene` that computes pixels on demand — only where
-    /// a reader looks — with each actor's footprint computed once.
+    /// A lazy view of `scene` that computes pixels on demand — only the
+    /// row spans a reader asks for — with each actor's footprint computed
+    /// once.
     pub fn view<'a>(&'a self, scene: &'a Scene, frame_seed: u64) -> SceneView<'a> {
         SceneView {
             renderer: self,
@@ -234,34 +221,17 @@ impl Renderer {
                 .collect(),
         }
     }
-
-    #[inline]
-    fn pixel_among<'a>(
-        &self,
-        actors: impl DoubleEndedIterator<Item = (PixelRect, &'a SceneActor)>,
-        frame_seed: u64,
-        x: u32,
-        y: u32,
-    ) -> Rgb {
-        let (xi, yi) = (i64::from(x), i64::from(y));
-        match actors.rev().find(|(r, _)| r.contains(xi, yi)) {
-            Some((r, actor)) => actor_pixel(&r, actor, frame_seed, xi, yi),
-            None if self.noise_amplitude > 0 => {
-                // Background sensor noise.
-                let amp = i32::from(self.noise_amplitude);
-                let h = pixel_hash(frame_seed, x, y);
-                let n = (h % (2 * amp as u64 + 1)) as i32 - amp;
-                shade(self.background, n)
-            }
-            None => self.background,
-        }
-    }
 }
 
 /// A scene whose pixels are computed on demand: the renderer's output for
 /// one frame without rasterising the pixels nobody reads. Signature
-/// extraction reads only the pixels inside active track boxes; a full
+/// extraction reads only the spans inside active track boxes; a full
 /// [`Frame`] is materialised only when the raw frame itself is stored.
+///
+/// Its row kernel ([`PixelSource::row_into`]) is the one definition of a
+/// rendered pixel: a pixel belongs to the last actor in draw order whose
+/// integer footprint covers it (later actors occlude earlier ones), else
+/// to the noisy background.
 #[derive(Debug)]
 pub struct SceneView<'a> {
     renderer: &'a Renderer,
@@ -271,10 +241,21 @@ pub struct SceneView<'a> {
     rects: Vec<PixelRect>,
 }
 
-impl<'a> SceneView<'a> {
-    /// Each actor with its footprint, in draw order.
-    fn actors(&self) -> impl DoubleEndedIterator<Item = (PixelRect, &'a SceneActor)> + '_ {
-        self.rects.iter().copied().zip(&self.scene.actors)
+impl SceneView<'_> {
+    /// Pushes the background pixels `x0..x1` of row `y`.
+    fn background_run(&self, y: u32, x0: u32, x1: u32, out: &mut Vec<Rgb>) {
+        let background = self.renderer.background;
+        if self.renderer.noise_amplitude == 0 {
+            out.extend((x0..x1).map(|_| background));
+            return;
+        }
+        // Background sensor noise.
+        let amp = i32::from(self.renderer.noise_amplitude);
+        let modulus = 2 * amp as u64 + 1;
+        out.extend((x0..x1).map(|x| {
+            let h = pixel_hash(self.frame_seed, x, y);
+            shade(background, (h % modulus) as i32 - amp)
+        }));
     }
 }
 
@@ -287,10 +268,50 @@ impl PixelSource for SceneView<'_> {
         self.scene.height
     }
 
-    #[inline]
-    fn pixel(&self, x: u32, y: u32) -> Rgb {
-        self.renderer
-            .pixel_among(self.actors(), self.frame_seed, x, y)
+    /// The span kernel: collects the actors spanning row `y` once, then
+    /// walks the span in runs, each owned by the topmost covering actor
+    /// or by the background.
+    fn row_into(&self, y: u32, x0: u32, x1: u32, out: &mut Vec<Rgb>) {
+        assert!(
+            x0 <= x1 && x1 <= self.scene.width && y < self.scene.height,
+            "row span out of bounds"
+        );
+        out.clear();
+        let yi = i64::from(y);
+        let mut actors = RowActors::new();
+        for (r, actor) in self.rects.iter().zip(&self.scene.actors) {
+            let (lo, hi) = (r.x0.max(i64::from(x0)), r.x1.min(i64::from(x1)));
+            if r.spans_row(yi) && lo < hi {
+                // Both ends lie in `x0..=x1`, so they fit in `u32`.
+                actors.push(RowActor::new(
+                    r,
+                    actor,
+                    self.frame_seed,
+                    yi,
+                    lo as u32,
+                    hi as u32,
+                ));
+            }
+        }
+        let actors = actors.as_slice();
+        let y16 = y & 0xffff;
+        let mut x = x0;
+        while x < x1 {
+            let owner = actors.iter().rposition(|a| a.covers(x));
+            // The run ends where its owner does, or where an actor drawn
+            // above it starts.
+            let above = owner.map_or(actors, |k| &actors[k + 1..]);
+            let end = above
+                .iter()
+                .map(|a| a.lo)
+                .filter(|&lo| lo > x)
+                .fold(owner.map_or(x1, |k| actors[k].hi), u32::min);
+            match owner {
+                Some(k) => actors[k].run(x, end, y16, out),
+                None => self.background_run(y, x, end, out),
+            }
+            x = end;
+        }
     }
 }
 
@@ -315,42 +336,115 @@ impl PixelRect {
     }
 
     #[inline]
-    fn contains(&self, x: i64, y: i64) -> bool {
-        (self.x0..self.x1).contains(&x) && self.spans_row(y)
-    }
-
-    #[inline]
     fn spans_row(&self, y: i64) -> bool {
         (self.y0..self.y1).contains(&y)
     }
 }
 
-/// Shades pixel `(x, y)` of `actor`, whose footprint `r` contains it.
-#[inline]
-fn actor_pixel(r: &PixelRect, actor: &SceneActor, frame_seed: u64, x: i64, y: i64) -> Rgb {
-    let h = (r.y1 - r.y0).max(1);
-    let w = (r.x1 - r.x0).max(1);
-    // Per-vehicle trim-band height: the "shape" component of the
-    // signature (two same-color vehicles still differ in their
-    // window/body proportion).
-    let trim_frac = 0.20 + (actor.appearance.texture_seed % 5) as f64 * 0.05;
-    let fy = (y - r.y0) as f64 / h as f64;
-    let fx = (x - r.x0) as f64 / w as f64;
-    let base = if fy < trim_frac {
-        actor.appearance.trim // windows / roof band
-    } else if fy > 0.85 && !(0.25..=0.75).contains(&fx) {
-        Rgb::new(15, 15, 15) // wheels
-    } else {
-        actor.appearance.body
-    };
-    // Deterministic texture + illumination noise.
-    let th = pixel_hash(
-        actor.appearance.texture_seed ^ frame_seed,
-        x as u32 & 0xffff,
-        y as u32 & 0xffff,
-    );
-    let n = (th % 13) as i32 - 6;
-    shade(base, n)
+/// One actor's share of one row span: which columns it covers and how
+/// they are shaded, worked out once per row.
+#[derive(Debug, Clone, Copy, Default)]
+struct RowActor {
+    /// Covered columns `lo..hi`, clipped to the span.
+    lo: u32,
+    hi: u32,
+    /// Texture-hash seed: the actor's texture seed mixed with the frame's.
+    seed: u64,
+    /// The row's trim or body color.
+    base: Rgb,
+    /// On a wheel row, the footprint's `x0` and width: columns whose
+    /// fraction across the footprint lies outside `0.25..=0.75` are wheel.
+    wheels: Option<(i64, i64)>,
+}
+
+impl RowActor {
+    /// The row band of `actor` (footprint `r`) at row `y`, which `r` spans.
+    fn new(r: &PixelRect, actor: &SceneActor, frame_seed: u64, y: i64, lo: u32, hi: u32) -> Self {
+        let appearance = &actor.appearance;
+        let h = (r.y1 - r.y0).max(1);
+        // Per-vehicle trim-band height: the "shape" component of the
+        // signature (two same-color vehicles still differ in their
+        // window/body proportion).
+        let trim_frac = 0.20 + (appearance.texture_seed % 5) as f64 * 0.05;
+        let fy = (y - r.y0) as f64 / h as f64;
+        let (base, wheels) = if fy < trim_frac {
+            (appearance.trim, None) // windows / roof band
+        } else if fy > 0.85 {
+            (appearance.body, Some((r.x0, (r.x1 - r.x0).max(1))))
+        } else {
+            (appearance.body, None)
+        };
+        Self {
+            lo,
+            hi,
+            seed: appearance.texture_seed ^ frame_seed,
+            base,
+            wheels,
+        }
+    }
+
+    #[inline]
+    fn covers(&self, x: u32) -> bool {
+        (self.lo..self.hi).contains(&x)
+    }
+
+    /// Pushes the actor's pixels `x0..x1` of the row whose low 16 bits are
+    /// `y16`, shaded with the deterministic texture + illumination noise.
+    fn run(&self, x0: u32, x1: u32, y16: u32, out: &mut Vec<Rgb>) {
+        let texture = |x: u32| (pixel_hash(self.seed, x & 0xffff, y16) % 13) as i32 - 6;
+        match self.wheels {
+            None => out.extend((x0..x1).map(|x| shade(self.base, texture(x)))),
+            Some((rx0, w)) => out.extend((x0..x1).map(|x| {
+                let fx = (i64::from(x) - rx0) as f64 / w as f64;
+                let base = if (0.25..=0.75).contains(&fx) {
+                    self.base
+                } else {
+                    Rgb::new(15, 15, 15) // wheels
+                };
+                shade(base, texture(x))
+            })),
+        }
+    }
+}
+
+/// The actors spanning one row, in draw order: inline for the few a row
+/// usually holds, spilling to the heap past that.
+struct RowActors {
+    inline: [RowActor; Self::INLINE],
+    len: usize,
+    spilled: Vec<RowActor>,
+}
+
+impl RowActors {
+    const INLINE: usize = 8;
+
+    fn new() -> Self {
+        Self {
+            inline: [RowActor::default(); Self::INLINE],
+            len: 0,
+            spilled: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, a: RowActor) {
+        if self.len < Self::INLINE {
+            self.inline[self.len] = a;
+        } else {
+            if self.len == Self::INLINE {
+                self.spilled.extend_from_slice(&self.inline);
+            }
+            self.spilled.push(a);
+        }
+        self.len += 1;
+    }
+
+    fn as_slice(&self) -> &[RowActor] {
+        if self.len <= Self::INLINE {
+            &self.inline[..self.len]
+        } else {
+            &self.spilled
+        }
+    }
 }
 
 #[inline]
@@ -466,16 +560,15 @@ mod tests {
         assert_eq!(f.width(), 32);
     }
 
-    /// The rendered bytes of an occluded, partly off-frame scene, with and
-    /// without sensor noise, are pinned: signatures, and so every
-    /// downstream fingerprint, depend on them.
-    #[test]
-    fn rendered_bytes_are_pinned() {
-        fn fnv64(bytes: &[u8]) -> u64 {
-            bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-            })
-        }
+    fn fnv64(bytes: impl IntoIterator<Item = u8>) -> u64 {
+        bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// An occluded scene whose actors run off every frame edge, plus one
+    /// zero-width actor that draws nothing.
+    fn pinned_scene() -> Scene {
         let boxes = [
             (-6.5, -4.2, 14.3, 11.0),
             (8.0, 6.0, 30.4, 20.0),
@@ -488,12 +581,71 @@ mod tests {
             let b = BoundingBox::new(x0, y0, x1, y1).unwrap();
             scene.actors.push(actor(i as u64 * 7 + 3, b));
         }
+        scene
+    }
+
+    /// The rendered bytes of an occluded, partly off-frame scene, with and
+    /// without sensor noise, are pinned: signatures, and so every
+    /// downstream fingerprint, depend on them.
+    #[test]
+    fn rendered_bytes_are_pinned() {
+        let scene = pinned_scene();
         for (noise_amplitude, pinned) in [(0, 0xada8_927c_b963_abd4), (8, 0x78ca_fcd0_b6f0_c0f7)] {
             let r = Renderer {
                 noise_amplitude,
                 ..Renderer::default()
             };
-            assert_eq!(fnv64(r.render(&scene, 0xC0FFEE).raw()), pinned);
+            assert_eq!(
+                fnv64(r.render(&scene, 0xC0FFEE).raw().iter().copied()),
+                pinned
+            );
+        }
+    }
+
+    /// The bin bits of signatures extracted from the pinned scene — boxes
+    /// that are occluded, partly and wholly off-frame — are pinned, read
+    /// through the lazy view and through the rendered frame alike. A
+    /// weight rewrite that is not bit-identical fails here rather than as
+    /// a fingerprint moving several crates away.
+    #[test]
+    fn signature_bits_are_pinned() {
+        use crate::histogram::{ColorHistogram, HistogramConfig, HistogramScratch};
+        let scene = pinned_scene();
+        let boxes = [
+            BoundingBox::new(-6.5, -4.2, 14.3, 11.0).unwrap(),
+            BoundingBox::new(5.0, 4.0, 31.0, 22.0).unwrap(),
+            BoundingBox::new(18.5, 12.2, 52.0, 44.9).unwrap(),
+            BoundingBox::new(0.0, 0.0, 40.0, 32.0).unwrap(),
+            BoundingBox::new(60.0, 40.0, 70.0, 50.0).unwrap(), // off-frame
+        ];
+        for (noise_amplitude, bins_per_channel, pinned) in [
+            (0, 8, 0x3143_0056_297c_1713_u64),
+            (8, 8, 0x8ed6_2811_7fd6_6cd2),
+            (8, 3, 0xf3ce_59ed_0d73_378a),
+        ] {
+            let r = Renderer {
+                noise_amplitude,
+                ..Renderer::default()
+            };
+            let config = HistogramConfig {
+                bins_per_channel,
+                ..HistogramConfig::default()
+            };
+            let frame = r.render(&scene, 0xC0FFEE);
+            let view = r.view(&scene, 0xC0FFEE);
+            let mut scratch = HistogramScratch::new();
+            let mut signature_hash = |source: &dyn crate::frame::PixelSource| {
+                let bits = boxes.iter().flat_map(|bbox| {
+                    ColorHistogram::extract_into(source, bbox, &config, &mut scratch);
+                    let bits: Vec<u64> = scratch.bins().iter().map(|v| v.to_bits()).collect();
+                    bits
+                });
+                fnv64(bits.flat_map(u64::to_le_bytes))
+            };
+            let from_view = signature_hash(&view);
+            let from_frame = signature_hash(&frame);
+            assert_eq!(from_view, from_frame, "noise {noise_amplitude}");
+            assert_eq!(from_view, pinned, "noise {noise_amplitude}: {from_view:#x}");
         }
     }
 

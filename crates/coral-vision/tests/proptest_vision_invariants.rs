@@ -217,25 +217,6 @@ proptest! {
         }
     }
 
-    /// `render()` is `pixel()` at every pixel: the full frame and the
-    /// on-demand definition cannot drift apart.
-    #[test]
-    fn render_matches_pixel_everywhere(
-        (renderer, scene) in arb_scene(),
-        frame_seed in 0u64..u64::MAX,
-    ) {
-        let frame = renderer.render(&scene, frame_seed);
-        for y in 0..scene.height {
-            for x in 0..scene.width {
-                prop_assert_eq!(
-                    frame.pixel(x, y),
-                    renderer.pixel(&scene, frame_seed, x, y),
-                    "pixel ({}, {})", x, y
-                );
-            }
-        }
-    }
-
     /// Signatures read from the lazy scene view are bit-identical to
     /// signatures read from the rendered frame, for any box — including
     /// boxes partly or wholly off the frame.
