@@ -204,6 +204,17 @@ if [ "$quick" -eq 0 ]; then
     CORAL_STORAGE_SMOKE=1 cargo run --release -p coral-bench --bin exp_storage
 fi
 
+# Paper binaries scored by coral_eval::metrics: Table 2, the bandwidth
+# comparison, Figs. 10b and 12b, and the ablations must run to completion
+# (exp_bandwidth and exp_fig12b also assert their paper properties; ~2.5 s
+# in total). Skipped in --quick (needs the release build).
+if [ "$quick" -eq 0 ]; then
+    for bin in exp_table2 exp_bandwidth exp_fig10b exp_fig12b exp_ablations; do
+        echo "==> ${bin} (release)"
+        cargo run -q --release -p coral-bench --bin "$bin"
+    done
+fi
+
 # The benchmark's own tests: metric arithmetic, argument parsing and a
 # smoke run of every workload, checked against BENCHMARK.json. Skipped in
 # --quick (release build of a separate package).

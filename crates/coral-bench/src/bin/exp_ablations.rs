@@ -167,7 +167,7 @@ fn ablation_pool_pruning() {
         ));
         sys.run_until(SimTime::from_secs(180));
         sys.finish();
-        sys.report().reid
+        coral_eval::report(&sys).reid
     };
     let lazy = run(false);
     let eager = run(true);

@@ -36,7 +36,11 @@ fn main() {
     const HORIZON_S: f64 = 180.0;
     sys.run_until(SimTime::from_secs(HORIZON_S as u64));
     sys.finish();
-    let t = sys.telemetry();
+    let obs = sys.observability();
+    let heartbeat_bytes = obs
+        .registry()
+        .counter_value("runtime_cloud_bytes_total", &[])
+        .unwrap_or(0);
 
     // Hypothetical cloud-streaming architecture: every camera ships every
     // raw frame over the backhaul WAN.
@@ -47,9 +51,13 @@ fn main() {
     let full_res_scale = (1280.0 * 1024.0) / (w * h);
     let cloud_full_res_mbps = cloud_streaming_mbps * full_res_scale;
 
-    // Coral-Pie's actual WAN + horizontal traffic over the same horizon.
-    let horizontal_mbps = t.horizontal_bytes as f64 * 8.0 / HORIZON_S / 1_000_000.0;
-    let cloud_mbps = t.cloud_bytes as f64 * 8.0 / HORIZON_S / 1_000_000.0;
+    // Coral-Pie's actual WAN + horizontal traffic over the same horizon:
+    // camera-to-camera informs and confirms, and heartbeats plus topology
+    // updates over the backhaul.
+    let horizontal_bytes = obs.delivered_bytes("inform") + obs.delivered_bytes("confirm");
+    let cloud_bytes = heartbeat_bytes + obs.delivered_bytes("topology_update");
+    let horizontal_mbps = horizontal_bytes as f64 * 8.0 / HORIZON_S / 1_000_000.0;
+    let cloud_mbps = cloud_bytes as f64 * 8.0 / HORIZON_S / 1_000_000.0;
 
     let mut log = ExperimentLog::new(
         "bandwidth",
@@ -80,7 +88,10 @@ fn main() {
     println!(
         "coral-pie used {:.4} Mbps of WAN (heartbeats + topology updates) and \
          {:.4} Mbps of local horizontal traffic ({} informs, {} confirms).",
-        cloud_mbps, horizontal_mbps, t.informs_delivered, t.confirms_delivered
+        cloud_mbps,
+        horizontal_mbps,
+        obs.delivered("inform"),
+        obs.delivered("confirm")
     );
     let reduction = cloud_streaming_mbps / cloud_mbps.max(1e-9);
     println!(

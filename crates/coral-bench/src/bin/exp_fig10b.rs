@@ -39,7 +39,7 @@ fn run(broadcast: bool) -> Vec<(CameraId, f64, u64)> {
 }
 
 fn specs_stats(sys: &CoralPieSystem) -> Vec<(CameraId, f64, u64)> {
-    let redundancy = sys.inform_redundancy();
+    let redundancy = coral_eval::inform_redundancy(sys);
     (0..5u32)
         .map(|i| {
             let (redundant, received) = redundancy.get(&CameraId(i)).copied().unwrap_or((0, 0));

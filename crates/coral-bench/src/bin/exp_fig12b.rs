@@ -36,8 +36,7 @@ fn run(active_sites: &[u32]) -> (f64, u64) {
     coral_bench::deploy::spawn_row_traffic(&mut sys, 40, 3, 4, 0.6, 2024);
     sys.run_until(SimTime::from_secs(250));
     sys.finish();
-    let (redundant, received) = sys
-        .inform_redundancy()
+    let (redundant, received) = coral_eval::inform_redundancy(&sys)
         .get(&CameraId(4))
         .copied()
         .unwrap_or((0, 0));

@@ -58,7 +58,7 @@ fn main() {
     sys.run_until(SimTime::from_secs(195));
     sys.finish();
 
-    let report = sys.report();
+    let report = coral_eval::report(&sys);
     let paper: [(u32, f64, f64, f64); 5] = [
         (1, 1.00, 0.89, 0.98),
         (2, 1.00, 0.93, 0.99),
@@ -96,7 +96,7 @@ fn main() {
     }
     log.finish();
 
-    let mut overall = coral_core::Accuracy::default();
+    let mut overall = coral_eval::Accuracy::default();
     for acc in report.detection.values() {
         overall.merge(*acc);
     }

@@ -17,18 +17,16 @@
 //! - [`stepper`] — the deterministic scoped worker pool that fans each
 //!   tick's per-camera analysis across threads and merges results in
 //!   `CameraId` order, keeping parallel runs byte-identical.
-//! - [`telemetry`] — run measurements and the [`TelemetrySink`] trait
-//!   through which the runtime feeds them to [`Telemetry`] and
-//!   [`CoreObs`].
-//! - [`obs`] — the workspace observability glue: protocol counters in the
-//!   shared metrics registry plus per-vehicle causal traces
-//!   (detect → track → inform → transport hop → re-id) exported as Chrome
-//!   `trace_event` JSON.
+//! - [`telemetry`] — [`Telemetry`], the evaluation evidence of a run
+//!   (ground-truth passages, detections, events, inform arrivals,
+//!   recoveries) that `coral-eval` scores against ground truth.
+//! - [`obs`] — [`CoreObs`], the one observer the runtime calls: protocol
+//!   counters in the shared metrics registry plus per-vehicle causal
+//!   traces (detect → track → inform → transport hop → re-id) exported as
+//!   Chrome `trace_event` JSON.
 //! - [`CoralPieSystem`] — the one-object facade over the layers above:
-//!   traffic, heartbeats, failures, message latency and the telemetry
+//!   traffic, heartbeats, failures, message latency and the evidence
 //!   behind every §5 experiment.
-//! - [`metrics`] — precision / recall / F2 scoring against simulator
-//!   ground truth (Table 2, §5.6).
 //!
 //! # Examples
 //!
@@ -55,7 +53,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod deploy;
-pub mod metrics;
 pub mod node;
 pub mod obs;
 pub mod pool;
@@ -66,10 +63,6 @@ pub mod system;
 pub mod telemetry;
 
 pub use deploy::{CameraSpec, Deployment, SystemConfig};
-pub use metrics::{
-    event_detection_accuracy, reid_accuracy, transitions_from_passages, Accuracy, Passage,
-    Transition,
-};
 pub use node::{CameraNode, FrameOutput, HandoffEdge, NodeConfig, ReidRecord};
 pub use obs::{
     region_health_rules, region_subject, CoreObs, NodeObs, ServerObs, Stage, TickActivity,
@@ -81,6 +74,4 @@ pub use runtime::{
 };
 pub use stepper::{StepStats, Stepper};
 pub use system::CoralPieSystem;
-pub use telemetry::{
-    InformArrival, Recovery, RegionRecovery, SystemReport, Telemetry, TelemetrySink,
-};
+pub use telemetry::{InformArrival, Passage, Recovery, RegionRecovery, Telemetry};

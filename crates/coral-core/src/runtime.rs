@@ -11,14 +11,13 @@
 //! the original monolithic event loop bit for bit.
 
 use crate::deploy::SystemConfig;
-use crate::metrics::Passage;
 use crate::node::{CameraNode, FrameAnalysis, FrameOutput};
 use crate::obs::{
     camera_pid, default_health_rules, region_health_rules, region_subject, subject_for, CoreObs,
     NodeObs, ServerObs, TickActivity, HANDOFF_DEADLINE_MS, SERVER_PID,
 };
 use crate::stepper::Stepper;
-use crate::telemetry::{Recovery, RegionRecovery, Telemetry, TelemetrySink};
+use crate::telemetry::{InformArrival, Passage, Recovery, RegionRecovery, Telemetry};
 use coral_net::{
     Endpoint, Envelope, FaultyTransport, Message, ReliableTransport, SendError, SimNet,
     SimTransport, Transport,
@@ -564,7 +563,7 @@ struct RegionRecoveryTracker {
 }
 
 /// The discrete-event world: every deployed actor, the simulated network,
-/// ground-truth traffic and the accumulated telemetry.
+/// ground-truth traffic and the run's evaluation evidence.
 ///
 /// Built by `Deployment::build` and driven by [`SimRuntime`]; the facade
 /// `CoralPieSystem` exposes it between runs.
@@ -894,7 +893,7 @@ impl SimWorld {
         &self.alive
     }
 
-    /// Accumulated telemetry.
+    /// The run's evaluation evidence (see [`Telemetry`]).
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
     }
@@ -915,7 +914,9 @@ impl SimWorld {
     }
 
     /// Turns on per-vehicle causal tracing, naming the Chrome-trace rows
-    /// (one process per camera plus the topology server).
+    /// (one process per camera plus the topology server). Call it before
+    /// the run: FOV entries are remembered for the Track spans only while
+    /// tracing is on.
     pub fn enable_tracing(&mut self) {
         self.obs.observability().set_tracing(true);
         let tracer = self.obs.tracer();
@@ -925,9 +926,18 @@ impl SimWorld {
         }
     }
 
-    fn emit(&mut self, record: impl Fn(&mut dyn TelemetrySink)) {
-        record(&mut self.telemetry);
-        record(&mut self.obs);
+    /// Records a protocol message delivered to camera `to`: an inform's
+    /// arrival is evaluation evidence; every kind is observed.
+    fn note_delivery(&mut self, now: SimTime, to: CameraId, message: &Message) {
+        if let Message::Inform(e) = message {
+            self.telemetry.informs.push(InformArrival {
+                at: to,
+                from: e.camera,
+                vehicle: e.ground_truth,
+                arrived: now,
+            });
+        }
+        self.obs.observe_delivery(now, to, message);
     }
 
     fn on_tick(&mut self, now: SimTime) {
@@ -1106,7 +1116,8 @@ impl SimWorld {
                     vehicle: gt,
                     entered_ms: now_ms,
                 };
-                self.emit(|s| s.on_passage(&passage));
+                self.telemetry.passages.push(passage);
+                self.obs.observe_passage(&passage);
             }
 
             // Raw detection evidence for the evaluation layer's per-stage
@@ -1117,14 +1128,14 @@ impl SimWorld {
                 if gt.is_clutter() {
                     continue;
                 }
-                self.emit(|s| s.on_detection(id, gt, now));
+                self.telemetry.detections.push((id, gt, now));
             }
 
             let out = self.drivers[slot]
                 .commit(analysis, analyze_elapsed, now, roster.as_ref())
                 .expect(SIM_SEND);
             for e in &out.events {
-                self.emit(|s| s.on_event(id, e.ground_truth, now));
+                self.telemetry.events.push((id, e.ground_truth, now));
                 self.obs.observe_event(id, e, now);
             }
             for r in &out.reids {
@@ -1248,8 +1259,7 @@ impl SimWorld {
         let slot = self.slot(cam).expect("alive camera is deployed");
         let message = self.drivers[slot].send_heartbeat(now).expect(SIM_SEND);
         self.note_link(slot);
-        let bytes = message.encoded_len() as u64;
-        self.emit(|s| s.on_cloud_send(now, cam, bytes));
+        self.obs.observe_heartbeat(message.encoded_len() as u64);
     }
 
     /// Failover detection, from the camera's own vantage point: when the
@@ -1340,7 +1350,8 @@ impl SimWorld {
                         killed_at,
                         recovered_at: now,
                     };
-                    self.emit(|s| s.on_recovery(&recovery));
+                    self.telemetry.recoveries.push(recovery);
+                    self.obs.observe_recovery(&recovery);
                 } else {
                     self.recovery_trackers.push(RecoveryTracker {
                         killed: r,
@@ -1383,7 +1394,7 @@ impl SimWorld {
                 let slot = self.slot(cam).expect("alive camera is deployed");
                 if let Some(envelope) = self.drivers[slot].transport_mut().poll(now) {
                     let message = envelope.message;
-                    self.emit(|s| s.on_delivery(now, cam, &message));
+                    self.note_delivery(now, cam, &message);
                     if let Message::TopologyUpdate(_) = &message {
                         self.note_update_delivered(cam, now);
                     }
@@ -1471,10 +1482,10 @@ impl SimWorld {
     }
 
     /// A heartbeat landed at a freshly restored region: retire it from any
-    /// open region-recovery measurement and emit the measurement once the
-    /// last straggler has reported in.
+    /// open region-recovery measurement and record the measurement once
+    /// the last straggler has reported in.
     fn note_region_heartbeat(&mut self, region: u16, camera: CameraId, now: SimTime) {
-        let mut done: Vec<RegionRecovery> = Vec::new();
+        let done = &mut self.telemetry.region_recoveries;
         self.region_recoveries.retain_mut(|t| {
             if t.region != region {
                 return true;
@@ -1491,9 +1502,6 @@ impl SimWorld {
             });
             false
         });
-        for rec in done {
-            self.emit(|s| s.on_region_recovery(&rec));
-        }
     }
 
     /// Partitions a whole region: its topology server and edge store stop
@@ -1561,7 +1569,7 @@ impl SimWorld {
                 restored_at: now,
                 recovered_at: now,
             };
-            self.emit(|s| s.on_region_recovery(&rec));
+            self.telemetry.region_recoveries.push(rec);
         } else {
             self.region_recoveries.push(RegionRecoveryTracker {
                 region,
@@ -1634,7 +1642,8 @@ impl SimWorld {
                 killed_at: t.killed_at,
                 recovered_at: now,
             };
-            self.emit(|s| s.on_recovery(&recovery));
+            self.telemetry.recoveries.push(recovery);
+            self.obs.observe_recovery(&recovery);
         }
     }
 
@@ -1651,7 +1660,7 @@ impl SimWorld {
             self.sync_frames(slot, self.ticks);
             let out = self.drivers[slot].node_mut().flush(now_ms, roster.as_ref());
             for e in &out.events {
-                self.emit(|s| s.on_event(id, e.ground_truth, now));
+                self.telemetry.events.push((id, e.ground_truth, now));
                 self.obs.observe_event(id, e, now);
             }
             for r in &out.reids {
@@ -1664,7 +1673,7 @@ impl SimWorld {
             if !self.alive.contains(&to) {
                 continue;
             }
-            self.emit(|s| s.on_delivery(now, to, &msg));
+            self.note_delivery(now, to, &msg);
             let slot = self.slot(to).expect("alive camera is deployed");
             pending.extend(self.drivers[slot].node_mut().on_message(msg, now_ms));
         }

@@ -5,24 +5,22 @@
 //! topology server and ground-truth traffic onto a simulated network, and a
 //! [`SimRuntime`] drives them on the
 //! discrete-event engine. The facade keeps the one-object API the tests,
-//! examples and experiment binaries use, and collects the telemetry behind
+//! examples and experiment binaries use, and collects the evidence behind
 //! every system experiment in the paper's §5: inform arrival times
-//! (Fig. 10a), candidate-pool pollution (Figs. 10b, 12b), failure recovery
-//! (Fig. 11) and application-level accuracy (Table 2).
+//! (Fig. 10a), failure recovery (Fig. 11) and the passages and events
+//! `coral-eval` scores for application-level accuracy (Table 2).
 
 pub use crate::deploy::{CameraSpec, SystemConfig};
-pub use crate::telemetry::{InformArrival, Recovery, SystemReport, Telemetry};
+pub use crate::telemetry::{InformArrival, Recovery, Telemetry};
 
 use crate::deploy::Deployment;
-use crate::metrics::{event_detection_accuracy, reid_accuracy, transitions_from_passages};
 use crate::node::CameraNode;
 use crate::runtime::SimRuntime;
-use crate::telemetry;
 use coral_geo::{GeoPoint, RoadNetwork};
 use coral_sim::{FailureKind, FailureSchedule, PoissonArrivals, SimTime, TrafficModel};
 use coral_storage::EdgeStorageNode;
 use coral_topology::{CameraId, TopologyServer};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// The deployed system.
 #[derive(Debug)]
@@ -148,7 +146,7 @@ impl CoralPieSystem {
         self.runtime.world().alive()
     }
 
-    /// Accumulated telemetry.
+    /// The run's evaluation evidence (see [`Telemetry`]).
     pub fn telemetry(&self) -> &Telemetry {
         self.runtime.world().telemetry()
     }
@@ -168,9 +166,10 @@ impl CoralPieSystem {
         self.runtime.world().observability()
     }
 
-    /// Turns on per-vehicle causal tracing. Call before
-    /// [`CoralPieSystem::run_until`]; export afterwards with
-    /// `observability().tracer().export_chrome()`.
+    /// Turns on per-vehicle causal tracing. Call it before the run
+    /// ([`CoralPieSystem::run_until`]): the Track spans join each event to
+    /// its FOV entry, which is recorded only while tracing is on. Export
+    /// afterwards with `observability().tracer().export_chrome()`.
     pub fn enable_tracing(&mut self) {
         self.runtime.world_mut().enable_tracing();
     }
@@ -184,35 +183,5 @@ impl CoralPieSystem {
     /// delivering the resulting protocol messages.
     pub fn finish(&mut self) {
         self.runtime.finish();
-    }
-
-    /// Ground-truth-based inform redundancy per camera: the fraction of
-    /// delivered inform messages whose vehicle never subsequently entered
-    /// the receiving camera's field of view (the §5.3 methodology; see
-    /// [`telemetry::inform_redundancy`]).
-    pub fn inform_redundancy(&self) -> BTreeMap<CameraId, (u64, u64)> {
-        let world = self.runtime.world();
-        telemetry::inform_redundancy(world.telemetry(), world.nodes().map(|(id, _)| id))
-    }
-
-    /// Builds the accuracy/pool report for the run so far.
-    pub fn report(&self) -> SystemReport {
-        let world = self.runtime.world();
-        let t = world.telemetry();
-        let events: Vec<(CameraId, Option<coral_vision::GroundTruthId>)> =
-            t.events.iter().map(|&(c, gt, _)| (c, gt)).collect();
-        let detection = event_detection_accuracy(&t.passages, &events);
-        let transitions = transitions_from_passages(&t.passages);
-        let reid = world.with_trajectory_graph(|g| reid_accuracy(g, &transitions));
-        let pools = world
-            .nodes()
-            .map(|(id, n)| (id, (n.pool().stats(), n.pool().spurious_fraction())))
-            .collect();
-        SystemReport {
-            detection,
-            reid,
-            transitions,
-            pools,
-        }
     }
 }

@@ -41,66 +41,6 @@ fn cameras_join_and_get_mdcs_tables() {
 }
 
 #[test]
-fn end_to_end_track_single_vehicle() {
-    let (mut sys, net) = corridor_system(3, false);
-    // Let cameras join first.
-    sys.run_until(SimTime::from_secs(2));
-    // One vehicle end to end.
-    let route =
-        coral_geo::route::shortest_path(&net, IntersectionId(0), IntersectionId(2)).unwrap();
-    sys.traffic_mut().spawn(
-        SimTime::from_secs(2),
-        route,
-        Some(coral_vision::ObjectClass::Car),
-    );
-    sys.run_until(SimTime::from_secs(40));
-    sys.finish();
-
-    // Ground truth: the vehicle passed all three cameras.
-    let report = sys.report();
-    assert_eq!(report.transitions.len(), 2, "{:?}", report.transitions);
-    // All three cameras detected it.
-    for cam in 0..3u32 {
-        let acc = report.detection[&CameraId(cam)];
-        assert_eq!(acc.fn_, 0, "cam{cam} missed the vehicle: {acc:?}");
-        assert!(acc.tp >= 1);
-    }
-    // Re-identification linked the events across cameras.
-    assert_eq!(
-        report.reid.fn_, 0,
-        "expected full trajectory: {:?}",
-        report.reid
-    );
-    assert!(report.reid.tp >= 2);
-    // The trajectory graph holds a 3-vertex chain.
-    let s = sys.storage().stats();
-    assert_eq!(s.vertices, 3);
-    assert!(s.edges >= 2);
-    // Protocol effectiveness (the Fig. 10a property): for every
-    // camera-to-camera transition, the *earliest* inform for the vehicle
-    // reaches the downstream camera before the vehicle does.
-    let passages = &sys.telemetry().passages;
-    let informs = &sys.telemetry().informs;
-    for t in &report.transitions {
-        let p = passages
-            .iter()
-            .find(|p| p.camera == t.to && p.vehicle == t.vehicle)
-            .expect("transition implies a passage");
-        let earliest = informs
-            .iter()
-            .filter(|i| i.at == t.to && i.vehicle == Some(t.vehicle))
-            .map(|i| i.arrived.as_millis())
-            .min()
-            .expect("an inform must precede the transition");
-        assert!(
-            earliest < p.entered_ms,
-            "inform at {earliest} ms after vehicle at {} ms",
-            p.entered_ms
-        );
-    }
-}
-
-#[test]
 fn broadcast_pollutes_pools_more_than_mdcs() {
     let run = |broadcast: bool| {
         let (mut sys, net) = corridor_system(5, broadcast);
@@ -117,11 +57,10 @@ fn broadcast_pollutes_pools_more_than_mdcs() {
         }
         sys.run_until(SimTime::from_secs(120));
         sys.finish();
-        let t = sys.telemetry();
-        (t.informs_delivered, sys.report())
+        sys.observability().delivered("inform")
     };
-    let (mdcs_informs, _mdcs_report) = run(false);
-    let (bcast_informs, _bcast_report) = run(true);
+    let mdcs_informs = run(false);
+    let bcast_informs = run(true);
     assert!(
         bcast_informs > mdcs_informs * 2,
         "broadcast {bcast_informs} vs mdcs {mdcs_informs}"
@@ -173,47 +112,14 @@ fn deterministic_for_fixed_seed() {
         );
         sys.run_until(SimTime::from_secs(40));
         sys.finish();
-        let t = sys.telemetry();
+        let obs = sys.observability();
         (
-            t.messages_delivered,
-            t.informs_delivered,
-            t.events.len(),
+            ["inform", "confirm", "topology_update"].map(|kind| obs.delivered(kind)),
+            sys.telemetry().events.len(),
             sys.storage().stats(),
         )
     };
     assert_eq!(run(), run());
-}
-
-#[test]
-fn telemetry_counts_bandwidth_and_redundancy() {
-    let (mut sys, net) = corridor_system(3, false);
-    sys.run_until(SimTime::from_secs(2));
-    let route =
-        coral_geo::route::shortest_path(&net, IntersectionId(0), IntersectionId(2)).unwrap();
-    sys.traffic_mut().spawn(
-        SimTime::from_secs(2),
-        route,
-        Some(coral_vision::ObjectClass::Car),
-    );
-    sys.run_until(SimTime::from_secs(40));
-    sys.finish();
-    let t = sys.telemetry();
-    // Horizontal traffic (informs + confirms) and cloud traffic
-    // (heartbeats + updates) were metered.
-    assert!(t.horizontal_bytes > 0, "no horizontal bytes recorded");
-    assert!(t.cloud_bytes > 0, "no cloud bytes recorded");
-    // Camera 1 received cam0's inform ahead of the vehicle (useful); it
-    // may also hold a trailing end-of-route inform from cam2's exit event
-    // (redundant). Useful informs must dominate.
-    let redundancy = sys.inform_redundancy();
-    let (red1, recv1) = redundancy[&CameraId(1)];
-    assert!(recv1 >= 1, "camera 1 received informs");
-    assert!(red1 < recv1, "no useful inform at cam1: {red1}/{recv1}");
-    // The end camera may hold a trailing exit inform; totals stay within
-    // the received counts.
-    for (&cam, &(red, recv)) in &redundancy {
-        assert!(red <= recv, "{cam}: {red} > {recv}");
-    }
 }
 
 #[test]

@@ -248,7 +248,7 @@ pub fn attribute(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use coral_core::{InformArrival, TelemetrySink};
+    use coral_core::InformArrival;
     use coral_net::EventId;
     use coral_sim::{FovInterval, SimTime};
     use coral_vision::TrackId;
@@ -279,7 +279,9 @@ mod tests {
     #[test]
     fn detected_but_unmatched_visit_is_a_track_loss() {
         let mut telemetry = Telemetry::default();
-        telemetry.on_detection(CameraId(0), GroundTruthId(1), SimTime::from_millis(2_000));
+        telemetry
+            .detections
+            .push((CameraId(0), GroundTruthId(1), SimTime::from_millis(2_000)));
         let g = TrajectoryGraph::new();
         let matches = [IntervalMatch {
             interval: iv(0, 1, 1_000, 5_000),

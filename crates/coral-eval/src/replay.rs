@@ -302,8 +302,7 @@ pub fn evaluate(scenario: &str, seed: u64, sys: &CoralPieSystem) -> EvalReport {
     });
     let misses = sys.with_trajectory_graph(|g| attribute(sys.telemetry(), g, &matches));
     let attribution = AttributionSummary::from_misses(&misses);
-    let per_camera_f2 = sys
-        .report()
+    let per_camera_f2 = crate::metrics::report(sys)
         .detection
         .iter()
         .map(|(cam, acc)| (cam.0, acc.f2()))

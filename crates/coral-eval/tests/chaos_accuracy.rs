@@ -79,7 +79,7 @@ fn duplicate_delivery_never_inflates_true_positives() {
     for iv in sys.ground_truth().intervals() {
         *visits_per_cam.entry(iv.camera.0).or_default() += 1;
     }
-    for (cam, acc) in &sys.report().detection {
+    for (cam, acc) in &coral_eval::report(&sys).detection {
         assert!(
             acc.tp <= visits_per_cam.get(&cam.0).copied().unwrap_or(0),
             "camera {cam}: duplicate deliveries inflated TP ({acc:?})"

@@ -27,10 +27,13 @@ fn run(seed: u64) -> (u64, u64, usize, usize, coral_pie::storage::StorageStats) 
     ));
     sys.run_until(SimTime::from_secs(60));
     sys.finish();
+    let obs = sys.observability();
+    let [informs, confirms, updates] =
+        ["inform", "confirm", "topology_update"].map(|kind| obs.delivered(kind));
     let t = sys.telemetry();
     (
-        t.messages_delivered,
-        t.informs_delivered,
+        informs + confirms + updates,
+        informs,
         t.events.len(),
         t.passages.len(),
         sys.storage().stats(),

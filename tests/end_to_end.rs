@@ -43,7 +43,7 @@ fn five_camera_five_vehicle_tracks() {
     sys.run_until(SimTime::from_secs(130));
     sys.finish();
 
-    let report = sys.report();
+    let report = coral_pie::eval::report(&sys);
     // Every camera saw every vehicle exactly once.
     for cam in 0..5u32 {
         let acc = report.detection[&CameraId(cam)];
@@ -98,7 +98,7 @@ fn bidirectional_traffic_keeps_directions_apart() {
         .spawn(SimTime::from_secs(3), west, Some(ObjectClass::Car));
     sys.run_until(SimTime::from_secs(60));
     sys.finish();
-    let report = sys.report();
+    let report = coral_pie::eval::report(&sys);
     // Both vehicles tracked end to end: 2 transitions each.
     assert_eq!(report.transitions.len(), 4);
     assert_eq!(report.reid.fn_, 0, "missed transitions: {:?}", report.reid);
@@ -165,8 +165,8 @@ fn detector_noise_degrades_but_does_not_break_tracking() {
     }
     sys.run_until(SimTime::from_secs(90));
     sys.finish();
-    let report = sys.report();
-    let mut total = coral_pie::core::Accuracy::default();
+    let report = coral_pie::eval::report(&sys);
+    let mut total = coral_pie::eval::Accuracy::default();
     for acc in report.detection.values() {
         total.merge(*acc);
     }

@@ -111,10 +111,13 @@ fn stats(vertices: usize, edges: usize) -> StorageStats {
 }
 
 fn run_print(sys: &CoralPieSystem) -> RunPrint {
+    let obs = sys.observability();
+    let [informs, confirms, updates] =
+        ["inform", "confirm", "topology_update"].map(|kind| obs.delivered(kind));
     let t = sys.telemetry();
     (
-        t.messages_delivered,
-        t.informs_delivered,
+        informs + confirms + updates,
+        informs,
         t.events.len(),
         t.passages.len(),
         sys.storage().stats(),

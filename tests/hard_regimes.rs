@@ -19,17 +19,20 @@ const SEEDS: [u64; 3] = [7, 1234, 0xC0FFEE];
 /// the sparse-equivalence fingerprint).
 fn fingerprint(sys: &CoralPieSystem) -> String {
     let mut s = String::new();
-    let t = sys.telemetry();
+    let obs = sys.observability();
+    let [id, cd, ud] = ["inform", "confirm", "topology_update"].map(|kind| obs.delivered(kind));
+    let heartbeat_bytes = obs
+        .registry()
+        .counter_value("runtime_cloud_bytes_total", &[])
+        .unwrap_or(0);
     let _ = writeln!(
         s,
-        "counters md={} id={} cd={} ud={} hb={} cb={}",
-        t.messages_delivered,
-        t.informs_delivered,
-        t.confirms_delivered,
-        t.updates_delivered,
-        t.horizontal_bytes,
-        t.cloud_bytes
+        "counters md={} id={id} cd={cd} ud={ud} hb={} cb={}",
+        id + cd + ud,
+        obs.delivered_bytes("inform") + obs.delivered_bytes("confirm"),
+        heartbeat_bytes + obs.delivered_bytes("topology_update")
     );
+    let t = sys.telemetry();
     for p in &t.passages {
         let _ = writeln!(s, "passage {:?} {:?} {}", p.camera, p.vehicle, p.entered_ms);
     }
@@ -44,7 +47,7 @@ fn fingerprint(sys: &CoralPieSystem) -> String {
         let _ = writeln!(s, "event {:?} {:?} {:?}", e.0, e.1, e.2);
     }
     let _ = writeln!(s, "storage {:?}", sys.storage().stats());
-    let rep = sys.report();
+    let rep = coral_pie::eval::report(sys);
     let _ = writeln!(s, "detection {:?}", rep.detection);
     let _ = writeln!(s, "reid {:?}", rep.reid);
     let _ = writeln!(s, "transitions {:?}", rep.transitions);

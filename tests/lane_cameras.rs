@@ -99,7 +99,7 @@ fn vehicle_produces_four_hop_track_through_lane_cameras() {
     sys.finish();
 
     // All four cameras saw the vehicle exactly once...
-    let report = sys.report();
+    let report = coral_pie::eval::report(&sys);
     for cam in 0..4u32 {
         let acc = report.detection[&CameraId(cam)];
         assert_eq!((acc.tp, acc.fn_), (1, 0), "cam{cam}: {acc:?}");

@@ -25,17 +25,20 @@ const PARALLELISMS: [usize; 2] = [2, 8];
 /// Serializes everything observable about a finished run.
 fn fingerprint(sys: &CoralPieSystem) -> String {
     let mut s = String::new();
-    let t = sys.telemetry();
+    let obs = sys.observability();
+    let [id, cd, ud] = ["inform", "confirm", "topology_update"].map(|kind| obs.delivered(kind));
+    let heartbeat_bytes = obs
+        .registry()
+        .counter_value("runtime_cloud_bytes_total", &[])
+        .unwrap_or(0);
     let _ = writeln!(
         s,
-        "counters md={} id={} cd={} ud={} hb={} cb={}",
-        t.messages_delivered,
-        t.informs_delivered,
-        t.confirms_delivered,
-        t.updates_delivered,
-        t.horizontal_bytes,
-        t.cloud_bytes
+        "counters md={} id={id} cd={cd} ud={ud} hb={} cb={}",
+        id + cd + ud,
+        obs.delivered_bytes("inform") + obs.delivered_bytes("confirm"),
+        heartbeat_bytes + obs.delivered_bytes("topology_update")
     );
+    let t = sys.telemetry();
     for p in &t.passages {
         let _ = writeln!(s, "passage {:?} {:?} {}", p.camera, p.vehicle, p.entered_ms);
     }
@@ -58,8 +61,12 @@ fn fingerprint(sys: &CoralPieSystem) -> String {
     }
     let _ = writeln!(s, "storage {:?}", sys.storage().stats());
     let _ = writeln!(s, "alive {:?}", sys.alive());
-    let _ = writeln!(s, "redundancy {:?}", sys.inform_redundancy());
-    let rep = sys.report();
+    let _ = writeln!(
+        s,
+        "redundancy {:?}",
+        coral_pie::eval::inform_redundancy(sys)
+    );
+    let rep = coral_pie::eval::report(sys);
     let _ = writeln!(s, "detection {:?}", rep.detection);
     let _ = writeln!(s, "reid {:?}", rep.reid);
     let _ = writeln!(s, "transitions {:?}", rep.transitions);

@@ -112,7 +112,7 @@ fn uturn_vehicle_is_reidentified_by_the_same_camera() {
         "U-turn should produce a same-camera trajectory edge"
     );
     // The full track visits cam0, cam1, cam1, cam0.
-    let report = sys.report();
+    let report = coral_pie::eval::report(&sys);
     assert!(
         report.reid.tp >= 2,
         "out-and-back transitions should be linked: {:?}",
