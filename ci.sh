@@ -175,6 +175,15 @@ if [ "$quick" -eq 0 ]; then
     PROPTEST_CASES=2048 cargo test -q --release -p coral-vision --test row_kernel_oracle
 fi
 
+# Health-engine oracle: the cached-series evaluator must produce the same
+# report JSON, journal bytes and overall verdict as the snapshot evaluator
+# it replaced, kept in the test (the default case count already ran with
+# the workspace tests).
+if [ "$quick" -eq 0 ]; then
+    echo "==> health-engine oracle (release, 4096 cases)"
+    PROPTEST_CASES=4096 cargo test -q --release -p coral-obs --test health_oracle
+fi
+
 # Sparse-stepping equivalence matrix: the occupancy-index early-out must
 # fingerprint byte-identically to dense stepping on every scenario x seed
 # (the smoke subset already ran in `cargo test -q`).

@@ -264,6 +264,7 @@ pub struct CoreObs {
     cloud_bytes: Counter,
     ticks: Counter,
     tick_us: Histogram,
+    health_eval_us: Histogram,
     step_busy_us: Counter,
     step_critical_us: Counter,
     step_commit_us: Counter,
@@ -306,6 +307,10 @@ impl CoreObs {
             "runtime_delivered_bytes_total",
             "JSON bytes of the messages delivered to cameras, by kind",
         );
+        r.describe(
+            "core_health_eval_us",
+            "Wall time of one health evaluation in the simulation loop",
+        );
         Self {
             health: Arc::new(std::sync::Mutex::new(HealthEngine::new(Vec::new()))),
             inform_latency: r.histogram("runtime_inform_latency_us", &[]),
@@ -325,6 +330,7 @@ impl CoreObs {
             cloud_bytes: r.counter("runtime_cloud_bytes_total", &[]),
             ticks: r.counter("core_tick_total", &[]),
             tick_us: r.histogram("core_tick_us", &[]),
+            health_eval_us: r.histogram("core_health_eval_us", &[]),
             step_busy_us: r.counter("core_step_busy_us_total", &[]),
             step_critical_us: r.counter("core_step_critical_us_total", &[]),
             step_commit_us: r.counter("core_step_commit_us_total", &[]),
@@ -386,14 +392,18 @@ impl CoreObs {
     }
 
     /// Evaluates the health rules against the registry at `now_ms`,
-    /// journaling verdict transitions. Purely observational: reads
-    /// atomics, never touches simulation state. The report stays in the
-    /// engine; [`CoreObs::latest_health`] hands out a copy.
+    /// journaling verdict transitions, and observes the evaluation's wall
+    /// time in `core_health_eval_us` (the sweep runs outside the tick that
+    /// `core_tick_us` times). Purely observational: reads atomics, never
+    /// touches simulation state. The report stays in the engine;
+    /// [`CoreObs::latest_health`] hands out a copy.
     pub fn health_tick(&self, now_ms: u64) {
+        let start = std::time::Instant::now();
         self.health
             .lock()
             .expect("health engine poisoned")
             .evaluate(self.registry(), Some(self.journal()), now_ms);
+        self.health_eval_us.observe(start.elapsed());
     }
 
     /// The most recent health report, if any evaluation has run.
@@ -701,6 +711,19 @@ impl CoreObs {
                 &[("from", ArgValue::U64(u64::from(event.camera.0)))],
             );
         }
+    }
+
+    /// The inform of `event` to camera `to` was consumed undelivered on a
+    /// link that carries exactly one copy of each message: forget its send
+    /// time, which no delivery will ever claim.
+    pub fn forget_inform(&self, event: EventId, to: CameraId) {
+        self.inner.lock().inform_sent.remove(&(event, to));
+    }
+
+    /// Informs sent and not yet delivered (or forgotten): the size of the
+    /// send-time join behind `runtime_inform_latency_us`.
+    pub fn informs_in_flight(&self) -> usize {
+        self.inner.lock().inform_sent.len()
     }
 
     /// A heartbeat of `bytes` JSON bytes left a camera for the cloud.

@@ -51,6 +51,9 @@ pub struct NodeDriver<T: Transport> {
     /// ([`region_endpoint`]), or an adoptive region's while a failover is
     /// in effect.
     parent: Endpoint,
+    /// JSON size of this camera's heartbeat, encoded on the first send: a
+    /// heartbeat never changes.
+    heartbeat_bytes: Option<u64>,
 }
 
 impl<T: Transport> NodeDriver<T> {
@@ -61,6 +64,7 @@ impl<T: Transport> NodeDriver<T> {
             transport,
             obs: None,
             parent: Endpoint::TopologyServer,
+            heartbeat_bytes: None,
         }
     }
 
@@ -112,19 +116,27 @@ impl<T: Transport> NodeDriver<T> {
     }
 
     /// Builds and sends this camera's heartbeat to the topology server,
-    /// returning the sent message (so callers can meter its size).
+    /// returning its JSON size in bytes (so callers can meter it).
     ///
     /// # Errors
     ///
     /// Propagates the transport failure, if any.
-    pub fn send_heartbeat(&mut self, now: SimTime) -> Result<Message, SendError> {
+    pub fn send_heartbeat(&mut self, now: SimTime) -> Result<u64, SendError> {
         let message = self.node.heartbeat();
+        let bytes = *self
+            .heartbeat_bytes
+            .get_or_insert_with(|| message.encoded_len() as u64);
+        debug_assert_eq!(
+            bytes,
+            message.encoded_len() as u64,
+            "a camera's heartbeat never changes"
+        );
         self.transport.send(
             now,
             Envelope {
                 from: Endpoint::Camera(self.node.id()),
                 to: self.parent,
-                message: message.clone(),
+                message,
             },
         )?;
         // Refresh the staleness gauge the health engine watches; done
@@ -133,7 +145,7 @@ impl<T: Transport> NodeDriver<T> {
         if let Some(obs) = &mut self.obs {
             obs.note_heartbeat_sent(now);
         }
-        Ok(message)
+        Ok(bytes)
     }
 
     /// Processes one captured frame and sends the resulting protocol
@@ -1257,9 +1269,9 @@ impl SimWorld {
     fn on_heartbeat(&mut self, cam: CameraId, now: SimTime) {
         self.maybe_fail_over(cam, now);
         let slot = self.slot(cam).expect("alive camera is deployed");
-        let message = self.drivers[slot].send_heartbeat(now).expect(SIM_SEND);
+        let bytes = self.drivers[slot].send_heartbeat(now).expect(SIM_SEND);
         self.note_link(slot);
-        self.obs.observe_heartbeat(message.encoded_len() as u64);
+        self.obs.observe_heartbeat(bytes);
     }
 
     /// Failover detection, from the camera's own vantage point: when the
@@ -1388,7 +1400,18 @@ impl SimWorld {
                     // Messages to dead cameras are consumed raw — off the
                     // reliability stack — so a dead camera can never ack
                     // (the crash-stop the self-healing protocol assumes).
-                    let _ = self.net.handle(endpoint).poll(now);
+                    let frame = self.net.handle(endpoint).poll(now);
+                    // On a verbatim link (no faults, no reliability) that
+                    // frame was the only copy of an inform, so no delivery
+                    // will ever claim its send time. Elsewhere a duplicate
+                    // or a retry may still land after a restore.
+                    let verbatim =
+                        self.config.faults.is_none() && self.config.reliability.is_none();
+                    if let Some(Message::Inform(event)) = frame.map(|f| f.message) {
+                        if verbatim {
+                            self.obs.forget_inform(event.event_id(), cam);
+                        }
+                    }
                     return;
                 }
                 let slot = self.slot(cam).expect("alive camera is deployed");

@@ -4,11 +4,10 @@
 //! A [`Rule`] names a metric family, how to reduce each series of that
 //! family to a number ([`RuleInput`]), and the [`Thresholds`] that map the
 //! number to a [`Verdict`]. The [`HealthEngine`] evaluates all rules
-//! against a [`crate::Registry::collect_families`] snapshot of the
-//! families they read (keeping the previous snapshot of the windowed ones
-//! so rate/quantile rules see a *window*, not the whole run),
-//! groups findings by subject (a label value, e.g. `camera="3"`), and
-//! emits a [`HealthReport`]. Verdict transitions are journaled as
+//! over live handles to the series of the families they read (keeping each
+//! series' previous reading so rate/quantile rules see a *window*, not the
+//! whole run), judges each subject (a label value, e.g. `camera="3"`) by
+//! its worst finding, and builds a [`HealthReport`] when one is read. Verdict transitions are journaled as
 //! [`JournalKind::HealthChange`] events so the flight recorder shows
 //! *when* a node went critical alongside *why* (the fault events around
 //! it).
@@ -18,9 +17,13 @@
 
 use crate::journal::{Journal, JournalEvent, JournalKind, Severity};
 use crate::json::{number, quote};
-use crate::registry::{MetricKey, Registry, RegistrySample, SampleValue};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::registry::{
+    bucket_bound_us, Counter, Gauge, Histogram, HistogramData, MetricKey, Registry, SeriesHandle,
+    HISTOGRAM_BUCKETS,
+};
+use std::cell::OnceCell;
 use std::fmt::Write as _;
+use std::ops::Range;
 
 /// A subject's health state, worst-wins ordered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -227,54 +230,199 @@ impl HealthReport {
 }
 
 /// The stateful rule evaluator. Not `Clone`: share it behind a mutex.
+///
+/// The series of the rule families are resolved once into live handles
+/// and resolved again only when the registry's series count changes
+/// (series are never removed, so a changed count means new ones). Between
+/// resolutions an evaluation reads the atomics into the cached slots,
+/// pushes compact findings and journals verdict transitions; it allocates
+/// only when a verdict changes or new journal events arrived. The
+/// string-heavy [`HealthReport`] is built on first read through
+/// [`HealthEngine::latest`].
 #[derive(Debug)]
 pub struct HealthEngine {
     rules: Vec<Rule>,
     /// Every metric family a rule reads (a `Fraction` complement
-    /// included): the only series an evaluation collects.
+    /// included), sorted.
     families: Vec<String>,
-    /// The families a windowed rule (rate, quantile, imbalance, fraction)
-    /// reads: the only series the previous snapshot keeps.
-    windowed: BTreeSet<String>,
-    prev: Option<PrevSnapshot>,
-    verdicts: BTreeMap<String, Verdict>,
+    /// Per rule: its family and complement as indices into `families`.
+    rule_families: Vec<(usize, Option<usize>)>,
+    cache: SeriesCache,
+    /// Evaluation time of the readings the slots keep as `prev`.
+    prev_at_ms: Option<u64>,
+    /// The last evaluation's findings, in rule order, then series order.
+    findings: Vec<CompactFinding>,
+    /// Per subject: the worst verdict among the last evaluation's
+    /// findings (`None`: no findings).
+    worst: Vec<Option<Verdict>>,
+    /// Per subject: the verdict transitions have been journaled against
+    /// (`Ok` for a quiet subject).
+    verdicts: Vec<Verdict>,
+    /// Reused buffer of the `Imbalance` loads.
+    loads: Vec<f64>,
     next_journal_seq: u64,
-    latest: Option<HealthReport>,
+    last: Option<LastEvaluation>,
+    report: OnceCell<HealthReport>,
+}
+
+/// What [`HealthEngine::latest`] builds its report from, besides the
+/// findings.
+#[derive(Debug)]
+struct LastEvaluation {
+    at_ms: u64,
+    overall: Verdict,
+    events: Vec<JournalEvent>,
+}
+
+/// One rule's judgement of one subject, by index.
+#[derive(Debug, Clone, Copy)]
+struct CompactFinding {
+    rule: u32,
+    subject: u32,
+    value: f64,
+    verdict: Verdict,
+}
+
+/// The rule families' series as live handles, plus the sorted table of
+/// every subject name a rule can produce.
+#[derive(Debug, Default)]
+struct SeriesCache {
+    /// The registry and its series count at resolution.
+    source: Option<(Registry, usize)>,
+    /// Every family's series, family by family in `families` order and
+    /// in [`Registry::family`] order within one.
+    slots: Vec<Slot>,
+    /// Each family's range of `slots`.
+    ranges: Vec<Range<usize>>,
+    /// Sorted, deduplicated subject names.
+    subjects: Vec<String>,
+    /// Per rule: the subject of each series of its family (aligned with
+    /// the family's range), and its own name's subject.
+    rule_subjects: Vec<(Vec<u32>, u32)>,
 }
 
 #[derive(Debug)]
-struct PrevSnapshot {
-    at_ms: u64,
-    samples: BTreeMap<MetricKey, SampleValue>,
+struct Slot {
+    key: MetricKey,
+    series: Series,
+}
+
+impl Slot {
+    /// The sort position within a family: [`Registry::family`] orders
+    /// counters, then gauges, then histograms, each by key.
+    fn position(&self) -> (u8, &MetricKey) {
+        let rank = match self.series {
+            Series::Counter { .. } => 0,
+            Series::Gauge { .. } => 1,
+            Series::Histogram { .. } => 2,
+        };
+        (rank, &self.key)
+    }
+}
+
+/// A live handle with its reading at this evaluation (`now`) and, for
+/// the kinds windowed rules read as deltas, at the previous one (`prev`,
+/// zero for a series that did not exist then).
+#[derive(Debug)]
+enum Series {
+    Counter {
+        handle: Counter,
+        now: u64,
+        prev: u64,
+    },
+    Gauge {
+        handle: Gauge,
+        now: i64,
+    },
+    Histogram {
+        handle: Histogram,
+        now: Box<HistogramData>,
+        prev: Box<HistogramData>,
+    },
+}
+
+impl Series {
+    fn new(handle: SeriesHandle) -> Self {
+        match handle {
+            SeriesHandle::Counter(handle) => Series::Counter {
+                handle,
+                now: 0,
+                prev: 0,
+            },
+            SeriesHandle::Gauge(handle) => Series::Gauge { handle, now: 0 },
+            SeriesHandle::Histogram(handle) => Series::Histogram {
+                handle,
+                now: Box::default(),
+                prev: Box::default(),
+            },
+        }
+    }
+
+    /// Adopts the previous-window reading of the same series resolved
+    /// earlier.
+    fn carry_prev(&mut self, old: &mut Series) {
+        match (self, old) {
+            (Series::Counter { prev, .. }, Series::Counter { prev: p, .. }) => *prev = *p,
+            (Series::Histogram { prev, .. }, Series::Histogram { prev: p, .. }) => {
+                std::mem::swap(prev, p)
+            }
+            _ => {}
+        }
+    }
+
+    fn read(&mut self) {
+        match self {
+            Series::Counter { handle, now, .. } => *now = handle.get(),
+            Series::Gauge { handle, now } => *now = handle.get(),
+            Series::Histogram { handle, now, .. } => **now = handle.snapshot(),
+        }
+    }
+
+    /// Makes this evaluation's reading the next window's baseline.
+    fn advance(&mut self) {
+        match self {
+            Series::Counter { now, prev, .. } => *prev = *now,
+            Series::Gauge { .. } => {}
+            Series::Histogram { now, prev, .. } => std::mem::swap(now, prev),
+        }
+    }
 }
 
 impl HealthEngine {
     /// Builds an engine over `rules`.
     pub fn new(rules: Vec<Rule>) -> Self {
-        let mut families = BTreeSet::new();
-        let mut windowed = BTreeSet::new();
-        for rule in &rules {
-            families.insert(rule.metric.clone());
-            match &rule.input {
-                RuleInput::GaugeValue | RuleInput::GaugeStalenessMs => {}
-                RuleInput::RatePerSec | RuleInput::QuantileUs(_) | RuleInput::Imbalance => {
-                    windowed.insert(rule.metric.clone());
-                }
-                RuleInput::Fraction { complement } => {
-                    families.insert(complement.clone());
-                    windowed.insert(rule.metric.clone());
-                    windowed.insert(complement.clone());
-                }
-            }
-        }
+        let complement = |rule: &Rule| match &rule.input {
+            RuleInput::Fraction { complement } => Some(complement.clone()),
+            _ => None,
+        };
+        let mut families: Vec<String> = rules
+            .iter()
+            .flat_map(|rule| std::iter::once(rule.metric.clone()).chain(complement(rule)))
+            .collect();
+        families.sort();
+        families.dedup();
+        let index = |name: &str| {
+            families
+                .binary_search_by(|f| f.as_str().cmp(name))
+                .expect("every rule family is listed")
+        };
+        let rule_families = rules
+            .iter()
+            .map(|rule| (index(&rule.metric), complement(rule).map(|c| index(&c))))
+            .collect();
         Self {
             rules,
-            families: families.into_iter().collect(),
-            windowed,
-            prev: None,
-            verdicts: BTreeMap::new(),
+            families,
+            rule_families,
+            cache: SeriesCache::default(),
+            prev_at_ms: None,
+            findings: Vec::new(),
+            worst: Vec::new(),
+            verdicts: Vec::new(),
+            loads: Vec::new(),
             next_journal_seq: 0,
-            latest: None,
+            last: None,
+            report: OnceCell::new(),
         }
     }
 
@@ -284,62 +432,66 @@ impl HealthEngine {
     }
 
     /// The most recent report, if the engine has evaluated at least once.
+    /// Built from the last evaluation's findings on the first call after
+    /// it; later calls return the same report.
     pub fn latest(&self) -> Option<&HealthReport> {
-        self.latest.as_ref()
+        let last = self.last.as_ref()?;
+        Some(self.report.get_or_init(|| self.build_report(last)))
     }
 
     /// Evaluates every rule against the registry's current state at
     /// `now_ms`, attaches the journal events recorded since the previous
-    /// evaluation, and journals verdict transitions. The report is kept as
-    /// [`HealthEngine::latest`] and returned by reference; clone it to own
-    /// it.
+    /// evaluation, journals verdict transitions, and returns the overall
+    /// verdict ([`Verdict::Ok`] when no rule judged anything). The full
+    /// report is [`HealthEngine::latest`].
     pub fn evaluate(
         &mut self,
         registry: &Registry,
         journal: Option<&Journal>,
         now_ms: u64,
-    ) -> &HealthReport {
-        let samples = registry.collect_families(&self.families);
+    ) -> Verdict {
+        let count = registry.series_count();
+        let current = matches!(
+            &self.cache.source,
+            Some((r, c)) if *c == count && r.same_store(registry)
+        );
+        if !current {
+            self.resolve(registry, count);
+        }
+        for slot in &mut self.cache.slots {
+            slot.series.read();
+        }
         let dt_s = self
-            .prev
-            .as_ref()
-            .map(|p| (now_ms.saturating_sub(p.at_ms)) as f64 / 1e3);
+            .prev_at_ms
+            .map(|p| (now_ms.saturating_sub(p)) as f64 / 1e3);
 
-        let mut findings: Vec<Finding> = Vec::new();
-        for rule in &self.rules {
-            evaluate_rule(
+        self.findings.clear();
+        for (r, rule) in self.rules.iter().enumerate() {
+            let (family, complement) = self.rule_families[r];
+            let (subjects, own) = &self.cache.rule_subjects[r];
+            let judged = Judged {
+                index: r as u32,
                 rule,
-                &samples,
-                self.prev.as_ref(),
-                dt_s,
-                now_ms,
-                &mut findings,
-            );
+                family: &self.cache.slots[self.cache.ranges[family].clone()],
+                complement: complement.map(|c| &self.cache.slots[self.cache.ranges[c].clone()]),
+                subjects,
+                own: *own,
+            };
+            judged.evaluate(dt_s, now_ms, &mut self.loads, &mut self.findings);
         }
 
-        // Group by subject, worst verdict wins.
-        let mut by_subject: BTreeMap<String, Vec<Finding>> = BTreeMap::new();
-        for f in findings {
-            by_subject.entry(f.subject.clone()).or_default().push(f);
+        // Worst verdict per subject.
+        self.worst.clear();
+        self.worst.resize(self.cache.subjects.len(), None);
+        for f in &self.findings {
+            let worst = &mut self.worst[f.subject as usize];
+            *worst = Some(worst.map_or(f.verdict, |w| w.max(f.verdict)));
         }
-        let subjects: Vec<SubjectHealth> = by_subject
-            .into_iter()
-            .map(|(subject, findings)| {
-                let verdict = findings
-                    .iter()
-                    .map(|f| f.verdict)
-                    .max()
-                    .unwrap_or(Verdict::Ok);
-                SubjectHealth {
-                    subject,
-                    verdict,
-                    findings,
-                }
-            })
-            .collect();
-        let overall = subjects
+        let overall = self
+            .worst
             .iter()
-            .map(|s| s.verdict)
+            .flatten()
+            .copied()
             .max()
             .unwrap_or(Verdict::Ok);
 
@@ -352,213 +504,314 @@ impl HealthEngine {
             }
             None => Vec::new(),
         };
-
-        // Journal verdict transitions (including subjects that went
-        // quiet: no findings this round means OK).
-        let mut new_verdicts: BTreeMap<String, Verdict> = BTreeMap::new();
-        for s in &subjects {
-            new_verdicts.insert(s.subject.clone(), s.verdict);
-        }
         if let Some(j) = journal {
-            for (subject, &verdict) in &new_verdicts {
-                let old = self.verdicts.get(subject).copied().unwrap_or(Verdict::Ok);
-                if verdict != old {
-                    journal_transition(j, now_ms, subject, old, verdict, &subjects);
-                }
-            }
-            for (subject, &old) in &self.verdicts {
-                if old != Verdict::Ok && !new_verdicts.contains_key(subject) {
-                    journal_transition(j, now_ms, subject, old, Verdict::Ok, &subjects);
-                }
-            }
+            self.journal_transitions(j, now_ms);
         }
-        // Forget OK subjects so the map stays bounded.
-        self.verdicts = new_verdicts
-            .into_iter()
-            .filter(|(_, v)| *v != Verdict::Ok)
-            .collect();
+        // A quiet subject is OK.
+        for (verdict, worst) in self.verdicts.iter_mut().zip(&self.worst) {
+            *verdict = worst.unwrap_or(Verdict::Ok);
+        }
 
-        // Only windowed rules read the previous snapshot.
-        let windowed = &self.windowed;
-        self.prev = Some(PrevSnapshot {
-            at_ms: now_ms,
-            samples: samples
-                .into_iter()
-                .filter(|s| windowed.contains(&s.key.name))
-                .map(|s| (s.key, s.value))
-                .collect(),
-        });
-
-        self.latest.insert(HealthReport {
+        for slot in &mut self.cache.slots {
+            slot.series.advance();
+        }
+        self.prev_at_ms = Some(now_ms);
+        self.last = Some(LastEvaluation {
             at_ms: now_ms,
             overall,
-            subjects,
             events,
-        })
-    }
-}
-
-fn journal_transition(
-    journal: &Journal,
-    now_ms: u64,
-    subject: &str,
-    old: Verdict,
-    new: Verdict,
-    subjects: &[SubjectHealth],
-) {
-    let severity = match new {
-        Verdict::Ok => Severity::Info,
-        Verdict::Degraded => Severity::Warn,
-        Verdict::Critical => Severity::Error,
-    };
-    let mut detail = format!("{} -> {}", old.as_str(), new.as_str());
-    if let Some(s) = subjects.iter().find(|s| s.subject == subject) {
-        for f in s.findings.iter().filter(|f| f.verdict == new) {
-            let _ = write!(detail, "; {}={}", f.rule, number(f.value));
-        }
-    }
-    journal.record(
-        JournalKind::HealthChange,
-        severity,
-        now_ms * 1_000,
-        subject,
-        &detail,
-    );
-}
-
-fn evaluate_rule(
-    rule: &Rule,
-    samples: &[RegistrySample],
-    prev: Option<&PrevSnapshot>,
-    dt_s: Option<f64>,
-    now_ms: u64,
-    out: &mut Vec<Finding>,
-) {
-    let family: Vec<&RegistrySample> = samples
-        .iter()
-        .filter(|s| s.key.name == rule.metric)
-        .collect();
-    if family.is_empty() {
-        return;
-    }
-    let subject_of = |key: &MetricKey| -> String {
-        match &rule.subject_label {
-            Some(label) => key
-                .label(label)
-                .map(str::to_string)
-                .unwrap_or_else(|| rule.name.clone()),
-            None => rule.name.clone(),
-        }
-    };
-    let prev_value =
-        |key: &MetricKey| -> Option<&SampleValue> { prev.and_then(|p| p.samples.get(key)) };
-    let mut push = |subject: String, value: f64| {
-        out.push(Finding {
-            rule: rule.name.clone(),
-            subject,
-            value,
-            verdict: rule.thresholds.judge(value),
         });
-    };
+        self.report = OnceCell::new();
+        overall
+    }
 
-    match &rule.input {
-        RuleInput::GaugeValue => {
-            for s in &family {
-                if let SampleValue::Gauge(v) = s.value {
-                    push(subject_of(&s.key), v as f64);
-                }
-            }
-        }
-        RuleInput::GaugeStalenessMs => {
-            for s in &family {
-                if let SampleValue::Gauge(v) = s.value {
-                    let staleness = (now_ms as i64).saturating_sub(v).max(0);
-                    push(subject_of(&s.key), staleness as f64);
-                }
-            }
-        }
-        RuleInput::RatePerSec => {
-            let Some(dt) = dt_s.filter(|d| *d > 0.0) else {
-                return;
-            };
-            for s in &family {
-                if let SampleValue::Counter(v) = s.value {
-                    let before = match prev_value(&s.key) {
-                        Some(SampleValue::Counter(b)) => *b,
-                        _ => 0,
-                    };
-                    push(subject_of(&s.key), v.saturating_sub(before) as f64 / dt);
-                }
-            }
-        }
-        RuleInput::QuantileUs(q) => {
-            for s in &family {
-                if let SampleValue::Histogram(h) = &s.value {
-                    let window = match prev_value(&s.key) {
-                        Some(SampleValue::Histogram(b)) => h.delta(b),
-                        _ => (**h).clone(),
-                    };
-                    if window.count == 0 {
-                        continue;
-                    }
-                    let v = window.quantile_bound_us(*q);
-                    let v = if v == u64::MAX {
-                        // Overflow bucket: judge as one past the last bound.
-                        crate::registry::bucket_bound_us(crate::registry::HISTOGRAM_BUCKETS) as f64
-                    } else {
-                        v as f64
-                    };
-                    push(subject_of(&s.key), v);
-                }
-            }
-        }
-        RuleInput::Imbalance => {
-            let mut loads: Vec<f64> = Vec::with_capacity(family.len());
-            for s in &family {
-                let load = match (&s.value, prev_value(&s.key)) {
-                    (SampleValue::Counter(v), Some(SampleValue::Counter(b))) => {
-                        v.saturating_sub(*b) as f64
-                    }
-                    (SampleValue::Counter(v), _) => *v as f64,
-                    (SampleValue::Histogram(h), Some(SampleValue::Histogram(b))) => {
-                        h.sum_us.saturating_sub(b.sum_us) as f64
-                    }
-                    (SampleValue::Histogram(h), _) => h.sum_us as f64,
-                    (SampleValue::Gauge(v), _) => *v as f64,
+    /// Resolves the rule families' series against `registry` (which had
+    /// `count` series): every series keeps its previous-window reading
+    /// and every subject its journaled verdict.
+    fn resolve(&mut self, registry: &Registry, count: usize) {
+        let old = std::mem::take(&mut self.cache);
+        let mut old_slots = old.slots;
+        let mut slots: Vec<Slot> = Vec::new();
+        let mut ranges = Vec::with_capacity(self.families.len());
+        for (f, name) in self.families.iter().enumerate() {
+            let start = slots.len();
+            // Both sides are in `Registry::family` order: merge them.
+            let mut old_family = old
+                .ranges
+                .get(f)
+                .map_or(&mut [][..], |r| &mut old_slots[r.clone()])
+                .iter_mut()
+                .peekable();
+            for (key, handle) in registry.family(name) {
+                let mut slot = Slot {
+                    key,
+                    series: Series::new(handle),
                 };
-                loads.push(load);
+                while old_family
+                    .peek()
+                    .is_some_and(|o| o.position() < slot.position())
+                {
+                    old_family.next();
+                }
+                if let Some(o) = old_family.next_if(|o| o.position() == slot.position()) {
+                    slot.series.carry_prev(&mut o.series);
+                }
+                slots.push(slot);
             }
-            if loads.len() < 2 {
-                return;
-            }
-            let mean = loads.iter().sum::<f64>() / loads.len() as f64;
-            if mean <= 0.0 {
-                return;
-            }
-            let max = loads.iter().copied().fold(f64::MIN, f64::max);
-            push(rule.name.clone(), max / mean);
+            ranges.push(start..slots.len());
         }
-        RuleInput::Fraction { complement } => {
-            let delta_sum = |name: &str| -> u64 {
-                samples
+
+        // The subject table: every subject a rule can produce, plus the
+        // earlier non-OK ones so their verdicts carry over.
+        let carried: Vec<(String, Verdict)> = old
+            .subjects
+            .into_iter()
+            .zip(self.verdicts.iter().copied())
+            .filter(|&(_, verdict)| verdict != Verdict::Ok)
+            .collect();
+        let mut subjects: Vec<String> = carried.iter().map(|(name, _)| name.clone()).collect();
+        for (rule, &(family, _)) in self.rules.iter().zip(&self.rule_families) {
+            subjects.push(rule.name.clone());
+            let family = &slots[ranges[family].clone()];
+            subjects.extend(
+                family
                     .iter()
-                    .filter(|s| s.key.name == name)
-                    .map(|s| match (&s.value, prev_value(&s.key)) {
-                        (SampleValue::Counter(v), Some(SampleValue::Counter(b))) => {
-                            v.saturating_sub(*b)
-                        }
-                        (SampleValue::Counter(v), _) => *v,
-                        _ => 0,
-                    })
-                    .sum()
-            };
-            let own = delta_sum(&rule.metric);
-            let other = delta_sum(complement);
-            let total = own + other;
-            if total == 0 {
-                return;
+                    .map(|s| subject_name(rule, &s.key).to_string()),
+            );
+        }
+        subjects.sort_unstable();
+        subjects.dedup();
+        let intern = |name: &str| -> u32 {
+            subjects
+                .binary_search_by(|s| s.as_str().cmp(name))
+                .expect("every subject is interned") as u32
+        };
+        let rule_subjects = self
+            .rules
+            .iter()
+            .zip(&self.rule_families)
+            .map(|(rule, &(family, _))| {
+                let family = &slots[ranges[family].clone()];
+                let series = family
+                    .iter()
+                    .map(|s| intern(subject_name(rule, &s.key)))
+                    .collect();
+                (series, intern(&rule.name))
+            })
+            .collect();
+        let mut verdicts = vec![Verdict::Ok; subjects.len()];
+        for (name, verdict) in &carried {
+            verdicts[intern(name) as usize] = *verdict;
+        }
+        self.verdicts = verdicts;
+        self.cache = SeriesCache {
+            source: Some((registry.clone(), count)),
+            slots,
+            ranges,
+            subjects,
+            rule_subjects,
+        };
+    }
+
+    /// Journals this evaluation's verdict transitions against
+    /// `self.verdicts`: first the subjects with findings, ascending, then
+    /// the non-OK subjects that went quiet (no findings means OK).
+    fn journal_transitions(&self, journal: &Journal, now_ms: u64) {
+        let record = |subject: usize, old: Verdict, new: Verdict| {
+            let mut detail = format!("{} -> {}", old.as_str(), new.as_str());
+            for f in &self.findings {
+                if f.subject as usize == subject && f.verdict == new {
+                    let rule = &self.rules[f.rule as usize].name;
+                    let _ = write!(detail, "; {}={}", rule, number(f.value));
+                }
             }
-            push(rule.name.clone(), own as f64 / total as f64);
+            let severity = match new {
+                Verdict::Ok => Severity::Info,
+                Verdict::Degraded => Severity::Warn,
+                Verdict::Critical => Severity::Error,
+            };
+            journal.record(
+                JournalKind::HealthChange,
+                severity,
+                now_ms * 1_000,
+                &self.cache.subjects[subject],
+                &detail,
+            );
+        };
+        for (s, (worst, &old)) in self.worst.iter().zip(&self.verdicts).enumerate() {
+            if let Some(new) = *worst {
+                if new != old {
+                    record(s, old, new);
+                }
+            }
+        }
+        for (s, (worst, &old)) in self.worst.iter().zip(&self.verdicts).enumerate() {
+            if worst.is_none() && old != Verdict::Ok {
+                record(s, old, Verdict::Ok);
+            }
+        }
+    }
+
+    fn build_report(&self, last: &LastEvaluation) -> HealthReport {
+        // A stable sort keeps each subject's findings in push order.
+        let mut by_subject: Vec<&CompactFinding> = self.findings.iter().collect();
+        by_subject.sort_by_key(|f| f.subject);
+        let subjects = by_subject
+            .chunk_by(|a, b| a.subject == b.subject)
+            .map(|group| {
+                let subject = &self.cache.subjects[group[0].subject as usize];
+                let findings: Vec<Finding> = group
+                    .iter()
+                    .map(|f| Finding {
+                        rule: self.rules[f.rule as usize].name.clone(),
+                        subject: subject.clone(),
+                        value: f.value,
+                        verdict: f.verdict,
+                    })
+                    .collect();
+                SubjectHealth {
+                    subject: subject.clone(),
+                    verdict: findings
+                        .iter()
+                        .map(|f| f.verdict)
+                        .max()
+                        .unwrap_or(Verdict::Ok),
+                    findings,
+                }
+            })
+            .collect();
+        HealthReport {
+            at_ms: last.at_ms,
+            overall: last.overall,
+            subjects,
+            events: last.events.clone(),
+        }
+    }
+}
+
+/// The subject a rule judges series `key` under: its subject label's
+/// value, else the rule name.
+fn subject_name<'a>(rule: &'a Rule, key: &'a MetricKey) -> &'a str {
+    rule.subject_label
+        .as_deref()
+        .and_then(|label| key.label(label))
+        .unwrap_or(&rule.name)
+}
+
+/// One rule with its resolved series, ready to judge.
+struct Judged<'a> {
+    index: u32,
+    rule: &'a Rule,
+    family: &'a [Slot],
+    complement: Option<&'a [Slot]>,
+    /// The subject of each series of `family`.
+    subjects: &'a [u32],
+    /// The rule name's subject: global findings.
+    own: u32,
+}
+
+impl Judged<'_> {
+    fn evaluate(
+        &self,
+        dt_s: Option<f64>,
+        now_ms: u64,
+        loads: &mut Vec<f64>,
+        out: &mut Vec<CompactFinding>,
+    ) {
+        if self.family.is_empty() {
+            return;
+        }
+        let mut push = |subject: u32, value: f64| {
+            out.push(CompactFinding {
+                rule: self.index,
+                subject,
+                value,
+                verdict: self.rule.thresholds.judge(value),
+            });
+        };
+        let series = self.family.iter().map(|s| &s.series).zip(self.subjects);
+
+        match &self.rule.input {
+            RuleInput::GaugeValue => {
+                for (s, &subject) in series {
+                    if let Series::Gauge { now, .. } = s {
+                        push(subject, *now as f64);
+                    }
+                }
+            }
+            RuleInput::GaugeStalenessMs => {
+                for (s, &subject) in series {
+                    if let Series::Gauge { now, .. } = s {
+                        let staleness = (now_ms as i64).saturating_sub(*now).max(0);
+                        push(subject, staleness as f64);
+                    }
+                }
+            }
+            RuleInput::RatePerSec => {
+                let Some(dt) = dt_s.filter(|d| *d > 0.0) else {
+                    return;
+                };
+                for (s, &subject) in series {
+                    if let Series::Counter { now, prev, .. } = s {
+                        push(subject, now.saturating_sub(*prev) as f64 / dt);
+                    }
+                }
+            }
+            RuleInput::QuantileUs(q) => {
+                for (s, &subject) in series {
+                    if let Series::Histogram { now, prev, .. } = s {
+                        let window = now.delta(prev);
+                        if window.count == 0 {
+                            continue;
+                        }
+                        let v = window.quantile_bound_us(*q);
+                        let v = if v == u64::MAX {
+                            // Overflow bucket: judge as one past the last bound.
+                            bucket_bound_us(HISTOGRAM_BUCKETS) as f64
+                        } else {
+                            v as f64
+                        };
+                        push(subject, v);
+                    }
+                }
+            }
+            RuleInput::Imbalance => {
+                loads.clear();
+                loads.extend(self.family.iter().map(|s| match &s.series {
+                    Series::Counter { now, prev, .. } => now.saturating_sub(*prev) as f64,
+                    Series::Histogram { now, prev, .. } => {
+                        now.sum_us.saturating_sub(prev.sum_us) as f64
+                    }
+                    Series::Gauge { now, .. } => *now as f64,
+                }));
+                if loads.len() < 2 {
+                    return;
+                }
+                let mean = loads.iter().sum::<f64>() / loads.len() as f64;
+                if mean <= 0.0 {
+                    return;
+                }
+                let max = loads.iter().copied().fold(f64::MIN, f64::max);
+                push(self.own, max / mean);
+            }
+            RuleInput::Fraction { .. } => {
+                let delta_sum = |slots: &[Slot]| -> u64 {
+                    slots
+                        .iter()
+                        .map(|s| match &s.series {
+                            Series::Counter { now, prev, .. } => now.saturating_sub(*prev),
+                            _ => 0,
+                        })
+                        .sum()
+                };
+                let own = delta_sum(self.family);
+                let other = self.complement.map_or(0, delta_sum);
+                let total = own + other;
+                if total == 0 {
+                    return;
+                }
+                push(self.own, own as f64 / total as f64);
+            }
         }
     }
 }
@@ -584,10 +837,21 @@ mod tests {
             RuleInput::GaugeStalenessMs,
             Thresholds::new(2_000.0, 4_000.0),
         ));
-        let report = eng.evaluate(&reg, None, 10_000);
+        assert!(eng.latest().is_none());
+        assert_eq!(eng.evaluate(&reg, None, 10_000), Verdict::Critical);
+        let report = eng.latest().unwrap();
         assert_eq!(report.verdict_for("0"), Some(Verdict::Ok));
         assert_eq!(report.verdict_for("1"), Some(Verdict::Critical));
         assert_eq!(report.overall, Verdict::Critical);
+        // A camera that joins later is picked up, and the report is
+        // rebuilt after the next evaluation only.
+        reg.gauge("last_seen_ms", &[("camera", "2")]).set(9_500);
+        assert_eq!(eng.latest().unwrap().subjects.len(), 2);
+        reg.gauge("last_seen_ms", &[("camera", "1")]).set(9_900);
+        assert_eq!(eng.evaluate(&reg, None, 10_000), Verdict::Ok);
+        let report = eng.latest().unwrap();
+        assert_eq!(report.subjects.len(), 3);
+        assert_eq!(report.verdict_for("2"), Some(Verdict::Ok));
     }
 
     #[test]
@@ -602,15 +866,18 @@ mod tests {
             Thresholds::new(0.5, 50.0),
         ));
         // First evaluation: no baseline, no findings.
-        let r0 = eng.evaluate(&reg, None, 1_000);
+        eng.evaluate(&reg, None, 1_000);
+        let r0 = eng.latest().unwrap();
         assert!(r0.subjects.is_empty());
         assert_eq!(r0.overall, Verdict::Ok);
         // 10 retries over 2 s -> 5/s -> degraded.
         c.add(10);
-        let r1 = eng.evaluate(&reg, None, 3_000);
+        eng.evaluate(&reg, None, 3_000);
+        let r1 = eng.latest().unwrap();
         assert_eq!(r1.verdict_for("cam1"), Some(Verdict::Degraded));
         // Quiet window -> back to OK.
-        let r2 = eng.evaluate(&reg, None, 5_000);
+        eng.evaluate(&reg, None, 5_000);
+        let r2 = eng.latest().unwrap();
         assert_eq!(r2.verdict_for("cam1"), Some(Verdict::Ok));
     }
 
@@ -628,13 +895,15 @@ mod tests {
             RuleInput::QuantileUs(0.99),
             Thresholds::new(2_500_000.0, 5_000_000.0),
         ));
-        let r0 = eng.evaluate(&reg, None, 1_000);
+        eng.evaluate(&reg, None, 1_000);
+        let r0 = eng.latest().unwrap();
         assert_eq!(r0.verdict_for("latency-p99"), Some(Verdict::Ok));
         // A burst of 8 s observations dominates the next window's p99.
         for _ in 0..100 {
             h.observe_us(8_000_000);
         }
-        let r1 = eng.evaluate(&reg, None, 2_000);
+        eng.evaluate(&reg, None, 2_000);
+        let r1 = eng.latest().unwrap();
         assert_eq!(r1.verdict_for("latency-p99"), Some(Verdict::Critical));
     }
 
@@ -696,7 +965,8 @@ mod tests {
                 Thresholds::new(0.8, 0.95),
             ),
         ]);
-        let r0 = eng.evaluate(&reg, None, 1_000);
+        eng.evaluate(&reg, None, 1_000);
+        let r0 = eng.latest().unwrap();
         assert_eq!(r0.verdict_for("worker-imbalance"), Some(Verdict::Ok));
         assert_eq!(
             r0.verdict_for("sparse-active-fraction"),
@@ -705,7 +975,8 @@ mod tests {
         // Skew the next window hard onto worker 0.
         reg.counter("busy_us", &[("worker", "0")]).add(10_000);
         reg.counter("skipped_total", &[]).add(1_000);
-        let r1 = eng.evaluate(&reg, None, 2_000);
+        eng.evaluate(&reg, None, 2_000);
+        let r1 = eng.latest().unwrap();
         assert_eq!(r1.verdict_for("worker-imbalance"), Some(Verdict::Critical));
         assert_eq!(r1.verdict_for("sparse-active-fraction"), Some(Verdict::Ok));
     }
@@ -721,7 +992,8 @@ mod tests {
             RuleInput::GaugeStalenessMs,
             Thresholds::new(2_000.0, 4_000.0),
         ));
-        let report = eng.evaluate(&reg, None, 10_000);
+        eng.evaluate(&reg, None, 10_000);
+        let report = eng.latest().unwrap();
         let json = report.to_json();
         assert_eq!(json, report.to_json());
         let doc = parse(&json).unwrap();

@@ -280,11 +280,11 @@ impl Journal {
     /// Retained events with `seq >= from_seq`, oldest first.
     pub fn since(&self, from_seq: u64) -> Vec<JournalEvent> {
         let g = self.inner.ring.lock().expect("journal poisoned");
-        g.buf
-            .iter()
-            .filter(|ev| ev.seq >= from_seq)
-            .cloned()
-            .collect()
+        // The ring holds consecutive sequence numbers ending just below
+        // `next_seq`: skip straight to `from_seq`.
+        let first = g.next_seq - g.buf.len() as u64;
+        let skip = from_seq.saturating_sub(first).min(g.buf.len() as u64) as usize;
+        g.buf.range(skip..).cloned().collect()
     }
 
     /// Runs `f` over every retained event, oldest first.
@@ -386,6 +386,10 @@ mod tests {
         let seqs: Vec<u64> = j.recent(100).iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![6, 7, 8, 9]);
         assert_eq!(j.since(8).len(), 2);
+        // Evicted and future sequence numbers clamp to the retained ring.
+        assert_eq!(j.since(0).first().map(|e| e.seq), Some(6));
+        assert!(j.since(10).is_empty());
+        assert!(j.since(99).is_empty());
         assert_eq!(j.recent(2).first().map(|e| e.seq), Some(8));
     }
 

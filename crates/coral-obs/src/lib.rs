@@ -20,7 +20,7 @@
 //!   structured operational events (kills, restores, retransmits,
 //!   partitions, SLO misses) with deterministic JSONL export.
 //! - [`health`] — the SLO engine: declarative [`health::Rule`]s evaluated
-//!   over registry snapshots, producing per-subject OK / DEGRADED /
+//!   over cached registry series, producing per-subject OK / DEGRADED /
 //!   CRITICAL [`health::HealthReport`]s and journaling transitions.
 //! - [`ops`] — a dependency-free `std::net` HTTP endpoint serving
 //!   `/metrics`, `/healthz` and `/journal?last=N` for live deployments.

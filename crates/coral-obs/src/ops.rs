@@ -145,12 +145,13 @@ fn handle_connection(mut stream: TcpStream, state: &OpsState) -> std::io::Result
             let now_ms = (state.clock_ms)();
             let (status, body) = {
                 let mut health = state.health.lock().expect("health engine poisoned");
-                let report = health.evaluate(&state.registry, Some(&state.journal), now_ms);
-                let status = if report.overall == Verdict::Critical {
+                let overall = health.evaluate(&state.registry, Some(&state.journal), now_ms);
+                let status = if overall == Verdict::Critical {
                     503
                 } else {
                     200
                 };
+                let report = health.latest().expect("health was just evaluated");
                 (status, report.to_json())
             };
             respond(&mut stream, status, "application/json", &body)

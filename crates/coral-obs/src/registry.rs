@@ -243,7 +243,9 @@ impl Histogram {
         }
     }
 
-    fn snapshot(&self) -> HistogramData {
+    /// The histogram's current state (a point-in-time copy, no
+    /// allocation).
+    pub(crate) fn snapshot(&self) -> HistogramData {
         HistogramData {
             buckets: std::array::from_fn(|i| self.inner.buckets[i].load(Ordering::Relaxed)),
             overflow: self.inner.overflow.load(Ordering::Relaxed),
@@ -386,6 +388,17 @@ pub enum SampleValue {
     Histogram(Box<HistogramData>),
 }
 
+/// A live handle to one series, as resolved by [`Registry::family`].
+#[derive(Debug, Clone)]
+pub(crate) enum SeriesHandle {
+    /// A counter series.
+    Counter(Counter),
+    /// A gauge series.
+    Gauge(Gauge),
+    /// A histogram series.
+    Histogram(Histogram),
+}
+
 /// One metric series captured by [`Registry::collect`].
 #[derive(Debug, Clone)]
 pub struct RegistrySample {
@@ -476,41 +489,71 @@ impl Registry {
     }
 
     /// Captures every series as a structured sample, in deterministic
-    /// (counters, gauges, histograms; BTreeMap key) order. This is the
-    /// read path the health engine evaluates rules over.
+    /// (counters, gauges, histograms; BTreeMap key) order.
     pub fn collect(&self) -> Vec<RegistrySample> {
-        self.collect_where(|_| true)
-    }
-
-    /// [`Registry::collect`] restricted to the named metric families, in
-    /// the same order. Other series are skipped before their keys are
-    /// copied or their histograms snapshotted.
-    pub fn collect_families<S: AsRef<str>>(&self, families: &[S]) -> Vec<RegistrySample> {
-        self.collect_where(|name| families.iter().any(|f| f.as_ref() == name))
-    }
-
-    fn collect_where(&self, keep: impl Fn(&str) -> bool) -> Vec<RegistrySample> {
         let g = self.inner.lock().expect("registry poisoned");
         let mut out = Vec::new();
-        for (key, c) in g.counters.iter().filter(|(k, _)| keep(&k.name)) {
+        for (key, c) in &g.counters {
             out.push(RegistrySample {
                 key: key.clone(),
                 value: SampleValue::Counter(c.get()),
             });
         }
-        for (key, gauge) in g.gauges.iter().filter(|(k, _)| keep(&k.name)) {
+        for (key, gauge) in &g.gauges {
             out.push(RegistrySample {
                 key: key.clone(),
                 value: SampleValue::Gauge(gauge.get()),
             });
         }
-        for (key, h) in g.histograms.iter().filter(|(k, _)| keep(&k.name)) {
+        for (key, h) in &g.histograms {
             out.push(RegistrySample {
                 key: key.clone(),
                 value: SampleValue::Histogram(Box::new(h.snapshot())),
             });
         }
         out
+    }
+
+    /// Total series of every kind. Series are never removed, so a changed
+    /// count means new series.
+    pub(crate) fn series_count(&self) -> usize {
+        let g = self.inner.lock().expect("registry poisoned");
+        g.counters.len() + g.gauges.len() + g.histograms.len()
+    }
+
+    /// Live handles to every series of metric family `name`, in
+    /// [`Registry::collect`] order (counters, gauges, histograms; key order
+    /// within each). Only the family's own key range is visited.
+    pub(crate) fn family(&self, name: &str) -> Vec<(MetricKey, SeriesHandle)> {
+        fn range<'a, V>(
+            map: &'a BTreeMap<MetricKey, V>,
+            start: &'a MetricKey,
+        ) -> impl Iterator<Item = (&'a MetricKey, &'a V)> {
+            let name = start.name.as_str();
+            map.range(start..).take_while(move |(k, _)| k.name == name)
+        }
+        // The empty label list sorts first among a name's keys.
+        let start = MetricKey {
+            name: name.to_string(),
+            labels: Vec::new(),
+        };
+        let g = self.inner.lock().expect("registry poisoned");
+        let counters =
+            range(&g.counters, &start).map(|(k, c)| (k, SeriesHandle::Counter(c.clone())));
+        let gauges = range(&g.gauges, &start).map(|(k, v)| (k, SeriesHandle::Gauge(v.clone())));
+        let histograms =
+            range(&g.histograms, &start).map(|(k, h)| (k, SeriesHandle::Histogram(h.clone())));
+        counters
+            .chain(gauges)
+            .chain(histograms)
+            .map(|(k, h)| (k.clone(), h))
+            .collect()
+    }
+
+    /// True when `self` and `other` share one store (one is a clone of
+    /// the other).
+    pub(crate) fn same_store(&self, other: &Registry) -> bool {
+        Arc::ptr_eq(&self.inner, &other.inner)
     }
 
     /// Reads a counter's current value, if it exists.
@@ -911,7 +954,7 @@ mod tests {
     }
 
     #[test]
-    fn collect_families_is_collect_filtered_by_name() {
+    fn family_is_collect_filtered_by_name() {
         let reg = Registry::new();
         reg.counter("a_total", &[("k", "2")]).add(2);
         reg.counter("a_total", &[("k", "1")]).add(1);
@@ -920,22 +963,37 @@ mod tests {
         reg.gauge("a_total", &[("k", "g")]).set(7);
         reg.gauge("c", &[]).set(5);
         reg.histogram("b_total", &[]).observe_us(3);
-        let render = |samples: Vec<RegistrySample>| -> Vec<String> {
-            samples
-                .iter()
-                .map(|s| format!("{:?} {:?}", s.key, s.value))
-                .collect()
+        reg.histogram("a", &[("z", "1")]).observe_us(3);
+        assert_eq!(reg.series_count(), 8);
+        let read = |h: &SeriesHandle| match h {
+            SeriesHandle::Counter(c) => SampleValue::Counter(c.get()),
+            SeriesHandle::Gauge(g) => SampleValue::Gauge(g.get()),
+            SeriesHandle::Histogram(h) => SampleValue::Histogram(Box::new(h.snapshot())),
         };
-        let wanted = ["b_total", "a_total", "a_total"];
-        let filtered: Vec<RegistrySample> = reg
-            .collect()
-            .into_iter()
-            .filter(|s| wanted.contains(&s.key.name.as_str()))
-            .collect();
-        assert_eq!(render(reg.collect_families(&wanted)), render(filtered));
+        for name in ["a_total", "b_total", "a", "c", "missing"] {
+            let resolved: Vec<String> = reg
+                .family(name)
+                .iter()
+                .map(|(k, h)| format!("{k:?} {:?}", read(h)))
+                .collect();
+            let filtered: Vec<String> = reg
+                .collect()
+                .iter()
+                .filter(|s| s.key.name == name)
+                .map(|s| format!("{:?} {:?}", s.key, s.value))
+                .collect();
+            assert_eq!(resolved, filtered, "{name}");
+        }
         // A prefix of another family's name selects only its own series.
-        assert_eq!(reg.collect_families(&["a_total"]).len(), 3);
-        assert!(reg.collect_families(&["missing"]).is_empty());
+        assert_eq!(reg.family("a_total").len(), 3);
+        // Handles are live: later updates show through them.
+        let SeriesHandle::Gauge(g) = &reg.family("c")[0].1 else {
+            panic!("c is a gauge");
+        };
+        reg.gauge("c", &[]).set(6);
+        assert_eq!(g.get(), 6);
+        assert!(reg.same_store(&reg.clone()));
+        assert!(!reg.same_store(&Registry::new()));
     }
 
     #[test]

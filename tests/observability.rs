@@ -5,7 +5,7 @@
 use coral_pie::core::{CameraSpec, CoralPieSystem, NodeConfig, SystemConfig};
 use coral_pie::geo::{generators, route, IntersectionId};
 use coral_pie::obs::json::{parse, JsonValue};
-use coral_pie::sim::SimTime;
+use coral_pie::sim::{FailureEvent, FailureKind, FailureSchedule, SimDuration, SimTime};
 use coral_pie::topology::CameraId;
 use coral_pie::vision::{DetectorNoise, ObjectClass};
 
@@ -158,4 +158,75 @@ fn registry_renders_prometheus_and_json_snapshots() {
     assert!(counters
         .iter()
         .any(|c| c.get("name").and_then(JsonValue::as_str) == Some("runtime_events_total")));
+}
+
+/// Informs addressed to a killed camera are consumed undelivered. On
+/// verbatim links (no faults, no reliability) that copy was the only one,
+/// so the send-time join behind `runtime_inform_latency_us` must forget
+/// it: once traffic has drained, nothing is in flight, as before the
+/// first inform. A 4x4 grid at 0.5 vehicles/s, camera 5 killed and
+/// restored every 20 s.
+#[test]
+fn informs_to_a_killed_camera_leave_nothing_in_flight() {
+    let net = generators::grid(4, 4, 120.0, 12.0);
+    let specs: Vec<CameraSpec> = (0..16)
+        .map(|i| CameraSpec {
+            id: CameraId(i),
+            site: IntersectionId(i),
+            videoing_angle_deg: 0.0,
+        })
+        .collect();
+    let config = SystemConfig {
+        node: NodeConfig {
+            detector_noise: DetectorNoise::perfect(),
+            ..NodeConfig::default()
+        },
+        ..SystemConfig::default()
+    };
+    assert!(config.faults.is_none() && config.reliability.is_none());
+    let mut sys = CoralPieSystem::new(net.clone(), &specs, config);
+    // Edge-to-edge trips, one every 2 s until 200 s; most cross the
+    // interior, camera 5 included.
+    let ends = [0u32, 1, 2, 3, 4, 7, 8, 11, 12, 13, 14, 15];
+    for k in 0..100u32 {
+        let from = ends[(k * 5 % 12) as usize];
+        let to = ends[((k * 7 + 5) % 12) as usize];
+        if from == to {
+            continue;
+        }
+        let r = route::shortest_path(&net, IntersectionId(from), IntersectionId(to))
+            .expect("the grid is connected");
+        sys.traffic_mut().spawn(
+            SimTime::from_secs(5) + SimDuration::from_secs(2 * u64::from(k)),
+            r,
+            Some(ObjectClass::Car),
+        );
+    }
+    let mut schedule = FailureSchedule::new();
+    for k in 1..=10u64 {
+        for (at, kind) in [
+            (20 * k, FailureKind::Kill),
+            (20 * k + 10, FailureKind::Restore),
+        ] {
+            schedule.push(FailureEvent {
+                at: SimTime::from_secs(at),
+                camera: CameraId(5),
+                kind,
+            });
+        }
+    }
+    sys.set_failures(&schedule);
+    sys.run_until(SimTime::from_secs(300));
+
+    let obs = sys.observability();
+    let registry = obs.registry();
+    let sent = registry
+        .counter_value("runtime_messages_sent_total", &[("kind", "inform")])
+        .unwrap_or(0);
+    assert!(
+        sent > obs.delivered("inform"),
+        "some informs must reach camera 5 while it is dead ({sent} sent, {} delivered)",
+        obs.delivered("inform")
+    );
+    assert_eq!(obs.informs_in_flight(), 0);
 }
