@@ -175,6 +175,15 @@ if [ "$quick" -eq 0 ]; then
     PROPTEST_CASES=2048 cargo test -q --release -p coral-vision --test row_kernel_oracle
 fi
 
+# Sparse-signature oracle: the Bhattacharyya merge-join over non-zero
+# bins must match the dense index-order sum bit for bit, and dense ->
+# sparse -> dense must round-trip exactly (the default case count already
+# ran with the workspace tests).
+if [ "$quick" -eq 0 ]; then
+    echo "==> sparse-signature oracle proptests (release, 2048 cases)"
+    PROPTEST_CASES=2048 cargo test -q --release -p coral-vision --test sparse_signature_oracle
+fi
+
 # Health-engine oracle: the cached-series evaluator must produce the same
 # report JSON, journal bytes and overall verdict as the snapshot evaluator
 # it replaced, kept in the test (the default case count already ran with

@@ -63,12 +63,20 @@ fn bench_trajectory_query(c: &mut Criterion) {
 }
 
 fn bench_message_serde(c: &mut Criterion) {
+    // A `city_lookalike`-shaped signature: eight non-zero bins of 512.
+    let mut dense = vec![0.0; 512];
+    for (k, i) in [9usize, 73, 74, 81, 137, 146, 210, 292]
+        .into_iter()
+        .enumerate()
+    {
+        dense[i] = (k + 1) as f64 / 36.0;
+    }
     let event = DetectionEvent {
         camera: CameraId(3),
         timestamp_ms: 123_456,
         heading: Some(coral_geo::Heading::East),
         bearing_deg: Some(92.5),
-        signature: ColorHistogram::uniform(8),
+        signature: ColorHistogram::from_bins(8, dense).expect("valid bins"),
         track: TrackId(17),
         vertex: Some(VertexId(99)),
         ground_truth: None,
@@ -80,6 +88,10 @@ fn bench_message_serde(c: &mut Criterion) {
     });
     c.bench_function("detection_event_json_decode", |b| {
         b.iter(|| serde_json::from_str::<Message>(&json).expect("parses"));
+    });
+    // What metering one delivered inform costs.
+    c.bench_function("inform_encoded_len", |b| {
+        b.iter(|| msg.encoded_len());
     });
 }
 

@@ -126,7 +126,7 @@ fn bench_bhattacharyya(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(pool_size), &pool, |b, pool| {
             b.iter(|| {
                 pool.iter()
-                    .map(|h| query.bhattacharyya_distance(h))
+                    .filter_map(|h| query.bhattacharyya_distance(h))
                     .fold(f64::INFINITY, f64::min)
             });
         });

@@ -713,9 +713,10 @@ impl CoreObs {
         }
     }
 
-    /// The inform of `event` to camera `to` was consumed undelivered on a
-    /// link that carries exactly one copy of each message: forget its send
-    /// time, which no delivery will ever claim.
+    /// The inform of `event` to camera `to` will never be delivered: it was
+    /// consumed undelivered on a link that carries exactly one copy of each
+    /// message, or the sender's reliability layer abandoned it. Forgets its
+    /// send time, which no delivery will ever claim.
     pub fn forget_inform(&self, event: EventId, to: CameraId) {
         self.inner.lock().inform_sent.remove(&(event, to));
     }

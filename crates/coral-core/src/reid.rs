@@ -140,13 +140,13 @@ impl ReIdentifier {
             }
             // A signature of another size (a peer configured with other
             // bins per channel) is not comparable: skip it, never panic.
-            if cand.event.signature.bins().len() != event.signature.bins().len() {
-                continue;
-            }
-            self.comparisons += 1;
-            let d = event
+            let Some(d) = event
                 .signature
-                .bhattacharyya_distance(&cand.event.signature);
+                .bhattacharyya_distance(&cand.event.signature)
+            else {
+                continue;
+            };
+            self.comparisons += 1;
             if d < threshold && best.is_none_or(|b| d < b.distance) {
                 best = Some(ReidMatch {
                     candidate: cand.event.event_id(),

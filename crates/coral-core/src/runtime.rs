@@ -762,6 +762,18 @@ impl SimWorld {
                 }
             }
         }
+        // An inform frame the sender's reliability layer abandons will
+        // never be delivered: forget its send time.
+        if config.reliability.is_some() {
+            for driver in &mut drivers {
+                let obs = obs.clone();
+                driver.transport_mut().on_abandon(move |peer, message| {
+                    if let (Endpoint::Camera(to), Message::Inform(event)) = (peer, message) {
+                        obs.forget_inform(event.event_id(), to);
+                    }
+                });
+            }
+        }
         // Spatial occupancy index for sparse stepping: one slot per driver
         // in `CameraId` order. Dead cameras keep their slot (their
         // candidate lists simply go unread). The anchor slack scales with the
@@ -1404,7 +1416,9 @@ impl SimWorld {
                     // On a verbatim link (no faults, no reliability) that
                     // frame was the only copy of an inform, so no delivery
                     // will ever claim its send time. Elsewhere a duplicate
-                    // or a retry may still land after a restore.
+                    // or a retry may still land after a restore; with
+                    // reliability on, the sender forgets the send time
+                    // when it abandons the frame.
                     let verbatim =
                         self.config.faults.is_none() && self.config.reliability.is_none();
                     if let Some(Message::Inform(event)) = frame.map(|f| f.message) {

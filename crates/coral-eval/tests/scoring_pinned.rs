@@ -131,7 +131,7 @@ fn corridor_chaos_with_kill_is_pinned() {
             transitions: 9,
             redundancy: vec![(0, 1, 1), (1, 2, 4), (2, 6, 9), (3, 3, 6)],
             delivered: (42, 20, 9, 13),
-            bytes: (46_566, 10_638),
+            bytes: (6_604, 10_638),
         }
     );
     assert_eq!(sys.telemetry().recoveries.len(), 1);
@@ -159,7 +159,7 @@ fn two_region_outage_is_pinned() {
                 (5, 0, 12)
             ],
             delivered: (148, 70, 56, 22),
-            bytes: (166_401, 96_041),
+            bytes: (27_198, 96_041),
         }
     );
     assert_eq!(sys.telemetry().region_recoveries.len(), 1);

@@ -204,18 +204,52 @@ mod tests {
 
     #[test]
     fn malformed_signature_is_error() {
-        // A signature whose bins disagree with its bins-per-channel would
-        // panic the first re-id compare; the decoder must refuse it.
+        // A signature that breaks its own invariants would misbehave in
+        // the first re-id compare; the decoder must refuse it.
         let json = event().to_json();
-        let bins = json.find("\"bins\":[").expect("bins field") + "\"bins\":[".len();
-        let end = bins + json[bins..].find(']').expect("bins end");
-        let truncated = format!("{}0.015625{}", &json[..bins], &json[end..]);
-        assert!(DetectionEvent::from_json(&truncated).is_err());
-        let inform = serde_json::to_string(&Message::Inform(event())).unwrap();
-        let inform = inform.replacen("\"bins\":[0.015625", "\"bins\":[-0.015625", 1);
-        assert!(serde_json::from_str::<Message>(&inform).is_err());
-        let negative = json.replacen("0.015625", "-3.0", 1);
-        assert!(DetectionEvent::from_json(&negative).is_err());
+        assert!(json.contains(r#""bins":[[0,0.015625],[1,0.015625],"#));
+        for bad in [
+            json.replacen("[1,0.015625]", "[0,0.015625]", 1),
+            json.replacen("[1,0.015625]", "[64,0.015625]", 1),
+            json.replacen("[1,0.015625]", "[1,0.0]", 1),
+            json.replacen("[1,0.015625]", "[1,-3.0]", 1),
+            json.replacen("\"bins_per_channel\":4", "\"bins_per_channel\":0", 1),
+        ] {
+            assert!(DetectionEvent::from_json(&bad).is_err(), "{bad}");
+            let inform = format!(r#"{{"Inform":{bad}}}"#);
+            assert!(serde_json::from_str::<Message>(&inform).is_err());
+        }
+        let inform = format!(r#"{{"Inform":{json}}}"#);
+        assert_eq!(
+            serde_json::from_str::<Message>(&inform).unwrap(),
+            Message::Inform(event())
+        );
+    }
+
+    /// An inform shaped like the `city_lookalike` ones: eight non-zero
+    /// bins out of 512.
+    fn city_event() -> DetectionEvent {
+        let mut dense = vec![0.0; 512];
+        for (k, i) in [9usize, 73, 74, 81, 137, 146, 210, 292]
+            .into_iter()
+            .enumerate()
+        {
+            dense[i] = (k + 1) as f64 / 36.0;
+        }
+        DetectionEvent {
+            signature: ColorHistogram::from_bins(8, dense).unwrap(),
+            ..event()
+        }
+    }
+
+    #[test]
+    fn inform_bytes_are_pinned() {
+        // Only the non-zero bins cross the wire, each as an (index, value)
+        // pair: 2,322 bytes as 512 dense bins, 349 as eight pairs. The
+        // all-bins-non-zero uniform signature pays for its indices (724
+        // bytes as 64 dense bins).
+        assert_eq!(Message::Inform(city_event()).encoded_len(), 349);
+        assert_eq!(Message::Inform(event()).encoded_len(), 1034);
     }
 
     #[test]

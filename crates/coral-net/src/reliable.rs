@@ -66,6 +66,20 @@ struct PendingFrame {
     next_retry: SimTime,
 }
 
+/// Called with the peer and the protocol message of each frame the layer
+/// abandons (see [`ReliableTransport::on_abandon`]).
+type AbandonHook = Box<dyn FnMut(Endpoint, &Message) + Send>;
+
+/// The optional [`AbandonHook`] (a closure has no `Debug`).
+#[derive(Default)]
+struct OnAbandon(Option<AbandonHook>);
+
+impl std::fmt::Debug for OnAbandon {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(if self.0.is_some() { "Some(..)" } else { "None" })
+    }
+}
+
 /// How many `(sender, seq)` entries the receive-side dedup window keeps
 /// per peer before forgetting the oldest.
 const DEDUP_WINDOW: usize = 4096;
@@ -96,6 +110,7 @@ pub struct ReliableTransport<T> {
     counters: Option<ReliableCounters>,
     journal: Option<Journal>,
     gave_up_total: u64,
+    on_abandon: OnAbandon,
 }
 
 impl<T: Transport> ReliableTransport<T> {
@@ -113,6 +128,7 @@ impl<T: Transport> ReliableTransport<T> {
             counters: None,
             journal: None,
             gave_up_total: 0,
+            on_abandon: OnAbandon::default(),
         }
     }
 
@@ -131,6 +147,7 @@ impl<T: Transport> ReliableTransport<T> {
             counters: None,
             journal: None,
             gave_up_total: 0,
+            on_abandon: OnAbandon::default(),
         }
     }
 
@@ -189,6 +206,13 @@ impl<T: Transport> ReliableTransport<T> {
     /// escalations, abandoned frames) into the flight recorder.
     pub fn set_journal(&mut self, journal: Journal) {
         self.journal = Some(journal);
+    }
+
+    /// Calls `hook` with the peer and the protocol message of every frame
+    /// abandoned after exhausting its retry budget, so the caller can
+    /// release what it holds for a delivery that will never come.
+    pub fn on_abandon(&mut self, hook: impl FnMut(Endpoint, &Message) + Send + 'static) {
+        self.on_abandon = OnAbandon(Some(Box::new(hook)));
     }
 
     fn count(&self, select: impl Fn(&ReliableCounters) -> &Counter) {
@@ -359,7 +383,13 @@ impl<T: Transport> Transport for ReliableTransport<T> {
             };
             let (peer, seq) = key;
             if frame.attempts >= policy.max_attempts {
-                self.pending.remove(&key);
+                if let (Some(frame), Some(hook)) =
+                    (self.pending.remove(&key), &mut self.on_abandon.0)
+                {
+                    if let Message::Sequenced { payload, .. } = &frame.envelope.message {
+                        hook(peer, payload);
+                    }
+                }
                 self.gave_up_total += 1;
                 self.count(|c| &c.gave_up);
                 self.journal_event(
@@ -565,6 +595,35 @@ mod tests {
             .counter_value("reliable_retries_total", &[("endpoint", "cam0")])
             .unwrap();
         assert_eq!(retries, 2, "attempts 2 and 3 were retransmissions");
+    }
+
+    #[test]
+    fn abandoned_frames_reach_the_hook_unwrapped() {
+        let net = SimNet::instant();
+        let e0 = Endpoint::Camera(CameraId(0));
+        let faulty = FaultyTransport::new(
+            net.handle(e0),
+            e0,
+            FaultPlan::uniform(FaultPolicy::none(), 1),
+        );
+        let policy = RetryPolicy {
+            max_attempts: 2,
+            ..RetryPolicy::default()
+        };
+        let mut a = ReliableTransport::new(faulty, e0, policy, 4);
+        let abandoned = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let sink = abandoned.clone();
+        a.on_abandon(move |peer, message| {
+            sink.lock().unwrap().push((peer, message.clone()));
+        });
+        let to = Endpoint::Camera(CameraId(1));
+        a.inner_mut().partition(to, SimTime::ZERO);
+        a.send(SimTime::ZERO, envelope(0, 1)).unwrap();
+        for s in 1..10 {
+            a.tick(SimTime::from_secs(s));
+        }
+        assert_eq!(a.gave_up_total(), 1);
+        assert_eq!(*abandoned.lock().unwrap(), vec![(to, heartbeat(0))]);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use coral_geo::{generators, GeoPoint, Heading, IntersectionId};
 use coral_net::{ConnectionManager, DetectionEvent, Message};
 use coral_topology::{mdcs_table, CameraId, CameraTopology, MdcsOptions, MdcsUpdate};
-use coral_vision::{ColorHistogram, TrackId};
+use coral_vision::{ColorHistogram, HistogramError, TrackId};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -156,5 +156,129 @@ proptest! {
         prop_assert_eq!(position.lat, lat);
         prop_assert_eq!(position.lon, lon);
         prop_assert_eq!(videoing_angle_deg, 45.0);
+    }
+}
+
+/// The ways [`mutate`] breaks a sparse signature.
+const MUTATIONS: usize = 10;
+
+/// A valid `bins_per_channel`-cubed signature with at least two non-zero
+/// bins: the first and last cells, plus every cell whose `draw` is below
+/// `density`.
+fn sparse_bins(bins_per_channel: usize, draws: &[f64], density: f64) -> Vec<(usize, f64)> {
+    let cells = bins_per_channel.pow(3);
+    (0..cells)
+        .filter(|&i| i == 0 || i == cells - 1 || draws[i] < density)
+        .map(|i| (i, 0.001 + draws[i]))
+        .collect()
+}
+
+/// A broken `(bins_per_channel, bins)` and the check its rejection must
+/// pass.
+type Mutated = (usize, Vec<(usize, f64)>, fn(&HistogramError) -> bool);
+
+/// Breaks `(bins_per_channel, bins)` the `kind`-th way (of
+/// [`MUTATIONS`]) at entry `at` (modulo the length), and returns whether
+/// `err` is the typed rejection that mutation must earn.
+fn mutate(kind: usize, at: usize, bins_per_channel: usize, mut bins: Vec<(usize, f64)>) -> Mutated {
+    let n = bins.len();
+    let k = at % n;
+    let cells = bins_per_channel.pow(3);
+    let mut bpc = bins_per_channel;
+    let want: fn(&HistogramError) -> bool = match kind {
+        0 => {
+            let k = k.min(n - 2);
+            bins.swap(k, k + 1);
+            |e| matches!(e, HistogramError::Order(_))
+        }
+        1 => {
+            bins.insert(k, bins[k]);
+            |e| matches!(e, HistogramError::Order(_))
+        }
+        2 => {
+            bins[n - 1].0 = cells + k;
+            |e| matches!(e, HistogramError::OutOfRange { .. })
+        }
+        3..=6 => {
+            bins[k].1 = [f64::NAN, f64::INFINITY, -bins[k].1, 0.0][kind - 3];
+            |e| matches!(e, HistogramError::Bin(_))
+        }
+        7 => {
+            bpc = 0;
+            |e| matches!(e, HistogramError::BinsPerChannel(0))
+        }
+        8 => {
+            // The cube overflows a 64-bit usize.
+            bpc = (1 << 22) + k;
+            |e| matches!(e, HistogramError::BinsPerChannel(_))
+        }
+        _ => {
+            bins.clear();
+            |e| *e == HistogramError::Empty
+        }
+    };
+    (bpc, bins, want)
+}
+
+/// A signature in the wire form, values written as Rust prints them (so
+/// NaN and infinity come out as tokens JSON has no spelling for).
+fn signature_json(bins_per_channel: usize, bins: &[(usize, f64)]) -> String {
+    let pairs: Vec<String> = bins.iter().map(|(i, v)| format!("[{i},{v:?}]")).collect();
+    format!(
+        r#"{{"bins_per_channel":{bins_per_channel},"bins":[{}]}}"#,
+        pairs.join(",")
+    )
+}
+
+/// Every way of breaking one canonical sparse signature, with fixed
+/// positions: the decoder rejects each with the typed error.
+#[test]
+fn each_signature_mutation_is_rejected() {
+    let bins = vec![(0, 0.25), (9, 0.25), (40, 0.25), (63, 0.25)];
+    for kind in 0..MUTATIONS {
+        let (bpc, bad, want) = mutate(kind, 1, 4, bins.clone());
+        let err = ColorHistogram::from_sparse(bpc, bad.clone()).expect_err("mutated");
+        assert!(want(&err), "mutation {kind}: {err:?}");
+        let inform = inform_with_signature(&signature_json(bpc, &bad));
+        assert!(
+            serde_json::from_str::<Message>(&inform).is_err(),
+            "{inform}"
+        );
+    }
+}
+
+/// `Message::Inform` JSON whose signature object is `signature`.
+fn inform_with_signature(signature: &str) -> String {
+    let json = serde_json::to_string(&Message::Inform(event(4, 8, Some(Heading::North)))).unwrap();
+    let start = json.find(r#""signature":"#).unwrap() + r#""signature":"#.len();
+    let end = start + json[start..].find('}').unwrap() + 1;
+    format!("{}{signature}{}", &json[..start], &json[end..])
+}
+
+proptest! {
+    /// Hostile signatures inside an inform decode to an error, never a
+    /// panic: the typed `HistogramError` wherever the JSON itself parses.
+    #[test]
+    fn mutated_signatures_in_informs_are_rejected(
+        bins_per_channel in 2usize..=8,
+        draws in proptest::collection::vec(0.0f64..1.0, 512),
+        density in 0.0f64..1.0,
+        kind in 0usize..MUTATIONS,
+        at in 0usize..1024,
+    ) {
+        let bins = sparse_bins(bins_per_channel, &draws, density);
+        let valid = inform_with_signature(&signature_json(bins_per_channel, &bins));
+        prop_assert!(serde_json::from_str::<Message>(&valid).is_ok());
+        let (bpc, bad, want) = mutate(kind, at, bins_per_channel, bins);
+        let err = ColorHistogram::from_sparse(bpc, bad.clone()).unwrap_err();
+        prop_assert!(want(&err), "mutation {}: {:?}", kind, err);
+        let decoded = serde_json::from_str::<Message>(&inform_with_signature(&signature_json(bpc, &bad)));
+        match decoded {
+            Ok(m) => prop_assert!(false, "mutation {} decoded: {:?}", kind, m),
+            Err(e) if bad.iter().all(|(_, v)| v.is_finite()) => {
+                prop_assert!(e.to_string().contains(&err.to_string()), "{} vs {}", e, err);
+            }
+            Err(_) => {}
+        }
     }
 }

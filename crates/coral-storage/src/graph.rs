@@ -320,11 +320,7 @@ impl TrajectoryGraph {
             .vertices
             .iter()
             .filter_map(|v| {
-                let sig = v.signature.as_ref()?;
-                if sig.bins().len() != query.bins().len() {
-                    return None;
-                }
-                let d = query.bhattacharyya_distance(sig);
+                let d = query.bhattacharyya_distance(v.signature.as_ref()?)?;
                 (d <= max_distance).then_some((v.id, d))
             })
             .collect();

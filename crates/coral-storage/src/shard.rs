@@ -567,14 +567,11 @@ impl ShardedTrajectoryGraph {
         for shard in &self.shards {
             let s = shard.read();
             for r in s.vertices.values() {
-                let Some(sig) = r.signature.as_ref() else {
-                    continue;
-                };
-                if sig.bins().len() != query.bins().len() {
-                    continue;
-                }
-                let d = query.bhattacharyya_distance(sig);
-                if d <= max_distance {
+                let d = r
+                    .signature
+                    .as_ref()
+                    .and_then(|sig| query.bhattacharyya_distance(sig));
+                if let Some(d) = d.filter(|&d| d <= max_distance) {
                     scored.push((r.id, d));
                 }
             }

@@ -27,9 +27,9 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Magic + version line of the manifest.
-const MANIFEST_MAGIC: &str = "coral-snapshot v1";
+const MANIFEST_MAGIC: &str = "coral-snapshot v2";
 /// Magic + version line of each shard file.
-const SHARD_MAGIC: &str = "coral-shard v1";
+const SHARD_MAGIC: &str = "coral-shard v2";
 
 /// Errors from snapshot write/restore. Restore never half-applies: any
 /// error leaves the target store untouched.
@@ -427,11 +427,11 @@ fn encode_shard(shard: &ExportedShard) -> String {
         match &r.signature {
             Some(sig) => {
                 let _ = write!(s, " {}:", sig.bins_per_channel());
-                for (i, b) in sig.bins().iter().enumerate() {
-                    if i > 0 {
+                for (k, (i, v)) in sig.bins().iter().enumerate() {
+                    if k > 0 {
                         s.push(',');
                     }
-                    let _ = write!(s, "{:x}", b.to_bits());
+                    let _ = write!(s, "{i}={:x}", v.to_bits());
                 }
             }
             None => s.push_str(" -"),
@@ -548,10 +548,20 @@ fn decode_signature(
     let bpc: usize = bpc
         .parse()
         .map_err(|_| corrupt(path, line, "unparsable bins-per-channel"))?;
-    let bins: Vec<f64> = bins
-        .split(',')
-        .map(|b| u64::from_str_radix(b, 16).map(f64::from_bits))
-        .collect::<Result<_, _>>()
-        .map_err(|_| corrupt(path, line, "unparsable signature bin"))?;
-    ColorHistogram::from_bins(bpc, bins).map_err(|e| corrupt(path, line, e.to_string()))
+    // `<index>=<value bits in hex>` per non-zero bin; an empty list is
+    // left for the histogram's own validation to reject.
+    let pair = |b: &str| {
+        let (i, v) = b.split_once('=')?;
+        let v = u64::from_str_radix(v, 16).ok()?;
+        Some((i.parse().ok()?, f64::from_bits(v)))
+    };
+    let bins: Vec<(usize, f64)> = match bins {
+        "" => Vec::new(),
+        bins => bins
+            .split(',')
+            .map(pair)
+            .collect::<Option<_>>()
+            .ok_or_else(|| corrupt(path, line, "unparsable signature bin"))?,
+    };
+    ColorHistogram::from_sparse(bpc, bins).map_err(|e| corrupt(path, line, e.to_string()))
 }

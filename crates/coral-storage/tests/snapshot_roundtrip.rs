@@ -12,7 +12,8 @@ use coral_storage::{
     QueryOptions, ShardedTrajectoryGraph, SnapshotError, StorageConfig, TrajectoryGraph,
 };
 use coral_topology::CameraId;
-use coral_vision::{ColorHistogram, GroundTruthId, TrackId};
+use coral_vision::{ColorHistogram, GroundTruthId, HistogramError, TrackId};
+use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -286,11 +287,33 @@ fn unknown_manifest_version_is_a_version_mismatch() {
     // Bump the version line but keep the checksum honest: the reader must
     // reject on version, not checksum.
     rewrite_with_valid_trailer(&dir.path().join("MANIFEST"), |body| {
-        body.replacen("coral-snapshot v1", "coral-snapshot v99", 1)
+        body.replacen("coral-snapshot v2", "coral-snapshot v99", 1)
     });
     match ShardedTrajectoryGraph::restore_from(dir.path()) {
         Err(SnapshotError::VersionMismatch { found, .. }) => {
             assert_eq!(found, "coral-snapshot v99");
+        }
+        other => panic!("expected VersionMismatch, got {other:?}"),
+    }
+}
+
+/// A v1 snapshot (dense signature lines) is refused by version, with an
+/// honest checksum, not misread as v2.
+#[test]
+fn v1_manifest_is_a_version_mismatch() {
+    let dir = TempDir::new("v1");
+    std::fs::create_dir_all(dir.path()).unwrap();
+    let body = "coral-snapshot v1\nshard_count 1\ntime_bucket_ms 2000\n\
+                cameras_per_region 2\nnext_vertex 0\nedge_seq 0\nmax_interval_ms 0\n";
+    let crc = fnv64(body.as_bytes());
+    std::fs::write(
+        dir.path().join("MANIFEST"),
+        format!("{body}crc {crc:016x}\n"),
+    )
+    .unwrap();
+    match ShardedTrajectoryGraph::restore_from(dir.path()) {
+        Err(SnapshotError::VersionMismatch { found, .. }) => {
+            assert_eq!(found, "coral-snapshot v1");
         }
         other => panic!("expected VersionMismatch, got {other:?}"),
     }
@@ -301,7 +324,7 @@ fn truncated_manifest_is_corrupt() {
     let dir = TempDir::new("truncated");
     let (g, _) = populated(2);
     g.snapshot_to(dir.path()).unwrap();
-    std::fs::write(dir.path().join("MANIFEST"), "coral-snapshot v1\n").unwrap();
+    std::fs::write(dir.path().join("MANIFEST"), "coral-snapshot v2\n").unwrap();
     match ShardedTrajectoryGraph::restore_from(dir.path()) {
         Err(SnapshotError::Corrupt { .. }) => {}
         other => panic!("expected Corrupt, got {other:?}"),
@@ -446,22 +469,114 @@ fn invalid_edge_lines_are_corrupt() {
     }
 }
 
-#[test]
-fn nan_signature_bin_is_corrupt() {
-    let dir = TempDir::new("nan-bin");
+/// The ways [`mutate`] breaks a sparse signature.
+const MUTATIONS: usize = 10;
+
+/// A broken `(bins_per_channel, bins)` and the check its rejection must
+/// pass.
+type Mutated = (usize, Vec<(usize, f64)>, fn(&HistogramError) -> bool);
+
+/// Breaks `(bins_per_channel, bins)` the `kind`-th way (of
+/// [`MUTATIONS`]) at entry `at` (modulo the length), and returns whether
+/// `err` is the typed rejection that mutation must earn.
+fn mutate(kind: usize, at: usize, bins_per_channel: usize, mut bins: Vec<(usize, f64)>) -> Mutated {
+    let n = bins.len();
+    let k = at % n;
+    let cells = bins_per_channel.pow(3);
+    let mut bpc = bins_per_channel;
+    let want: fn(&HistogramError) -> bool = match kind {
+        0 => {
+            let k = k.min(n - 2);
+            bins.swap(k, k + 1);
+            |e| matches!(e, HistogramError::Order(_))
+        }
+        1 => {
+            bins.insert(k, bins[k]);
+            |e| matches!(e, HistogramError::Order(_))
+        }
+        2 => {
+            bins[n - 1].0 = cells + k;
+            |e| matches!(e, HistogramError::OutOfRange { .. })
+        }
+        3..=6 => {
+            bins[k].1 = [f64::NAN, f64::INFINITY, -bins[k].1, 0.0][kind - 3];
+            |e| matches!(e, HistogramError::Bin(_))
+        }
+        7 => {
+            bpc = 0;
+            |e| matches!(e, HistogramError::BinsPerChannel(0))
+        }
+        8 => {
+            // The cube overflows a 64-bit usize.
+            bpc = (1 << 22) + k;
+            |e| matches!(e, HistogramError::BinsPerChannel(_))
+        }
+        _ => {
+            bins.clear();
+            |e| *e == HistogramError::Empty
+        }
+    };
+    (bpc, bins, want)
+}
+
+/// Snapshots the 3-shard store, rewrites the signature of shard 0's
+/// `victim`-th signed vertex line (modulo their count) as `kind` breaks
+/// it, with honest checksums, and asserts restore refuses it as corrupt
+/// with the typed reason and leaves the target store untouched.
+fn assert_mutated_signature_rejected(kind: usize, at: usize, victim: usize) {
+    let dir = TempDir::new("bad-signature");
     let (g, _) = populated(3);
     g.snapshot_to(dir.path()).unwrap();
+    let mut why = String::new();
     tamper_shard_0(dir.path(), |body| {
-        let line = body
+        let signed: Vec<&str> = body
             .lines()
-            .find(|l| l.starts_with("v ") && l.contains(" 2:"))
-            .expect("shard 0 holds a signature");
-        let (head, bins) = line.split_once(" 2:").unwrap();
-        let rest = bins.split_once(',').unwrap().1;
-        let nan = f64::NAN.to_bits();
-        body.replacen(line, &format!("{head} 2:{nan:x},{rest}"), 1)
+            .filter(|l| l.starts_with("v ") && !l.ends_with(" -"))
+            .collect();
+        let line = signed[victim % signed.len()];
+        let (head, field) = line.rsplit_once(' ').unwrap();
+        let (bpc, pairs) = field.split_once(':').unwrap();
+        let bins: Vec<(usize, f64)> = pairs
+            .split(',')
+            .map(|p| {
+                let (i, v) = p.split_once('=').unwrap();
+                let v = u64::from_str_radix(v, 16).unwrap();
+                (i.parse().unwrap(), f64::from_bits(v))
+            })
+            .collect();
+        let (bpc, bins, want) = mutate(kind, at, bpc.parse().unwrap(), bins);
+        let err = ColorHistogram::from_sparse(bpc, bins.clone()).unwrap_err();
+        assert!(want(&err), "mutation {kind}: {err:?}");
+        why = err.to_string();
+        let pairs: Vec<String> = bins
+            .iter()
+            .map(|(i, v)| format!("{i}={:x}", v.to_bits()))
+            .collect();
+        body.replacen(line, &format!("{head} {bpc}:{}", pairs.join(",")), 1)
     });
-    assert_rejected_as_corrupt(dir.path(), "not a finite non-negative");
+    assert_rejected_as_corrupt(dir.path(), &why);
+}
+
+#[test]
+fn each_signature_mutation_is_corrupt() {
+    for kind in 0..MUTATIONS {
+        assert_mutated_signature_rejected(kind, 1, 0);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+    /// Hostile signature fields in a vertex line with a valid crc: restore
+    /// fails with `Corrupt` carrying the typed `HistogramError`, never a
+    /// panic, and the target store is untouched.
+    #[test]
+    fn mutated_signature_lines_are_corrupt(
+        kind in 0usize..MUTATIONS,
+        at in 0usize..64,
+        victim in 0usize..64,
+    ) {
+        assert_mutated_signature_rejected(kind, at, victim);
+    }
 }
 
 #[test]

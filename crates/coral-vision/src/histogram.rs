@@ -79,61 +79,53 @@ impl HistogramScratch {
     }
 }
 
-/// Flat Bhattacharyya-sum kernel: `Σ sqrt(p[i]·q[i])` accumulated strictly
-/// in index order — bit-identical to the naive zip/fold — but walked in
-/// fixed-width chunks over pre-trimmed equal-length slices, so the inner
-/// loop carries no per-element bounds checks.
-pub fn bhattacharyya_sum_flat(p: &[f64], q: &[f64]) -> f64 {
-    const LANES: usize = 8;
-    let n = p.len().min(q.len());
-    let (p, q) = (&p[..n], &q[..n]);
+/// Sparse Bhattacharyya-sum kernel: a merge-join of two ascending
+/// `(bin index, value)` lists adding `sqrt(p·q)` over the shared indices in
+/// ascending order. A bin missing from either side would add exactly
+/// `+0.0` to a dense sum, so this is bit-identical to the dense
+/// index-order sum over all `bins³` cells.
+fn bhattacharyya_sum(p: &[(usize, f64)], q: &[(usize, f64)]) -> f64 {
+    let (mut i, mut j) = (0, 0);
     let mut acc = 0.0f64;
-    let mut cp = p.chunks_exact(LANES);
-    let mut cq = q.chunks_exact(LANES);
-    for (a, b) in cp.by_ref().zip(cq.by_ref()) {
-        let a: &[f64; LANES] = a.try_into().expect("chunk width");
-        let b: &[f64; LANES] = b.try_into().expect("chunk width");
-        for i in 0..LANES {
-            acc += (a[i] * b[i]).sqrt();
+    while let (Some(&(a, x)), Some(&(b, y))) = (p.get(i), q.get(j)) {
+        if a == b {
+            acc += (x * y).sqrt();
         }
-    }
-    for (a, b) in cp.remainder().iter().zip(cq.remainder()) {
-        acc += (a * b).sqrt();
+        i += usize::from(a <= b);
+        j += usize::from(b <= a);
     }
     acc
 }
 
-/// Reference Bhattacharyya sum (the pre-flattening iterator chain). Kept
-/// as the oracle the property tests pin [`bhattacharyya_sum_flat`]
-/// against.
-#[doc(hidden)]
-pub fn bhattacharyya_sum_naive(p: &[f64], q: &[f64]) -> f64 {
-    p.iter().zip(q).map(|(a, b)| (a * b).sqrt()).sum()
-}
-
-/// A normalised color histogram (probability distribution over RGB bins).
+/// A normalised color histogram (probability distribution over RGB bins),
+/// held sparse: its non-zero bins only, as `(bin index, value)` pairs in
+/// strictly ascending index order. A signature read off a vehicle has a
+/// few non-zero bins out of `bins³`, so this is also its wire and
+/// snapshot form.
 ///
-/// Decoding goes through [`ColorHistogram::from_bins`], so a malformed
-/// signature is rejected at the parser instead of panicking in a compare.
+/// Decoding goes through [`ColorHistogram::from_sparse`], so a malformed
+/// signature is rejected at the parser instead of misbehaving in a
+/// compare. The form is canonical (no stored zeros), so equal histograms
+/// compare equal.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[serde(try_from = "HistogramWire")]
 pub struct ColorHistogram {
     bins_per_channel: usize,
-    bins: Vec<f64>,
+    bins: Vec<(usize, f64)>,
 }
 
 /// The unchecked serialized shape of a [`ColorHistogram`].
 #[derive(Deserialize)]
 struct HistogramWire {
     bins_per_channel: usize,
-    bins: Vec<f64>,
+    bins: Vec<(usize, f64)>,
 }
 
 impl TryFrom<HistogramWire> for ColorHistogram {
     type Error = HistogramError;
 
     fn try_from(w: HistogramWire) -> Result<Self, HistogramError> {
-        Self::from_bins(w.bins_per_channel, w.bins)
+        Self::from_sparse(w.bins_per_channel, w.bins)
     }
 }
 
@@ -142,14 +134,27 @@ impl TryFrom<HistogramWire> for ColorHistogram {
 pub enum HistogramError {
     /// Bins per channel is zero, or its cube overflows `usize`.
     BinsPerChannel(usize),
-    /// The bin count is not bins-per-channel cubed.
+    /// The dense bin count is not bins-per-channel cubed.
     BinCount {
         /// `bins_per_channel³`.
         expected: usize,
         /// Entries supplied.
         actual: usize,
     },
-    /// The bin at this index is NaN, infinite or negative.
+    /// No bin is non-zero.
+    Empty,
+    /// The bin index does not follow the previous entry's in strictly
+    /// ascending order (unsorted or duplicated).
+    Order(usize),
+    /// The bin index is not below `bins_per_channel³`.
+    OutOfRange {
+        /// The offending bin index.
+        index: usize,
+        /// `bins_per_channel³`.
+        cells: usize,
+    },
+    /// The value of the bin at this index is NaN, infinite or negative, or
+    /// a zero stored in the sparse form.
     Bin(usize),
 }
 
@@ -161,12 +166,26 @@ impl std::fmt::Display for HistogramError {
                 f,
                 "signature has {actual} bins, bins-per-channel needs {expected}"
             ),
-            Self::Bin(i) => write!(f, "signature bin {i} is not a finite non-negative value"),
+            Self::Empty => write!(f, "signature has no non-zero bin"),
+            Self::Order(i) => write!(f, "signature bin {i} is out of order or repeated"),
+            Self::OutOfRange { index, cells } => {
+                write!(f, "signature bin {index} is not below {cells}")
+            }
+            Self::Bin(i) => write!(f, "signature bin {i} is not a finite positive value"),
         }
     }
 }
 
 impl std::error::Error for HistogramError {}
+
+/// `bins_per_channel³`, or the error naming a zero or overflowing
+/// bins-per-channel.
+fn cell_count(bins_per_channel: usize) -> Result<usize, HistogramError> {
+    Some(bins_per_channel)
+        .filter(|&b| b >= 1)
+        .and_then(|b| b.checked_mul(b)?.checked_mul(b))
+        .ok_or(HistogramError::BinsPerChannel(bins_per_channel))
+}
 
 impl ColorHistogram {
     /// Extracts the center-weighted histogram of `bbox` within `frame`.
@@ -179,15 +198,12 @@ impl ColorHistogram {
     ) -> Self {
         let mut scratch = HistogramScratch::new();
         Self::extract_into(frame, bbox, config, &mut scratch);
-        Self {
-            bins_per_channel: config.bins_per_channel.max(1),
-            bins: std::mem::take(&mut scratch.bins),
-        }
+        Self::from_normalised(config.bins_per_channel.max(1), scratch.bins())
     }
 
     /// Allocation-free extraction: identical numerics to
-    /// [`ColorHistogram::extract`], written into the arena's recycled
-    /// buffer instead of a fresh `Vec`. Read the result from
+    /// [`ColorHistogram::extract`], written densely into the arena's
+    /// recycled buffer instead of a fresh histogram. Read the result from
     /// [`HistogramScratch::bins`]. Only the row spans inside `bbox` are
     /// read, so a lazy [`SceneView`](crate::render::SceneView) renders just
     /// those.
@@ -240,31 +256,42 @@ impl ColorHistogram {
         }
     }
 
-    /// The uniform histogram (used as a neutral prior).
+    /// The uniform histogram (used as a neutral prior): every bin non-zero.
     pub fn uniform(bins_per_channel: usize) -> Self {
         let b = bins_per_channel.max(1);
         let n = b * b * b;
+        let v = 1.0 / n as f64;
         Self {
             bins_per_channel: b,
-            bins: vec![1.0 / n as f64; n],
+            bins: (0..n).map(|i| (i, v)).collect(),
         }
     }
 
-    /// Reassembles a histogram from raw bin values: the snapshot restore
-    /// path, and (through `Deserialize`) every signature decoded off the
-    /// wire. `bins_per_channel` must be at least 1, `bins` must hold
-    /// exactly `bins_per_channel³` entries, and every bin must be finite
-    /// and non-negative, so hostile or truncated bytes cannot produce a
-    /// histogram that panics or poisons a Bhattacharyya compare later.
+    /// The sparse form of normalised dense bins that are known valid
+    /// (finite, non-negative, at least one non-zero).
+    fn from_normalised(bins_per_channel: usize, dense: &[f64]) -> Self {
+        let bins: Vec<(usize, f64)> = dense
+            .iter()
+            .enumerate()
+            .filter(|&(_, &v)| v > 0.0)
+            .map(|(i, &v)| (i, v))
+            .collect();
+        debug_assert!(!bins.is_empty(), "a normalised histogram has mass");
+        Self {
+            bins_per_channel,
+            bins,
+        }
+    }
+
+    /// Builds a histogram from all `bins_per_channel³` dense bin values,
+    /// keeping the non-zero ones. Every value must be finite and
+    /// non-negative, and at least one positive.
     ///
     /// # Errors
     ///
     /// Returns the first violated constraint.
     pub fn from_bins(bins_per_channel: usize, bins: Vec<f64>) -> Result<Self, HistogramError> {
-        let cells = Some(bins_per_channel)
-            .filter(|&b| b >= 1)
-            .and_then(|b| b.checked_mul(b)?.checked_mul(b))
-            .ok_or(HistogramError::BinsPerChannel(bins_per_channel))?;
+        let cells = cell_count(bins_per_channel)?;
         if bins.len() != cells {
             return Err(HistogramError::BinCount {
                 expected: cells,
@@ -273,6 +300,46 @@ impl ColorHistogram {
         }
         if let Some(index) = bins.iter().position(|v| !(v.is_finite() && *v >= 0.0)) {
             return Err(HistogramError::Bin(index));
+        }
+        if bins.iter().all(|&v| v == 0.0) {
+            return Err(HistogramError::Empty);
+        }
+        Ok(Self::from_normalised(bins_per_channel, &bins))
+    }
+
+    /// Reassembles a histogram from its sparse `(bin index, value)` pairs:
+    /// the snapshot restore path, and (through `Deserialize`) every
+    /// signature decoded off the wire. `bins_per_channel` must be at least
+    /// 1 with a cube that fits `usize`; the list must be non-empty, its
+    /// indices strictly ascending and below `bins_per_channel³`, and every
+    /// value finite and strictly positive. So hostile or truncated bytes
+    /// cannot produce a histogram that misbehaves in a Bhattacharyya
+    /// compare later, and a stored zero cannot make two equal histograms
+    /// compare unequal.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violated constraint.
+    pub fn from_sparse(
+        bins_per_channel: usize,
+        bins: Vec<(usize, f64)>,
+    ) -> Result<Self, HistogramError> {
+        let cells = cell_count(bins_per_channel)?;
+        if bins.is_empty() {
+            return Err(HistogramError::Empty);
+        }
+        let mut prev = None;
+        for &(index, value) in &bins {
+            if prev.is_some_and(|p| index <= p) {
+                return Err(HistogramError::Order(index));
+            }
+            if index >= cells {
+                return Err(HistogramError::OutOfRange { index, cells });
+            }
+            if !(value.is_finite() && value > 0.0) {
+                return Err(HistogramError::Bin(index));
+            }
+            prev = Some(index);
         }
         Ok(Self {
             bins_per_channel,
@@ -285,40 +352,32 @@ impl ColorHistogram {
         self.bins_per_channel
     }
 
-    /// The normalised bin values.
-    pub fn bins(&self) -> &[f64] {
+    /// The non-zero bins as `(bin index, value)` pairs, in strictly
+    /// ascending index order.
+    pub fn bins(&self) -> &[(usize, f64)] {
         &self.bins
     }
 
-    /// Bhattacharyya coefficient with `other`, in `[0, 1]` (1 = identical).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the histograms have different bin counts.
-    pub fn bhattacharyya_coefficient(&self, other: &ColorHistogram) -> f64 {
-        assert_eq!(
-            self.bins.len(),
-            other.bins.len(),
-            "histogram bin counts differ"
-        );
-        bhattacharyya_sum_flat(&self.bins, &other.bins).min(1.0)
+    /// Bhattacharyya coefficient with `other`, in `[0, 1]` (1 =
+    /// identical), or `None` when the two are not comparable (different
+    /// bins per channel, e.g. from a peer configured otherwise).
+    pub fn bhattacharyya_coefficient(&self, other: &ColorHistogram) -> Option<f64> {
+        (self.bins_per_channel == other.bins_per_channel)
+            .then(|| bhattacharyya_sum(&self.bins, &other.bins).min(1.0))
     }
 
     /// Bhattacharyya distance `sqrt(1 - BC)`, in `[0, 1]` (0 = identical) —
-    /// the re-identification metric of §4.1.4.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the histograms have different bin counts.
-    pub fn bhattacharyya_distance(&self, other: &ColorHistogram) -> f64 {
-        (1.0 - self.bhattacharyya_coefficient(other))
-            .max(0.0)
-            .sqrt()
+    /// the re-identification metric of §4.1.4 — or `None` when the two are
+    /// not comparable (different bins per channel).
+    pub fn bhattacharyya_distance(&self, other: &ColorHistogram) -> Option<f64> {
+        self.bhattacharyya_coefficient(other)
+            .map(|bc| (1.0 - bc).max(0.0).sqrt())
     }
 }
 
 /// Running mean of histograms across a vehicle's tracklet, producing the
-/// final per-vehicle signature.
+/// final per-vehicle signature. The running sum stays dense (one buffer per
+/// live track); the signature it emits is sparse.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SignatureAccumulator {
     sum: Option<Vec<f64>>,
@@ -336,37 +395,48 @@ impl SignatureAccumulator {
         }
     }
 
-    /// Adds one frame's histogram.
+    /// Counts one more histogram and returns the running sum, zero-filled
+    /// at `cells` on the first add.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cells` differs from previously added histograms.
+    fn sum_for(&mut self, cells: usize, bins_per_channel: usize) -> &mut Vec<f64> {
+        self.count += 1;
+        let sum = self.sum.get_or_insert_with(|| vec![0.0; cells]);
+        assert_eq!(sum.len(), cells, "histogram bin counts differ");
+        self.bins_per_channel = bins_per_channel;
+        sum
+    }
+
+    /// Adds one frame's histogram. Identical numerics to
+    /// [`SignatureAccumulator::add_bins`] with its dense bins: adding a
+    /// zero bin leaves a sum unchanged.
     ///
     /// # Panics
     ///
     /// Panics if bin counts differ from previously added histograms.
     pub fn add(&mut self, h: &ColorHistogram) {
-        self.add_bins(&h.bins, h.bins_per_channel);
+        let b = h.bins_per_channel;
+        let sum = self.sum_for(b * b * b, b);
+        for &(i, v) in &h.bins {
+            sum[i] += v;
+        }
     }
 
-    /// Adds one frame's histogram from raw normalised bins — the
+    /// Adds one frame's histogram from raw normalised dense bins — the
     /// allocation-free twin of [`SignatureAccumulator::add`], fed straight
-    /// from a [`HistogramScratch`] buffer. Identical numerics: the running
-    /// sum accumulates element-wise in index order either way.
+    /// from a [`HistogramScratch`] buffer. The running sum accumulates
+    /// element-wise in index order.
     ///
     /// # Panics
     ///
     /// Panics if bin counts differ from previously added histograms.
     pub fn add_bins(&mut self, bins: &[f64], bins_per_channel: usize) {
-        match &mut self.sum {
-            None => {
-                self.sum = Some(bins.to_vec());
-                self.bins_per_channel = bins_per_channel;
-            }
-            Some(sum) => {
-                assert_eq!(sum.len(), bins.len(), "histogram bin counts differ");
-                for (s, v) in sum.iter_mut().zip(bins) {
-                    *s += v;
-                }
-            }
+        let sum = self.sum_for(bins.len(), bins_per_channel);
+        for (s, v) in sum.iter_mut().zip(bins) {
+            *s += v;
         }
-        self.count += 1;
     }
 
     /// Number of accumulated histograms.
@@ -378,14 +448,18 @@ impl SignatureAccumulator {
     pub fn signature(&self) -> Option<ColorHistogram> {
         let sum = self.sum.as_ref()?;
         let total: f64 = sum.iter().sum();
-        let bins = if total > 0.0 {
-            sum.iter().map(|v| v / total).collect()
+        Some(if total > 0.0 {
+            ColorHistogram {
+                bins_per_channel: self.bins_per_channel,
+                bins: sum
+                    .iter()
+                    .enumerate()
+                    .map(|(i, v)| (i, v / total))
+                    .filter(|&(_, v)| v > 0.0)
+                    .collect(),
+            }
         } else {
-            vec![1.0 / sum.len() as f64; sum.len()]
-        };
-        Some(ColorHistogram {
-            bins_per_channel: self.bins_per_channel,
-            bins,
+            ColorHistogram::uniform(self.bins_per_channel)
         })
     }
 }
@@ -429,17 +503,19 @@ mod tests {
     fn histogram_is_normalised() {
         let (frame, bbox) = render_vehicle(4, 1);
         let h = ColorHistogram::extract(&frame, &bbox, &HistogramConfig::default());
-        let sum: f64 = h.bins().iter().sum();
+        let sum: f64 = h.bins().iter().map(|&(_, v)| v).sum();
         assert!((sum - 1.0).abs() < 1e-9);
-        assert!(h.bins().iter().all(|&v| v >= 0.0));
+        assert!(h.bins().iter().all(|&(_, v)| v > 0.0));
+        assert!(h.bins().windows(2).all(|w| w[0].0 < w[1].0));
+        assert!(h.bins().len() < 512, "a vehicle signature is sparse");
     }
 
     #[test]
     fn identical_region_distance_zero() {
         let (frame, bbox) = render_vehicle(4, 1);
         let h = ColorHistogram::extract(&frame, &bbox, &HistogramConfig::default());
-        assert!(h.bhattacharyya_distance(&h) < 1e-6);
-        assert!((h.bhattacharyya_coefficient(&h) - 1.0).abs() < 1e-9);
+        assert!(h.bhattacharyya_distance(&h).unwrap() < 1e-6);
+        assert!((h.bhattacharyya_coefficient(&h).unwrap() - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -449,11 +525,8 @@ mod tests {
         let cfg = HistogramConfig::default();
         let ha = ColorHistogram::extract(&fa, &bbox, &cfg);
         let hb = ColorHistogram::extract(&fb, &bbox, &cfg);
-        assert!(
-            ha.bhattacharyya_distance(&hb) < 0.25,
-            "dist = {}",
-            ha.bhattacharyya_distance(&hb)
-        );
+        let d = ha.bhattacharyya_distance(&hb).unwrap();
+        assert!(d < 0.25, "dist = {d}");
     }
 
     #[test]
@@ -464,11 +537,11 @@ mod tests {
         let ha = ColorHistogram::extract(&fa, &bbox, &cfg);
         let hb = ColorHistogram::extract(&fb, &bbox, &cfg);
         let same = ColorHistogram::extract(&fa, &bbox, &cfg);
+        let diff = ha.bhattacharyya_distance(&hb).unwrap();
+        let same = ha.bhattacharyya_distance(&same).unwrap();
         assert!(
-            ha.bhattacharyya_distance(&hb) > 2.0 * ha.bhattacharyya_distance(&same) + 0.1,
-            "different colors must be farther apart: diff {} same {}",
-            ha.bhattacharyya_distance(&hb),
-            ha.bhattacharyya_distance(&same)
+            diff > 2.0 * same + 0.1,
+            "different colors must be farther apart: diff {diff} same {same}"
         );
     }
 
@@ -479,8 +552,8 @@ mod tests {
         let cfg = HistogramConfig::default();
         let ha = ColorHistogram::extract(&fa, &bbox, &cfg);
         let hb = ColorHistogram::extract(&fb, &bbox, &cfg);
-        let d1 = ha.bhattacharyya_distance(&hb);
-        let d2 = hb.bhattacharyya_distance(&ha);
+        let d1 = ha.bhattacharyya_distance(&hb).unwrap();
+        let d2 = hb.bhattacharyya_distance(&ha).unwrap();
         assert!((d1 - d2).abs() < 1e-12);
         assert!((0.0..=1.0).contains(&d1));
     }
@@ -491,8 +564,7 @@ mod tests {
         // Box entirely outside the frame.
         let bbox = BoundingBox::new(100.0, 100.0, 120.0, 120.0).unwrap();
         let h = ColorHistogram::extract(&frame, &bbox, &HistogramConfig::default());
-        let u = ColorHistogram::uniform(8);
-        assert!(h.bhattacharyya_distance(&u) < 1e-9);
+        assert_eq!(h, ColorHistogram::uniform(8));
     }
 
     #[test]
@@ -502,7 +574,7 @@ mod tests {
         let mut bbox = BoundingBox::new(2.0, 2.0, 10.0, 10.0).unwrap();
         bbox.x0 = 12.0;
         let h = ColorHistogram::extract(&frame, &bbox, &HistogramConfig::default());
-        assert!(h.bhattacharyya_distance(&ColorHistogram::uniform(8)) < 1e-9);
+        assert_eq!(h, ColorHistogram::uniform(8));
     }
 
     #[test]
@@ -532,14 +604,20 @@ mod tests {
         let ht = ColorHistogram::extract(&frame, &bbox, &tight);
         let hl = ColorHistogram::extract(&frame, &bbox, &loose);
         let red_bin = bin_index(255, 0, 0, 4);
+        let red = |h: &ColorHistogram| {
+            h.bins()
+                .iter()
+                .find(|b| b.0 == red_bin)
+                .map_or(0.0, |b| b.1)
+        };
         assert!(
-            ht.bins()[red_bin] > 0.5,
+            red(&ht) > 0.5,
             "tight sigma should be dominated by center: {}",
-            ht.bins()[red_bin]
+            red(&ht)
         );
         // Without center weighting, red covers only 64 of 1024 pixels.
-        assert!(hl.bins()[red_bin] < 0.2);
-        assert!(hl.bins()[red_bin] < ht.bins()[red_bin]);
+        assert!(red(&hl) < 0.2);
+        assert!(red(&hl) < red(&ht));
     }
 
     #[test]
@@ -555,16 +633,32 @@ mod tests {
         acc.add(&hb);
         assert_eq!(acc.count(), 2);
         let sig = acc.signature().unwrap();
-        let sum: f64 = sig.bins().iter().sum();
+        let sum: f64 = sig.bins().iter().map(|&(_, v)| v).sum();
         assert!((sum - 1.0).abs() < 1e-9);
         // Mean signature is close to both constituents.
-        assert!(sig.bhattacharyya_distance(&ha) < 0.2);
-        assert!(sig.bhattacharyya_distance(&hb) < 0.2);
+        assert!(sig.bhattacharyya_distance(&ha).unwrap() < 0.2);
+        assert!(sig.bhattacharyya_distance(&hb).unwrap() < 0.2);
+    }
+
+    #[test]
+    fn accumulating_sparse_matches_accumulating_dense() {
+        let cfg = HistogramConfig::default();
+        let mut scratch = HistogramScratch::new();
+        let (mut sparse, mut dense) = (SignatureAccumulator::new(), SignatureAccumulator::new());
+        for frame_seed in 1..4 {
+            let (frame, bbox) = render_vehicle(4, frame_seed);
+            ColorHistogram::extract_into(&frame, &bbox, &cfg, &mut scratch);
+            dense.add_bins(scratch.bins(), cfg.bins_per_channel);
+            sparse.add(&ColorHistogram::extract(&frame, &bbox, &cfg));
+        }
+        assert_eq!(sparse, dense);
+        assert_eq!(sparse.signature(), dense.signature());
     }
 
     #[test]
     fn from_bins_rejects_malformed_signatures() {
-        assert!(ColorHistogram::from_bins(2, vec![0.125; 8]).is_ok());
+        let h = ColorHistogram::from_bins(2, vec![0.0, 0.5, 0.0, 0.0, 0.0, 0.25, 0.25, 0.0]);
+        assert_eq!(h.unwrap().bins(), &[(1, 0.5), (5, 0.25), (6, 0.25)]);
         assert_eq!(
             ColorHistogram::from_bins(0, vec![1.0]),
             Err(HistogramError::BinsPerChannel(0))
@@ -580,6 +674,10 @@ mod tests {
                 actual: 1
             })
         );
+        assert_eq!(
+            ColorHistogram::from_bins(2, vec![0.0; 8]),
+            Err(HistogramError::Empty)
+        );
         let mut bins = vec![0.125; 8];
         for bad in [f64::NAN, f64::INFINITY, -3.0] {
             bins[5] = bad;
@@ -591,19 +689,56 @@ mod tests {
     }
 
     #[test]
-    fn decode_validates_and_encoding_is_unchanged() {
-        let h = ColorHistogram::uniform(2);
-        let json = serde_json::to_string(&h).unwrap();
-        assert_eq!(serde_json::from_str::<ColorHistogram>(&json).unwrap(), h);
-        let bad = json.replacen("0.125", "-0.125", 1);
-        assert!(serde_json::from_str::<ColorHistogram>(&bad).is_err());
+    fn from_sparse_rejects_malformed_signatures() {
+        let ok = vec![(1, 0.5), (5, 0.5)];
+        assert!(ColorHistogram::from_sparse(2, ok).is_ok());
+        let rejects = |bins_per_channel, bins: Vec<(usize, f64)>, want| {
+            assert_eq!(
+                ColorHistogram::from_sparse(bins_per_channel, bins),
+                Err(want)
+            );
+        };
+        rejects(0, vec![(0, 1.0)], HistogramError::BinsPerChannel(0));
+        rejects(
+            1 << 22,
+            vec![(0, 1.0)],
+            HistogramError::BinsPerChannel(1 << 22),
+        );
+        rejects(2, vec![], HistogramError::Empty);
+        rejects(2, vec![(5, 0.5), (1, 0.5)], HistogramError::Order(1));
+        rejects(2, vec![(1, 0.5), (1, 0.5)], HistogramError::Order(1));
+        let out_of_range = HistogramError::OutOfRange { index: 8, cells: 8 };
+        rejects(2, vec![(1, 0.5), (8, 0.5)], out_of_range);
+        rejects(2, vec![(1, 0.5), (3, 0.0)], HistogramError::Bin(3));
+        rejects(2, vec![(1, 0.5), (3, -0.5)], HistogramError::Bin(3));
+        rejects(2, vec![(1, f64::NAN)], HistogramError::Bin(1));
     }
 
     #[test]
-    #[should_panic(expected = "bin counts differ")]
-    fn mismatched_bins_panic() {
+    fn wire_form_is_sparse_and_decode_validates() {
+        let h = ColorHistogram::from_sparse(2, vec![(1, 0.5), (6, 0.5)]).unwrap();
+        let json = serde_json::to_string(&h).unwrap();
+        assert_eq!(json, r#"{"bins_per_channel":2,"bins":[[1,0.5],[6,0.5]]}"#);
+        assert_eq!(serde_json::from_str::<ColorHistogram>(&json).unwrap(), h);
+        for bad in [
+            json.replacen("0.5", "-0.5", 1),
+            json.replacen("[6,", "[1,", 1),
+            json.replacen("[6,", "[8,", 1),
+            json.replacen("[[1,0.5],[6,0.5]]", "[]", 1),
+        ] {
+            assert!(
+                serde_json::from_str::<ColorHistogram>(&bad).is_err(),
+                "{bad}"
+            );
+        }
+    }
+
+    #[test]
+    fn different_bins_per_channel_are_not_comparable() {
         let a = ColorHistogram::uniform(4);
         let b = ColorHistogram::uniform(8);
-        a.bhattacharyya_distance(&b);
+        assert_eq!(a.bhattacharyya_distance(&b), None);
+        assert_eq!(a.bhattacharyya_coefficient(&b), None);
+        assert!(a.bhattacharyya_distance(&a).is_some());
     }
 }

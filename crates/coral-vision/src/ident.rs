@@ -465,10 +465,12 @@ mod tests {
         let blue_at_cam3 = drive(&mut cam3, 5, 12).remove(0);
         let same = red_at_cam1
             .signature
-            .bhattacharyya_distance(&red_at_cam2.signature);
+            .bhattacharyya_distance(&red_at_cam2.signature)
+            .unwrap();
         let diff = red_at_cam1
             .signature
-            .bhattacharyya_distance(&blue_at_cam3.signature);
+            .bhattacharyya_distance(&blue_at_cam3.signature)
+            .unwrap();
         assert!(same < diff, "same-vehicle dist {same} vs diff {diff}");
         assert!(same < 0.3, "same-vehicle distance too large: {same}");
     }
@@ -704,10 +706,12 @@ mod tests {
 
         let d_gated = find(&gated, 4)
             .signature
-            .bhattacharyya_distance(&baseline.signature);
+            .bhattacharyya_distance(&baseline.signature)
+            .unwrap();
         let d_ungated = find(&ungated, 4)
             .signature
-            .bhattacharyya_distance(&baseline.signature);
+            .bhattacharyya_distance(&baseline.signature)
+            .unwrap();
         assert!(
             d_gated < d_ungated,
             "clean-frame signature must be closer to the solo baseline \

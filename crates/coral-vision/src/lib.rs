@@ -38,8 +38,7 @@ pub use bbox::{BoundingBox, InvalidBoxError};
 pub use detect::{Detection, Detector, DetectorNoise, PostProcessor, SyntheticSsdDetector};
 pub use frame::{Frame, FrameId, PixelSource, Rgb};
 pub use histogram::{
-    bhattacharyya_sum_flat, bhattacharyya_sum_naive, ColorHistogram, HistogramConfig,
-    HistogramError, HistogramScratch, SignatureAccumulator,
+    ColorHistogram, HistogramConfig, HistogramError, HistogramScratch, SignatureAccumulator,
 };
 pub use ident::{IdentConfig, IdentFrameResult, VehicleIdentification, VehicleObservation};
 pub use interval::{DetectAndTrack, DetectAndTrackConfig};

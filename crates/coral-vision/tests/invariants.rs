@@ -166,8 +166,8 @@ fn bhattacharyya_symmetry_and_range_on_seeded_histograms() {
     for round in 0..100 {
         let a = seeded_histogram(&mut rng);
         let b = seeded_histogram(&mut rng);
-        let ab = a.bhattacharyya_distance(&b);
-        let ba = b.bhattacharyya_distance(&a);
+        let ab = a.bhattacharyya_distance(&b).unwrap();
+        let ba = b.bhattacharyya_distance(&a).unwrap();
         assert!(
             (0.0..=1.0).contains(&ab),
             "round {round}: distance {ab} out of [0,1]"
@@ -177,10 +177,10 @@ fn bhattacharyya_symmetry_and_range_on_seeded_histograms() {
             "round {round}: asymmetric {ab} vs {ba}"
         );
         assert!(
-            a.bhattacharyya_distance(&a) < 1e-6,
+            a.bhattacharyya_distance(&a).unwrap() < 1e-6,
             "round {round}: self-distance must vanish"
         );
-        let coef = a.bhattacharyya_coefficient(&b);
+        let coef = a.bhattacharyya_coefficient(&b).unwrap();
         assert!(
             (0.0..=1.0).contains(&coef),
             "round {round}: coefficient {coef} out of [0,1]"
@@ -196,8 +196,8 @@ fn bhattacharyya_symmetry_and_range_on_seeded_histograms() {
 #[test]
 fn bhattacharyya_uniform_extremes() {
     let u = ColorHistogram::uniform(8);
-    assert!(u.bhattacharyya_distance(&u) < 1e-12);
-    assert!((u.bhattacharyya_coefficient(&u) - 1.0).abs() < 1e-9);
+    assert!(u.bhattacharyya_distance(&u).unwrap() < 1e-12);
+    assert!((u.bhattacharyya_coefficient(&u).unwrap() - 1.0).abs() < 1e-9);
 }
 
 #[test]

@@ -4,9 +4,8 @@
 //! identity of on-demand pixels with fully rendered frames.
 
 use coral_vision::{
-    bhattacharyya_sum_flat, bhattacharyya_sum_naive, BoundingBox, ColorHistogram, Frame,
-    GroundTruthId, HistogramConfig, HistogramScratch, KalmanBoxFilter, ObjectClass, PixelSource,
-    Renderer, Scene, SceneActor, VehicleAppearance,
+    BoundingBox, ColorHistogram, Frame, GroundTruthId, HistogramConfig, HistogramScratch,
+    KalmanBoxFilter, ObjectClass, PixelSource, Renderer, Scene, SceneActor, VehicleAppearance,
 };
 use proptest::prelude::*;
 
@@ -129,12 +128,12 @@ fn check_covariance_psd(p: &[[f64; 7]; 7]) -> Result<(), String> {
 proptest! {
     #[test]
     fn bhattacharyya_symmetry_and_range(a in arb_histogram(), b in arb_histogram()) {
-        let ab = a.bhattacharyya_distance(&b);
-        let ba = b.bhattacharyya_distance(&a);
+        let ab = a.bhattacharyya_distance(&b).unwrap();
+        let ba = b.bhattacharyya_distance(&a).unwrap();
         prop_assert!((0.0..=1.0).contains(&ab), "distance {} out of [0,1]", ab);
         prop_assert!((ab - ba).abs() < 1e-12, "asymmetric: {} vs {}", ab, ba);
-        prop_assert!(a.bhattacharyya_distance(&a) < 1e-6, "self-distance must vanish");
-        let coef = a.bhattacharyya_coefficient(&b);
+        prop_assert!(a.bhattacharyya_distance(&a).unwrap() < 1e-6, "self-distance must vanish");
+        let coef = a.bhattacharyya_coefficient(&b).unwrap();
         prop_assert!((0.0..=1.0).contains(&coef), "coefficient {} out of [0,1]", coef);
         // Distance and coefficient are the same comparison on two scales.
         prop_assert!(
@@ -163,25 +162,6 @@ proptest! {
         }
     }
 
-    /// The unrolled 8-lane Bhattacharyya kernel agrees with the scalar
-    /// reference fold on random densities of any length — including
-    /// lengths that are not a multiple of the lane width, so the
-    /// remainder loop is exercised. Both accumulate in index order, so
-    /// the agreement is far tighter than the 1e-6 contract.
-    #[test]
-    fn flat_bhattacharyya_matches_naive(
-        p in proptest::collection::vec(0.0f64..1.0, 1..200),
-        q in proptest::collection::vec(0.0f64..1.0, 1..200),
-    ) {
-        let n = p.len().min(q.len());
-        let flat = bhattacharyya_sum_flat(&p, &q);
-        let naive = bhattacharyya_sum_naive(&p[..n], &q[..n]);
-        prop_assert!(
-            (flat - naive).abs() <= 1e-6 * (1.0 + naive.abs()),
-            "flat={flat} naive={naive}"
-        );
-    }
-
     /// Extraction through a reused scratch arena is bit-identical to a
     /// fresh allocation, across consecutive frames and across a
     /// bins-per-channel change mid-sequence (which forces the arena to
@@ -205,8 +185,9 @@ proptest! {
             let config = HistogramConfig { bins_per_channel: bins, ..HistogramConfig::default() };
             let fresh = ColorHistogram::extract(&frame, &bbox, &config);
             ColorHistogram::extract_into(&frame, &bbox, &config, &mut scratch);
+            let through_arena = ColorHistogram::from_bins(bins, scratch.bins().to_vec());
             prop_assert_eq!(
-                fresh.bins(), scratch.bins(),
+                Ok(fresh), through_arena,
                 "frame {} diverged through the arena", i
             );
         }

@@ -4,7 +4,9 @@
 
 use coral_pie::core::{CameraSpec, CoralPieSystem, NodeConfig, SystemConfig};
 use coral_pie::geo::{generators, route, IntersectionId};
+use coral_pie::net::{FaultPlan, FaultPolicy, RetryPolicy};
 use coral_pie::obs::json::{parse, JsonValue};
+use coral_pie::obs::SampleValue;
 use coral_pie::sim::{FailureEvent, FailureKind, FailureSchedule, SimDuration, SimTime};
 use coral_pie::topology::CameraId;
 use coral_pie::vision::{DetectorNoise, ObjectClass};
@@ -160,14 +162,10 @@ fn registry_renders_prometheus_and_json_snapshots() {
         .any(|c| c.get("name").and_then(JsonValue::as_str) == Some("runtime_events_total")));
 }
 
-/// Informs addressed to a killed camera are consumed undelivered. On
-/// verbatim links (no faults, no reliability) that copy was the only one,
-/// so the send-time join behind `runtime_inform_latency_us` must forget
-/// it: once traffic has drained, nothing is in flight, as before the
-/// first inform. A 4x4 grid at 0.5 vehicles/s, camera 5 killed and
-/// restored every 20 s.
-#[test]
-fn informs_to_a_killed_camera_leave_nothing_in_flight() {
+/// Runs a 4x4 grid at 0.5 vehicles/s under `config`, camera 5 killed
+/// and restored every 20 s, until traffic has drained, and asserts some
+/// informs went undelivered to the dead camera.
+fn run_kill_restore_cycles(config: SystemConfig) -> CoralPieSystem {
     let net = generators::grid(4, 4, 120.0, 12.0);
     let specs: Vec<CameraSpec> = (0..16)
         .map(|i| CameraSpec {
@@ -176,14 +174,6 @@ fn informs_to_a_killed_camera_leave_nothing_in_flight() {
             videoing_angle_deg: 0.0,
         })
         .collect();
-    let config = SystemConfig {
-        node: NodeConfig {
-            detector_noise: DetectorNoise::perfect(),
-            ..NodeConfig::default()
-        },
-        ..SystemConfig::default()
-    };
-    assert!(config.faults.is_none() && config.reliability.is_none());
     let mut sys = CoralPieSystem::new(net.clone(), &specs, config);
     // Edge-to-edge trips, one every 2 s until 200 s; most cross the
     // interior, camera 5 included.
@@ -219,8 +209,8 @@ fn informs_to_a_killed_camera_leave_nothing_in_flight() {
     sys.run_until(SimTime::from_secs(300));
 
     let obs = sys.observability();
-    let registry = obs.registry();
-    let sent = registry
+    let sent = obs
+        .registry()
         .counter_value("runtime_messages_sent_total", &[("kind", "inform")])
         .unwrap_or(0);
     assert!(
@@ -228,5 +218,56 @@ fn informs_to_a_killed_camera_leave_nothing_in_flight() {
         "some informs must reach camera 5 while it is dead ({sent} sent, {} delivered)",
         obs.delivered("inform")
     );
+    sys
+}
+
+fn perfect_detector() -> NodeConfig {
+    NodeConfig {
+        detector_noise: DetectorNoise::perfect(),
+        ..NodeConfig::default()
+    }
+}
+
+/// Informs addressed to a killed camera are consumed undelivered. On
+/// verbatim links (no faults, no reliability) that copy was the only one,
+/// so the send-time join behind `runtime_inform_latency_us` must forget
+/// it: once traffic has drained, nothing is in flight, as before the
+/// first inform.
+#[test]
+fn informs_to_a_killed_camera_leave_nothing_in_flight() {
+    let config = SystemConfig {
+        node: perfect_detector(),
+        ..SystemConfig::default()
+    };
+    assert!(config.faults.is_none() && config.reliability.is_none());
+    let sys = run_kill_restore_cycles(config);
+    assert_eq!(sys.observability().informs_in_flight(), 0);
+}
+
+/// With reliability on, a dead camera consumes every retry of an inform
+/// until the sender abandons the frame (or a retry lands after the
+/// restore, and its delivery claims the send time): either way nothing is
+/// left in flight once traffic has drained, also over a lossy link.
+#[test]
+fn informs_to_a_killed_camera_leave_nothing_in_flight_with_reliability_on() {
+    let config = SystemConfig {
+        node: perfect_detector(),
+        faults: Some(FaultPlan::uniform(FaultPolicy::drop_only(0.05), 0x1eaf)),
+        reliability: Some(RetryPolicy::default()),
+        ..SystemConfig::default()
+    };
+    let sys = run_kill_restore_cycles(config);
+    let obs = sys.observability();
+    let gave_up: u64 = obs
+        .registry()
+        .collect()
+        .into_iter()
+        .filter(|s| s.key.name == "reliable_gave_up_total")
+        .map(|s| match s.value {
+            SampleValue::Counter(n) => n,
+            _ => 0,
+        })
+        .sum();
+    assert!(gave_up > 0, "some informs to the dead camera are abandoned");
     assert_eq!(obs.informs_in_flight(), 0);
 }
