@@ -184,6 +184,15 @@ if [ "$quick" -eq 0 ]; then
     PROPTEST_CASES=2048 cargo test -q --release -p coral-vision --test sparse_signature_oracle
 fi
 
+# Signature-gating oracle: one accumulator per track, reset at its first
+# clean frame, must emit the two-accumulator signature bit for bit and
+# extract exactly the histograms that can reach it (the default case
+# count already ran with the workspace tests).
+if [ "$quick" -eq 0 ]; then
+    echo "==> signature-gating oracle proptests (release, 2048 cases)"
+    PROPTEST_CASES=2048 cargo test -q --release -p coral-vision --test signature_gating_oracle
+fi
+
 # Health-engine oracle: the cached-series evaluator must produce the same
 # report JSON, journal bytes and overall verdict as the snapshot evaluator
 # it replaced, kept in the test (the default case count already ran with

@@ -3,10 +3,11 @@
 //! the §4.1.5 design-space ablations (every-frame SORT association cost,
 //! histogram extraction, Bhattacharyya matching).
 
+use coral_geo::Polygon;
 use coral_vision::{
-    hungarian, BoundingBox, ColorHistogram, Detector, DetectorNoise, HistogramConfig,
-    HistogramScratch, ObjectClass, Renderer, Scene, SceneActor, SortConfig, SortTracker,
-    SyntheticSsdDetector, VehicleAppearance,
+    hungarian, BoundingBox, ColorHistogram, Detector, DetectorNoise, FrameId, HistogramConfig,
+    HistogramScratch, IdentConfig, ObjectClass, PostProcessor, Renderer, Scene, SceneActor,
+    SortConfig, SortTracker, SyntheticSsdDetector, VehicleAppearance, VehicleIdentification,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -209,6 +210,49 @@ fn bench_render(c: &mut Criterion) {
     });
 }
 
+fn bench_ident_crossing(c: &mut Criterion) {
+    // Two cars crossing head-on on adjacent lanes, 60 frames: each covers
+    // the other's box for the middle frames, after clean frames on both
+    // sides, so overlap gating leaves those frames unextracted.
+    let scenes: Vec<Scene> = (0..60u32)
+        .map(|t| {
+            let x = 2.0 * f64::from(t);
+            Scene {
+                width: 240,
+                height: 192,
+                actors: [(60.0 + x, 90.0), (180.0 - x, 96.0)]
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(cx, cy))| SceneActor {
+                        gt: coral_vision::GroundTruthId(i as u64),
+                        class: ObjectClass::Car,
+                        bbox: BoundingBox::from_center(cx, cy, 36.0, 22.0).expect("valid"),
+                        appearance: VehicleAppearance::from_seed(i as u64),
+                    })
+                    .collect(),
+            }
+        })
+        .collect();
+    let config = IdentConfig {
+        signature_max_overlap: 0.25,
+        ..IdentConfig::default()
+    };
+    c.bench_function("ident_crossing_pair_gated", |b| {
+        b.iter(|| {
+            let mut ident = VehicleIdentification::new(
+                SyntheticSsdDetector::new(DetectorNoise::perfect(), 3),
+                PostProcessor::new(Polygon::rect(0.0, 0.0, 240.0, 192.0)),
+                config.clone(),
+                1,
+            );
+            for (t, scene) in scenes.iter().enumerate() {
+                ident.process_scene(FrameId(t as u64), scene);
+            }
+            ident.flush().len()
+        });
+    });
+}
+
 criterion_group!(
     benches,
     bench_hungarian,
@@ -216,6 +260,7 @@ criterion_group!(
     bench_detect,
     bench_histogram,
     bench_bhattacharyya,
-    bench_render
+    bench_render,
+    bench_ident_crossing
 );
 criterion_main!(benches);

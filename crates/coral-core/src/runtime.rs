@@ -762,16 +762,25 @@ impl SimWorld {
                 }
             }
         }
-        // An inform frame the sender's reliability layer abandons will
-        // never be delivered: forget its send time.
-        if config.reliability.is_some() {
-            for driver in &mut drivers {
-                let obs = obs.clone();
-                driver.transport_mut().on_abandon(move |peer, message| {
-                    if let (Endpoint::Camera(to), Message::Inform(event)) = (peer, message) {
-                        obs.forget_inform(event.event_id(), to);
-                    }
-                });
+        // An inform the sender's reliability layer abandons, or a bare one
+        // its fault layer drops, will never be delivered: forget its send
+        // time. A dropped `Sequenced` frame is retried, so the fault layer's
+        // hook passes over it.
+        let forget_inform = |obs: &CoreObs| {
+            let obs = obs.clone();
+            move |peer: Endpoint, message: &Message| {
+                if let (Endpoint::Camera(to), Message::Inform(event)) = (peer, message) {
+                    obs.forget_inform(event.event_id(), to);
+                }
+            }
+        };
+        for driver in &mut drivers {
+            let link = driver.transport_mut();
+            if config.reliability.is_some() {
+                link.on_abandon(forget_inform(&obs));
+            }
+            if config.faults.is_some() {
+                link.inner_mut().on_drop(forget_inform(&obs));
             }
         }
         // Spatial occupancy index for sparse stepping: one slot per driver
@@ -1413,16 +1422,19 @@ impl SimWorld {
                     // reliability stack — so a dead camera can never ack
                     // (the crash-stop the self-healing protocol assumes).
                     let frame = self.net.handle(endpoint).poll(now);
-                    // On a verbatim link (no faults, no reliability) that
-                    // frame was the only copy of an inform, so no delivery
-                    // will ever claim its send time. Elsewhere a duplicate
-                    // or a retry may still land after a restore; with
-                    // reliability on, the sender forgets the send time
-                    // when it abandons the frame.
-                    let verbatim =
-                        self.config.faults.is_none() && self.config.reliability.is_none();
+                    // A bare inform travels without reliability. Unless
+                    // the link duplicates, that frame was its only copy,
+                    // so no delivery will ever claim its send time. A
+                    // duplicate may still land after a restore; with
+                    // reliability on, frames are sequenced and the sender
+                    // forgets the send time when it abandons one.
+                    let single_copy = self
+                        .config
+                        .faults
+                        .as_ref()
+                        .is_none_or(|plan| plan.policy_for(endpoint).duplicate <= 0.0);
                     if let Some(Message::Inform(event)) = frame.map(|f| f.message) {
-                        if verbatim {
+                        if single_copy {
                             self.obs.forget_inform(event.event_id(), cam);
                         }
                     }

@@ -16,7 +16,7 @@
 //! bit-identical.
 
 use crate::message::Message;
-use crate::transport::{Endpoint, Envelope, SendError, Transport};
+use crate::transport::{Endpoint, Envelope, MessageHook, SendError, Transport};
 use coral_obs::{Counter, Gauge, Journal, JournalKind, Registry, Severity};
 use coral_sim::{SimDuration, SimTime};
 use rand::rngs::StdRng;
@@ -66,20 +66,6 @@ struct PendingFrame {
     next_retry: SimTime,
 }
 
-/// Called with the peer and the protocol message of each frame the layer
-/// abandons (see [`ReliableTransport::on_abandon`]).
-type AbandonHook = Box<dyn FnMut(Endpoint, &Message) + Send>;
-
-/// The optional [`AbandonHook`] (a closure has no `Debug`).
-#[derive(Default)]
-struct OnAbandon(Option<AbandonHook>);
-
-impl std::fmt::Debug for OnAbandon {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(if self.0.is_some() { "Some(..)" } else { "None" })
-    }
-}
-
 /// How many `(sender, seq)` entries the receive-side dedup window keeps
 /// per peer before forgetting the oldest.
 const DEDUP_WINDOW: usize = 4096;
@@ -110,7 +96,7 @@ pub struct ReliableTransport<T> {
     counters: Option<ReliableCounters>,
     journal: Option<Journal>,
     gave_up_total: u64,
-    on_abandon: OnAbandon,
+    on_abandon: MessageHook,
 }
 
 impl<T: Transport> ReliableTransport<T> {
@@ -128,7 +114,7 @@ impl<T: Transport> ReliableTransport<T> {
             counters: None,
             journal: None,
             gave_up_total: 0,
-            on_abandon: OnAbandon::default(),
+            on_abandon: MessageHook::default(),
         }
     }
 
@@ -147,7 +133,7 @@ impl<T: Transport> ReliableTransport<T> {
             counters: None,
             journal: None,
             gave_up_total: 0,
-            on_abandon: OnAbandon::default(),
+            on_abandon: MessageHook::default(),
         }
     }
 
@@ -212,7 +198,7 @@ impl<T: Transport> ReliableTransport<T> {
     /// abandoned after exhausting its retry budget, so the caller can
     /// release what it holds for a delivery that will never come.
     pub fn on_abandon(&mut self, hook: impl FnMut(Endpoint, &Message) + Send + 'static) {
-        self.on_abandon = OnAbandon(Some(Box::new(hook)));
+        self.on_abandon = MessageHook::new(hook);
     }
 
     fn count(&self, select: impl Fn(&ReliableCounters) -> &Counter) {
@@ -383,12 +369,10 @@ impl<T: Transport> Transport for ReliableTransport<T> {
             };
             let (peer, seq) = key;
             if frame.attempts >= policy.max_attempts {
-                if let (Some(frame), Some(hook)) =
-                    (self.pending.remove(&key), &mut self.on_abandon.0)
+                if let Some(Message::Sequenced { payload, .. }) =
+                    self.pending.remove(&key).map(|f| f.envelope.message)
                 {
-                    if let Message::Sequenced { payload, .. } = &frame.envelope.message {
-                        hook(peer, payload);
-                    }
+                    self.on_abandon.call(peer, &payload);
                 }
                 self.gave_up_total += 1;
                 self.count(|c| &c.gave_up);

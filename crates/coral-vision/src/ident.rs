@@ -107,10 +107,12 @@ pub struct IdentConfig {
     /// appearance signature. Crossing and queued vehicles draw each
     /// other's pixels inside the box, and a signature averaged over those
     /// frames matches the *neighbour* downstream; sampling only clean
-    /// frames keeps it discriminative. If a track never has a clean frame
-    /// its all-frames signature is used as a fallback, so no observation
-    /// is lost. `1.0` (the default) accumulates every frame and
-    /// reproduces the historical event stream bit-for-bit.
+    /// frames keeps it discriminative. A track's frames are extracted
+    /// until its first clean frame, so a track that never has one emits
+    /// the mean over all its frames and no observation is lost; from the
+    /// first clean frame on, only clean frames are extracted. `1.0` (the
+    /// default) counts every frame as clean and reproduces the historical
+    /// event stream bit-for-bit.
     pub signature_max_overlap: f64,
 }
 
@@ -129,15 +131,17 @@ impl Default for IdentConfig {
     }
 }
 
+/// One live track. Its signature takes every frame until the track's
+/// first clean frame (see [`IdentConfig::signature_max_overlap`]), is
+/// reset there, and from then on takes clean frames only: a contaminated
+/// frame after the first clean one is not extracted at all, since its
+/// histogram could never reach the event.
 #[derive(Debug, Clone)]
 struct Tracklet {
     centroids: Vec<Point2>,
-    /// All-frames signature (the legacy accumulator, and the fallback
-    /// when overlap gating leaves no clean frame).
     signature: SignatureAccumulator,
-    /// Clean-frames-only signature (populated when
-    /// [`IdentConfig::signature_max_overlap`] gating is enabled).
-    clean_signature: SignatureAccumulator,
+    /// Whether the track has had a clean frame.
+    clean: bool,
     first_frame: FrameId,
     last_frame: FrameId,
     last_bbox: BoundingBox,
@@ -254,25 +258,27 @@ impl<D: Detector> VehicleIdentification<D> {
             let entry = self.tracklets.entry(st.id).or_insert_with(|| Tracklet {
                 centroids: Vec::new(),
                 signature: SignatureAccumulator::new(),
-                clean_signature: SignatureAccumulator::new(),
+                clean: false,
                 first_frame: frame_id,
                 last_frame: frame_id,
                 last_bbox: st.bbox,
                 gt_votes: HashMap::new(),
             });
             entry.centroids.push(st.bbox.centroid());
-            ColorHistogram::extract_into(
-                pixels,
-                &st.bbox,
-                &self.config.histogram,
-                &mut self.scratch,
-            );
-            entry.signature.add_bins(
-                self.scratch.bins(),
-                self.config.histogram.bins_per_channel.max(1),
-            );
-            if overlap_gating && !contaminated {
-                entry.clean_signature.add_bins(
+            if !contaminated && !entry.clean {
+                // The first clean frame: the contaminated frames before it
+                // were only a fallback for a track that never gets clean.
+                entry.clean = true;
+                entry.signature = SignatureAccumulator::new();
+            }
+            if !contaminated || !entry.clean {
+                ColorHistogram::extract_into(
+                    pixels,
+                    &st.bbox,
+                    &self.config.histogram,
+                    &mut self.scratch,
+                );
+                entry.signature.add_bins(
                     self.scratch.bins(),
                     self.config.histogram.bins_per_channel.max(1),
                 );
@@ -356,10 +362,7 @@ impl<D: Detector> VehicleIdentification<D> {
             frames_observed: hits,
             bearing_deg: bearing,
             heading: bearing.map(Heading::from_bearing_deg),
-            signature: t
-                .clean_signature
-                .signature()
-                .or_else(|| t.signature.signature())?,
+            signature: t.signature.signature()?,
             last_bbox: t.last_bbox,
             ground_truth,
         })
@@ -648,8 +651,8 @@ mod tests {
 
     /// Regression: frames where another track covers the box beyond the
     /// overlap threshold must not contribute to the appearance signature —
-    /// and a track with *no* clean frame falls back to the all-frames
-    /// signature instead of losing its observation.
+    /// and a track with *no* clean frame keeps its all-frames signature
+    /// instead of losing its observation.
     #[test]
     fn signature_overlap_gating_keeps_signature_clean() {
         // Baseline: the red car (gt 4) crossing alone.
@@ -719,8 +722,8 @@ mod tests {
         );
 
         // The occluder never has a clean frame (it always rides on the red
-        // car), so gating must fall back to its all-frames signature
-        // rather than dropping the observation.
+        // car), so gating must keep its all-frames signature rather than
+        // dropping the observation.
         find(&gated, 5);
     }
 

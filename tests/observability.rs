@@ -271,3 +271,30 @@ fn informs_to_a_killed_camera_leave_nothing_in_flight_with_reliability_on() {
     assert!(gave_up > 0, "some informs to the dead camera are abandoned");
     assert_eq!(obs.informs_in_flight(), 0);
 }
+
+/// With faults on and no reliability layer, an inform the fault layer
+/// drops has no retry and no delivery: the fault layer reports the drop,
+/// so nothing is left in flight once traffic has drained.
+#[test]
+fn informs_dropped_by_a_faulty_link_leave_nothing_in_flight() {
+    let config = SystemConfig {
+        node: perfect_detector(),
+        faults: Some(FaultPlan::uniform(FaultPolicy::drop_only(0.05), 0x1eaf)),
+        ..SystemConfig::default()
+    };
+    assert!(config.reliability.is_none());
+    let sys = run_kill_restore_cycles(config);
+    let obs = sys.observability();
+    let dropped: u64 = obs
+        .registry()
+        .collect()
+        .into_iter()
+        .filter(|s| s.key.name == "chaos_dropped_total")
+        .map(|s| match s.value {
+            SampleValue::Counter(n) => n,
+            _ => 0,
+        })
+        .sum();
+    assert!(dropped > 0, "the fault layer drops some envelopes");
+    assert_eq!(obs.informs_in_flight(), 0);
+}
