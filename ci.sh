@@ -231,12 +231,16 @@ if [ "$quick" -eq 0 ]; then
     CORAL_STORAGE_SMOKE=1 cargo run --release -p coral-bench --bin exp_storage
 fi
 
-# Paper binaries scored by coral_eval::metrics: Table 2, the bandwidth
-# comparison, Figs. 10b and 12b, and the ablations must run to completion
-# (exp_bandwidth and exp_fig12b also assert their paper properties; ~2.5 s
-# in total). Skipped in --quick (needs the release build).
+# Paper binaries: Tables 1 and 2, Figs. 10a, 10b, 11, 11 under chaos, 12a
+# and 12b, the bandwidth comparison, scalability and the ablations must
+# run to completion. exp_fig10a asserts every inform reaches its camera
+# before the vehicle does, exp_bandwidth and exp_fig12b assert their paper
+# properties, and exp_fig11_chaos writes the health and journal artifacts
+# (~10 s in total, most of it exp_table1). Skipped in --quick (needs the
+# release build).
 if [ "$quick" -eq 0 ]; then
-    for bin in exp_table2 exp_bandwidth exp_fig10b exp_fig12b exp_ablations; do
+    for bin in exp_table1 exp_table2 exp_fig10a exp_fig10b exp_fig11 exp_fig11_chaos \
+        exp_fig12a exp_fig12b exp_bandwidth exp_scalability exp_ablations; do
         echo "==> ${bin} (release)"
         cargo run -q --release -p coral-bench --bin "$bin"
     done

@@ -97,6 +97,10 @@ fn main() {
         "mean message lead time: {:.2} s (paper: 'well ahead of the vehicle arrival')",
         mean_lead
     );
+    assert_eq!(
+        violations, 0,
+        "every inform must reach {observed} before its vehicle"
+    );
     // The stepped structure: vehicle arrivals cluster right after greens.
     let mut arrivals: Vec<f64> = telemetry
         .passages

@@ -229,9 +229,6 @@ struct CoreObsInner {
     /// re-identifications and confirms join the vehicle's trace. Written
     /// only while tracing is on.
     event_vehicle: HashMap<EventId, GroundTruthId>,
-    /// Send time of each in-flight inform, keyed by `(event, recipient)`
-    /// (the inform-latency histogram).
-    inform_sent: HashMap<(EventId, CameraId), SimTime>,
     /// Latest FOV-entry time per `(camera, vehicle)` — the start of the
     /// Track span. Written only while tracing is on.
     passage_entry: HashMap<(CameraId, GroundTruthId), SimTime>,
@@ -615,13 +612,10 @@ impl CoreObs {
             Message::Inform(event) => {
                 self.sent_informs.inc();
                 let tracer = self.tracer();
-                let mut inner = self.inner.lock();
-                inner.inform_sent.insert((event.event_id(), to), now);
                 if tracer.is_enabled() {
                     if let Some(gt) = event.ground_truth {
-                        inner.event_vehicle.insert(event.event_id(), gt);
+                        self.inner.lock().event_vehicle.insert(event.event_id(), gt);
                     }
-                    drop(inner);
                     tracer.instant(
                         Stage::InformSend.name(),
                         CAT_VEHICLE,
@@ -651,10 +645,9 @@ impl CoreObs {
         }
     }
 
-    /// A protocol message was delivered to camera `to`: counts it and its
-    /// JSON bytes by kind and, for an inform, observes its latency against
-    /// the handoff deadline (journaling a miss) and its transport-hop span.
-    pub fn observe_delivery(&self, at: SimTime, to: CameraId, message: &Message) {
+    /// A protocol message was delivered to a camera: counts it and its
+    /// JSON bytes by kind.
+    pub fn observe_delivery(&self, message: &Message) {
         let kind = match message {
             Message::Inform(_) => 0,
             Message::Confirm { .. } => 1,
@@ -670,18 +663,17 @@ impl CoreObs {
         };
         self.delivered[kind].inc();
         self.delivered_bytes[kind].add(message.encoded_len() as u64);
-        let Message::Inform(event) = message else {
+    }
+
+    /// The inform of `event` reached camera `to` over the network at `at`:
+    /// observes its latency against the handoff deadline (journaling a
+    /// miss) and its transport-hop span. An inform leaves in the commit
+    /// that produces its event, so the event's timestamp is its send time.
+    pub fn observe_inform_latency(&self, at: SimTime, to: CameraId, event: &DetectionEvent) {
+        let sent = SimTime::from_millis(event.timestamp_ms);
+        if sent > at {
             return;
-        };
-        let sent = self
-            .inner
-            .lock()
-            .inform_sent
-            .remove(&(event.event_id(), to))
-            .filter(|&s| s <= at);
-        let Some(sent) = sent else {
-            return;
-        };
+        }
         let latency_us = at.since(sent).as_micros();
         self.inform_latency.observe_us(latency_us);
         let deadline_us = self.handoff_deadline_us.load(Ordering::Relaxed);
@@ -711,20 +703,6 @@ impl CoreObs {
                 &[("from", ArgValue::U64(u64::from(event.camera.0)))],
             );
         }
-    }
-
-    /// The inform of `event` to camera `to` will never be delivered: it was
-    /// consumed undelivered on a link that carries exactly one copy of each
-    /// message, or the sender's reliability layer abandoned it. Forgets its
-    /// send time, which no delivery will ever claim.
-    pub fn forget_inform(&self, event: EventId, to: CameraId) {
-        self.inner.lock().inform_sent.remove(&(event, to));
-    }
-
-    /// Informs sent and not yet delivered (or forgotten): the size of the
-    /// send-time join behind `runtime_inform_latency_us`.
-    pub fn informs_in_flight(&self) -> usize {
-        self.inner.lock().inform_sent.len()
     }
 
     /// A heartbeat of `bytes` JSON bytes left a camera for the cloud.
@@ -892,7 +870,7 @@ mod tests {
         );
         obs.observe_heartbeat(64);
         let inform = Message::Inform(event(0, 1, Some(7)));
-        obs.observe_delivery(SimTime::from_millis(950), CameraId(1), &inform);
+        obs.observe_delivery(&inform);
         let r = obs.registry();
         assert_eq!(r.counter_value("runtime_passages_total", &[]), Some(1));
         assert_eq!(r.counter_value("runtime_events_total", &[]), Some(1));
@@ -915,11 +893,17 @@ mod tests {
         let e0 = event(0, 1, Some(4));
         obs.observe_event(CameraId(0), &e0, now);
         obs.observe_send(CameraId(0), CameraId(1), &Message::Inform(e0.clone()), now);
-        let inner = obs.inner.lock();
-        assert!(inner.event_vehicle.is_empty());
-        assert!(inner.passage_entry.is_empty());
-        // The inform-latency join is kept whether or not tracing is on.
-        assert_eq!(inner.inform_sent.len(), 1);
+        obs.observe_delivery(&Message::Inform(e0.clone()));
+        obs.observe_inform_latency(SimTime::from_millis(1_010), CameraId(1), &e0);
+        assert_eq!(obs.inform_latency.count(), 1);
+        // Nothing is kept per vehicle, passage or inform: every map is
+        // named here, so a new one must be checked too.
+        let CoreObsInner {
+            event_vehicle,
+            passage_entry,
+        } = &*obs.inner.lock();
+        assert!(event_vehicle.is_empty());
+        assert!(passage_entry.is_empty());
     }
 
     #[test]
@@ -935,11 +919,8 @@ mod tests {
         let e0 = event(0, 1, Some(4));
         obs.observe_event(CameraId(0), &e0, now);
         obs.observe_send(CameraId(0), CameraId(1), &Message::Inform(e0.clone()), now);
-        obs.observe_delivery(
-            SimTime::from_millis(1_010),
-            CameraId(1),
-            &Message::Inform(e0.clone()),
-        );
+        obs.observe_delivery(&Message::Inform(e0.clone()));
+        obs.observe_inform_latency(SimTime::from_millis(1_010), CameraId(1), &e0);
         let e1 = event(1, 9, Some(4));
         obs.observe_event(CameraId(1), &e1, SimTime::from_millis(9_000));
         obs.observe_reid(

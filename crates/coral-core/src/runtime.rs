@@ -622,7 +622,9 @@ pub struct SimWorld {
     /// The camera id of each slot (ascending).
     ids: Vec<CameraId>,
     alive: BTreeSet<CameraId>,
-    roster: BTreeSet<CameraId>,
+    /// Every deployed camera, the flooding target set, when
+    /// `config.broadcast` replaces MDCS routing.
+    broadcast_roster: Option<BTreeSet<CameraId>>,
     last_traffic_step: SimTime,
     telemetry: Telemetry,
     obs: CoreObs,
@@ -688,7 +690,8 @@ impl SimWorld {
     ) -> Self {
         let regions = stores.regions();
         assert_eq!(servers.len(), regions, "one topology server per region");
-        let roster: BTreeSet<CameraId> = drivers.keys().copied().collect();
+        let alive: BTreeSet<CameraId> = drivers.keys().copied().collect();
+        let broadcast_roster = config.broadcast.then(|| alive.clone());
         let (ids, mut drivers): (Vec<CameraId>, Vec<NodeDriver<SimLink>>) =
             drivers.into_iter().unzip();
         let obs = CoreObs::new();
@@ -762,27 +765,6 @@ impl SimWorld {
                 }
             }
         }
-        // An inform the sender's reliability layer abandons, or a bare one
-        // its fault layer drops, will never be delivered: forget its send
-        // time. A dropped `Sequenced` frame is retried, so the fault layer's
-        // hook passes over it.
-        let forget_inform = |obs: &CoreObs| {
-            let obs = obs.clone();
-            move |peer: Endpoint, message: &Message| {
-                if let (Endpoint::Camera(to), Message::Inform(event)) = (peer, message) {
-                    obs.forget_inform(event.event_id(), to);
-                }
-            }
-        };
-        for driver in &mut drivers {
-            let link = driver.transport_mut();
-            if config.reliability.is_some() {
-                link.on_abandon(forget_inform(&obs));
-            }
-            if config.faults.is_some() {
-                link.inner_mut().on_drop(forget_inform(&obs));
-            }
-        }
         // Spatial occupancy index for sparse stepping: one slot per driver
         // in `CameraId` order. Dead cameras keep their slot (their
         // candidate lists simply go unread). The anchor slack scales with the
@@ -816,8 +798,8 @@ impl SimWorld {
             net,
             traffic,
             arrivals: None,
-            alive: roster.clone(),
-            roster,
+            alive,
+            broadcast_roster,
             frames_synced: vec![0; drivers.len()],
             drivers,
             ids,
@@ -970,7 +952,7 @@ impl SimWorld {
                 arrived: now,
             });
         }
-        self.obs.observe_delivery(now, to, message);
+        self.obs.observe_delivery(message);
     }
 
     fn on_tick(&mut self, now: SimTime) {
@@ -984,7 +966,6 @@ impl SimWorld {
         self.last_traffic_step = now;
 
         let now_ms = now.as_millis();
-        let roster = self.config.broadcast.then(|| self.roster.clone());
 
         // Snapshot the vehicle states once (ascending `VehicleId`, into a
         // reused arena): the ground-truth FOV sets are computed from this
@@ -1165,7 +1146,12 @@ impl SimWorld {
             }
 
             let out = self.drivers[slot]
-                .commit(analysis, analyze_elapsed, now, roster.as_ref())
+                .commit(
+                    analysis,
+                    analyze_elapsed,
+                    now,
+                    self.broadcast_roster.as_ref(),
+                )
                 .expect(SIM_SEND);
             for e in &out.events {
                 self.telemetry.events.push((id, e.ground_truth, now));
@@ -1421,31 +1407,17 @@ impl SimWorld {
                     // Messages to dead cameras are consumed raw — off the
                     // reliability stack — so a dead camera can never ack
                     // (the crash-stop the self-healing protocol assumes).
-                    let frame = self.net.handle(endpoint).poll(now);
-                    // A bare inform travels without reliability. Unless
-                    // the link duplicates, that frame was its only copy,
-                    // so no delivery will ever claim its send time. A
-                    // duplicate may still land after a restore; with
-                    // reliability on, frames are sequenced and the sender
-                    // forgets the send time when it abandons one.
-                    let single_copy = self
-                        .config
-                        .faults
-                        .as_ref()
-                        .is_none_or(|plan| plan.policy_for(endpoint).duplicate <= 0.0);
-                    if let Some(Message::Inform(event)) = frame.map(|f| f.message) {
-                        if single_copy {
-                            self.obs.forget_inform(event.event_id(), cam);
-                        }
-                    }
+                    let _ = self.net.handle(endpoint).poll(now);
                     return;
                 }
                 let slot = self.slot(cam).expect("alive camera is deployed");
                 if let Some(envelope) = self.drivers[slot].transport_mut().poll(now) {
                     let message = envelope.message;
                     self.note_delivery(now, cam, &message);
-                    if let Message::TopologyUpdate(_) = &message {
-                        self.note_update_delivered(cam, now);
+                    match &message {
+                        Message::Inform(event) => self.obs.observe_inform_latency(now, cam, event),
+                        Message::TopologyUpdate(_) => self.note_update_delivered(cam, now),
+                        _ => {}
                     }
                     self.drivers[slot].deliver(message, now).expect(SIM_SEND);
                 }
@@ -1699,7 +1671,6 @@ impl SimWorld {
     pub(crate) fn finish(&mut self, now: SimTime) {
         let now_ms = now.as_millis();
         self.ground_truth.close_all(now_ms);
-        let roster = self.config.broadcast.then(|| self.roster.clone());
         let mut pending: Vec<(CameraId, Message)> = Vec::new();
         let ids: Vec<CameraId> = self.alive.iter().copied().collect();
         for id in ids {
@@ -1707,7 +1678,9 @@ impl SimWorld {
             // the state a dense run leaves it in.
             let slot = self.slot(id).expect("alive camera is deployed");
             self.sync_frames(slot, self.ticks);
-            let out = self.drivers[slot].node_mut().flush(now_ms, roster.as_ref());
+            let out = self.drivers[slot]
+                .node_mut()
+                .flush(now_ms, self.broadcast_roster.as_ref());
             for e in &out.events {
                 self.telemetry.events.push((id, e.ground_truth, now));
                 self.obs.observe_event(id, e, now);

@@ -9,12 +9,9 @@
 //! Injected faults are silent, like a real lossy wire: a dropped envelope
 //! still returns `Ok` from `send` — the sender learns nothing. Pair the
 //! wrapper with [`crate::ReliableTransport`] to recover at-least-once
-//! delivery on top. Bookkeeping outside the protocol (a simulator that
-//! joins sends to deliveries) can observe the drops through
-//! [`FaultyTransport::on_drop`].
+//! delivery on top.
 
-use crate::message::Message;
-use crate::transport::{Endpoint, Envelope, MessageHook, SendError, Transport};
+use crate::transport::{Endpoint, Envelope, SendError, Transport};
 use coral_obs::{Counter, Journal, JournalKind, Registry, Severity};
 use coral_sim::{SimDuration, SimTime};
 use rand::rngs::StdRng;
@@ -171,7 +168,6 @@ pub struct FaultyTransport<T> {
     /// attributed to the right region.
     region_label: Option<String>,
     endpoint: Endpoint,
-    on_drop: MessageHook,
 }
 
 impl<T: Transport> FaultyTransport<T> {
@@ -188,7 +184,6 @@ impl<T: Transport> FaultyTransport<T> {
             journal: None,
             region_label: None,
             endpoint,
-            on_drop: MessageHook::default(),
         }
     }
 
@@ -232,14 +227,6 @@ impl<T: Transport> FaultyTransport<T> {
     /// details carry the label so region-wide outages are attributable.
     pub fn set_region(&mut self, label: impl Into<String>) {
         self.region_label = Some(label.into());
-    }
-
-    /// Calls `hook` with the destination and the message of every envelope
-    /// this layer drops, by a random drop or toward a partitioned
-    /// destination, so the caller can release what it holds for a
-    /// delivery that will never come. The hook draws no randomness.
-    pub fn on_drop(&mut self, hook: impl FnMut(Endpoint, &Message) + Send + 'static) {
-        self.on_drop = MessageHook::new(hook);
     }
 
     /// Makes `to` unreachable at sim time `now`: subsequent sends toward
@@ -321,7 +308,6 @@ impl<T: Transport> Transport for FaultyTransport<T> {
         // and healing does not shift the fault stream of other links.
         if self.partitioned.contains(&envelope.to) {
             self.count(|c| &c.dropped);
-            self.on_drop.call(envelope.to, &envelope.message);
             return Ok(());
         }
         let policy = self.plan.policy_for(envelope.to);
@@ -337,7 +323,6 @@ impl<T: Transport> Transport for FaultyTransport<T> {
         if r_drop < policy.drop {
             self.count(|c| &c.dropped);
             // Silent loss: the wire gives no feedback.
-            self.on_drop.call(envelope.to, &envelope.message);
             return self.release_held(now);
         }
         let effective_now = if r_delay < policy.delay {
@@ -389,6 +374,7 @@ impl<T: Transport> Transport for FaultyTransport<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::Message;
     use crate::transport::SimNet;
     use coral_geo::GeoPoint;
     use coral_topology::CameraId;
@@ -445,56 +431,6 @@ mod tests {
         let a = run(7);
         assert_eq!(a, run(7), "same seed, same fault pattern");
         assert!((900..1000).contains(&a), "~5% dropped, got {}", 1000 - a);
-    }
-
-    #[test]
-    fn drop_hook_sees_random_and_partition_drops_only() {
-        let to = Endpoint::Camera(CameraId(1));
-        let run = |hooked: bool| {
-            let net = SimNet::instant();
-            let policy = FaultPolicy {
-                drop: 0.3,
-                duplicate: 0.3,
-                ..FaultPolicy::none()
-            };
-            let e0 = Endpoint::Camera(CameraId(0));
-            let mut tx = FaultyTransport::new(net.handle(e0), e0, FaultPlan::uniform(policy, 5));
-            let dropped = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-            if hooked {
-                let sink = dropped.clone();
-                tx.on_drop(move |peer, message| {
-                    assert_eq!(peer, to);
-                    sink.lock().unwrap().push(message.clone());
-                });
-            }
-            let mut rx = net.handle(to);
-            for i in 0..200 {
-                tx.send(SimTime::ZERO, envelope(i, 1)).unwrap();
-            }
-            tx.partition(to, SimTime::ZERO);
-            for i in 200..203 {
-                tx.send(SimTime::ZERO, envelope(i, 1)).unwrap();
-            }
-            let delivered: Vec<Message> = std::iter::from_fn(|| rx.poll(SimTime::ZERO))
-                .map(|e| e.message)
-                .collect();
-            let dropped = dropped.lock().unwrap().clone();
-            (delivered, dropped)
-        };
-        let (delivered, dropped) = run(true);
-        assert_eq!(run(false).0, delivered, "the hook draws no randomness");
-        let mut distinct = delivered.clone();
-        distinct.dedup();
-        assert!(distinct.len() < delivered.len(), "some were duplicated");
-        // Each envelope was delivered (once or twice) or reported, not both.
-        let mut seen = [distinct, dropped.clone()].concat();
-        seen.sort_by_key(|m| match m {
-            Message::Heartbeat { camera, .. } => camera.0,
-            _ => u32::MAX,
-        });
-        assert_eq!(seen, (0..203).map(heartbeat).collect::<Vec<_>>());
-        let partitioned: Vec<Message> = (200..203).map(heartbeat).collect();
-        assert!(dropped.ends_with(&partitioned));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! bit-identical.
 
 use crate::message::Message;
-use crate::transport::{Endpoint, Envelope, MessageHook, SendError, Transport};
+use crate::transport::{Endpoint, Envelope, SendError, Transport};
 use coral_obs::{Counter, Gauge, Journal, JournalKind, Registry, Severity};
 use coral_sim::{SimDuration, SimTime};
 use rand::rngs::StdRng;
@@ -96,7 +96,6 @@ pub struct ReliableTransport<T> {
     counters: Option<ReliableCounters>,
     journal: Option<Journal>,
     gave_up_total: u64,
-    on_abandon: MessageHook,
 }
 
 impl<T: Transport> ReliableTransport<T> {
@@ -114,7 +113,6 @@ impl<T: Transport> ReliableTransport<T> {
             counters: None,
             journal: None,
             gave_up_total: 0,
-            on_abandon: MessageHook::default(),
         }
     }
 
@@ -133,7 +131,6 @@ impl<T: Transport> ReliableTransport<T> {
             counters: None,
             journal: None,
             gave_up_total: 0,
-            on_abandon: MessageHook::default(),
         }
     }
 
@@ -192,13 +189,6 @@ impl<T: Transport> ReliableTransport<T> {
     /// escalations, abandoned frames) into the flight recorder.
     pub fn set_journal(&mut self, journal: Journal) {
         self.journal = Some(journal);
-    }
-
-    /// Calls `hook` with the peer and the protocol message of every frame
-    /// abandoned after exhausting its retry budget, so the caller can
-    /// release what it holds for a delivery that will never come.
-    pub fn on_abandon(&mut self, hook: impl FnMut(Endpoint, &Message) + Send + 'static) {
-        self.on_abandon = MessageHook::new(hook);
     }
 
     fn count(&self, select: impl Fn(&ReliableCounters) -> &Counter) {
@@ -369,11 +359,7 @@ impl<T: Transport> Transport for ReliableTransport<T> {
             };
             let (peer, seq) = key;
             if frame.attempts >= policy.max_attempts {
-                if let Some(Message::Sequenced { payload, .. }) =
-                    self.pending.remove(&key).map(|f| f.envelope.message)
-                {
-                    self.on_abandon.call(peer, &payload);
-                }
+                self.pending.remove(&key);
                 self.gave_up_total += 1;
                 self.count(|c| &c.gave_up);
                 self.journal_event(
@@ -579,35 +565,6 @@ mod tests {
             .counter_value("reliable_retries_total", &[("endpoint", "cam0")])
             .unwrap();
         assert_eq!(retries, 2, "attempts 2 and 3 were retransmissions");
-    }
-
-    #[test]
-    fn abandoned_frames_reach_the_hook_unwrapped() {
-        let net = SimNet::instant();
-        let e0 = Endpoint::Camera(CameraId(0));
-        let faulty = FaultyTransport::new(
-            net.handle(e0),
-            e0,
-            FaultPlan::uniform(FaultPolicy::none(), 1),
-        );
-        let policy = RetryPolicy {
-            max_attempts: 2,
-            ..RetryPolicy::default()
-        };
-        let mut a = ReliableTransport::new(faulty, e0, policy, 4);
-        let abandoned = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-        let sink = abandoned.clone();
-        a.on_abandon(move |peer, message| {
-            sink.lock().unwrap().push((peer, message.clone()));
-        });
-        let to = Endpoint::Camera(CameraId(1));
-        a.inner_mut().partition(to, SimTime::ZERO);
-        a.send(SimTime::ZERO, envelope(0, 1)).unwrap();
-        for s in 1..10 {
-            a.tick(SimTime::from_secs(s));
-        }
-        assert_eq!(a.gave_up_total(), 1);
-        assert_eq!(*abandoned.lock().unwrap(), vec![(to, heartbeat(0))]);
     }
 
     #[test]

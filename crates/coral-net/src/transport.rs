@@ -51,34 +51,6 @@ impl std::fmt::Display for Endpoint {
     }
 }
 
-/// An optional caller hook on the envelopes a transport layer loses,
-/// called with the peer and the protocol message (see
-/// [`crate::ReliableTransport::on_abandon`] and
-/// [`crate::FaultyTransport::on_drop`]).
-#[derive(Default)]
-pub(crate) struct MessageHook(Option<HookFn>);
-
-type HookFn = Box<dyn FnMut(Endpoint, &Message) + Send>;
-
-impl MessageHook {
-    pub(crate) fn new(hook: impl FnMut(Endpoint, &Message) + Send + 'static) -> Self {
-        Self(Some(Box::new(hook)))
-    }
-
-    pub(crate) fn call(&mut self, peer: Endpoint, message: &Message) {
-        if let Some(hook) = &mut self.0 {
-            hook(peer, message);
-        }
-    }
-}
-
-/// A closure has no `Debug`.
-impl std::fmt::Debug for MessageHook {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(if self.0.is_some() { "Some(..)" } else { "None" })
-    }
-}
-
 /// A routed message.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Envelope {
