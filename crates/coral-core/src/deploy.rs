@@ -49,7 +49,9 @@ pub struct SystemConfig {
     /// applied by every camera, re-seeded per camera so phantom draws are
     /// decorrelated. `None` keeps rendering clean.
     pub scene_effects: Option<SceneEffects>,
-    /// Replace MDCS routing with broadcast flooding (the §5.3 baseline).
+    /// Replace MDCS routing with broadcast flooding (the §5.3 baseline):
+    /// [`Deployment::make_node`] gives every node the deployed roster to
+    /// flood, so the switch holds in every deployment mode.
     pub broadcast: bool,
     /// Seeded fault injection on every link (chaos testing). `None` keeps
     /// the fault layer a verbatim passthrough.
@@ -222,8 +224,9 @@ impl Deployment {
     }
 
     /// Manufactures the camera node for placement `id`, sharing `storage`.
-    /// Seeds and view geometry are identical across deployment modes, so
-    /// the same placement produces the same node everywhere.
+    /// Seeds, view geometry and inform routing (MDCS, or the flood of every
+    /// placement when `broadcast` is set) are identical across deployment
+    /// modes, so the same placement produces the same node everywhere.
     pub fn make_node(&self, id: CameraId, storage: EdgeStorageNode) -> Option<CameraNode> {
         let &(_, position, angle) = self.placements.iter().find(|&&(c, _, _)| c == id)?;
         let view = CameraView {
@@ -237,14 +240,18 @@ impl Deployment {
                 .scene_effects
                 .map(|e| e.seeded(e.seed ^ u64::from(id.0).wrapping_mul(0x9e37_79b9_7f4a_7c15))),
         };
-        Some(CameraNode::new(
+        let mut node = CameraNode::new(
             id,
             view,
             self.config.node.clone(),
             self.config.frame_period,
             storage,
             self.config.seed ^ (NODE_SEED_BASE + id.0 as u64),
-        ))
+        );
+        if self.config.broadcast {
+            node.flood_to(self.placements.iter().map(|&(c, _, _)| c));
+        }
+        Some(node)
     }
 
     /// The ground-truth traffic model for this deployment.

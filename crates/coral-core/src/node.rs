@@ -15,7 +15,6 @@ use coral_vision::{
     DetectorNoise, Frame, FrameId, GroundTruthId, IdentConfig, PostProcessor, Scene,
     SyntheticSsdDetector, VehicleIdentification, VehicleObservation,
 };
-use std::collections::BTreeSet;
 
 /// Per-node configuration.
 #[derive(Debug, Clone)]
@@ -277,21 +276,14 @@ impl CameraNode {
         self.frame_seq += n;
     }
 
-    /// Processes one captured frame. `broadcast_roster`, when set, replaces
-    /// MDCS routing with flooding to every listed camera (the baseline of
-    /// §5.3); `None` uses the socket group.
+    /// Processes one captured frame.
     ///
     /// Equivalent to [`CameraNode::analyze_frame`] followed immediately by
     /// [`CameraNode::commit_frame`] — the split exists so the runtime can
     /// run the expensive analysis phase of many cameras in parallel.
-    pub fn on_frame(
-        &mut self,
-        scene: &Scene,
-        now_ms: u64,
-        broadcast_roster: Option<&BTreeSet<CameraId>>,
-    ) -> FrameOutput {
+    pub fn on_frame(&mut self, scene: &Scene, now_ms: u64) -> FrameOutput {
         let analysis = self.analyze_frame(scene);
-        self.commit_frame(analysis, now_ms, broadcast_roster)
+        self.commit_frame(analysis, now_ms)
     }
 
     /// The expensive, node-local half of frame processing: render the
@@ -344,12 +336,7 @@ impl CameraNode {
     /// detection event — storage vertex, pool re-identification, confirm
     /// and inform messages. The runtime calls this in strict `CameraId`
     /// order so shared effects interleave exactly as a sequential run.
-    pub fn commit_frame(
-        &mut self,
-        analysis: FrameAnalysis,
-        now_ms: u64,
-        broadcast_roster: Option<&BTreeSet<CameraId>>,
-    ) -> FrameOutput {
+    pub fn commit_frame(&mut self, analysis: FrameAnalysis, now_ms: u64) -> FrameOutput {
         if let Some((frame, annotations)) = analysis.stored {
             self.storage.ingest_frame(
                 self.id,
@@ -363,20 +350,16 @@ impl CameraNode {
         }
         let mut out = FrameOutput::default();
         for obs in analysis.completed {
-            self.handle_observation(obs, now_ms, broadcast_roster, &mut out);
+            self.handle_observation(obs, now_ms, &mut out);
         }
         out
     }
 
     /// Flushes in-flight tracks (end of stream), emitting their events.
-    pub fn flush(
-        &mut self,
-        now_ms: u64,
-        broadcast_roster: Option<&BTreeSet<CameraId>>,
-    ) -> FrameOutput {
+    pub fn flush(&mut self, now_ms: u64) -> FrameOutput {
         let mut out = FrameOutput::default();
         for obs in self.ident.flush() {
-            self.handle_observation(obs, now_ms, broadcast_roster, &mut out);
+            self.handle_observation(obs, now_ms, &mut out);
         }
         out
     }
@@ -416,18 +399,19 @@ impl CameraNode {
         }
     }
 
+    /// Floods every detection event to each other camera of `roster`
+    /// instead of routing it by MDCS (the §5.3 baseline; see
+    /// [`ConnectionManager::flood_to`]).
+    pub fn flood_to(&mut self, roster: impl IntoIterator<Item = CameraId>) {
+        self.connection.flood_to(roster);
+    }
+
     /// Builds the periodic heartbeat for the topology server.
     pub fn heartbeat(&mut self) -> Message {
         self.connection.heartbeat()
     }
 
-    fn handle_observation(
-        &mut self,
-        obs: VehicleObservation,
-        now_ms: u64,
-        broadcast_roster: Option<&BTreeSet<CameraId>>,
-        out: &mut FrameOutput,
-    ) {
+    fn handle_observation(&mut self, obs: VehicleObservation, now_ms: u64, out: &mut FrameOutput) {
         self.events_generated += 1;
         let span_frames = obs.last_frame.0.saturating_sub(obs.first_frame.0);
         let first_ms = now_ms.saturating_sub(span_frames * self.period_ms);
@@ -506,15 +490,8 @@ impl CameraNode {
         }
 
         // Informing stage: MDCS routing, or flooding for the baseline.
-        let informs = match broadcast_roster {
-            Some(roster) => {
-                let recipients: BTreeSet<CameraId> =
-                    roster.iter().copied().filter(|&c| c != self.id).collect();
-                self.connection.on_detection_to(event.clone(), recipients)
-            }
-            None => self.connection.on_detection(event.clone()),
-        };
-        out.messages.extend(informs);
+        out.messages
+            .extend(self.connection.on_detection(event.clone()));
         out.events.push(event);
     }
 }
@@ -571,12 +548,12 @@ mod tests {
         let mut all = FrameOutput::default();
         let mut now = t0_ms;
         for t in 0..frames {
-            let out = node.on_frame(&car_scene(gt, t), now, None);
+            let out = node.on_frame(&car_scene(gt, t), now);
             merge(&mut all, out);
             now += 96;
         }
         for _ in 0..6 {
-            let out = node.on_frame(&Scene::empty(200, 160), now, None);
+            let out = node.on_frame(&Scene::empty(200, 160), now);
             merge(&mut all, out);
             now += 96;
         }
@@ -683,34 +660,42 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_roster_floods_everyone_but_self() {
-        let storage = EdgeStorageNode::default();
-        let mut node = perfect_node(0, storage);
-        let roster: BTreeSet<CameraId> = (0..5).map(CameraId).collect();
-        let mut all = FrameOutput::default();
-        let mut now = 0;
-        for t in 0..12 {
-            merge(
-                &mut all,
-                node.on_frame(&car_scene(4, t), now, Some(&roster)),
-            );
-            now += 96;
-        }
-        for _ in 0..6 {
-            merge(
-                &mut all,
-                node.on_frame(&Scene::empty(200, 160), now, Some(&roster)),
-            );
-            now += 96;
-        }
-        let informs: Vec<CameraId> = all
+    fn broadcast_deployment_floods_everyone_but_self() {
+        use crate::deploy::{CameraSpec, Deployment, SystemConfig};
+        use coral_geo::{generators, IntersectionId};
+        let specs: Vec<CameraSpec> = (0..5)
+            .map(|i| CameraSpec {
+                id: CameraId(i),
+                site: IntersectionId(i),
+                videoing_angle_deg: 0.0,
+            })
+            .collect();
+        let config = SystemConfig {
+            node: NodeConfig {
+                detector_noise: DetectorNoise::perfect(),
+                ..NodeConfig::default()
+            },
+            broadcast: true,
+            ..SystemConfig::default()
+        };
+        let deployment =
+            Deployment::from_specs(generators::corridor(5, 100.0, 10.0), &specs, config);
+        let mut node = deployment
+            .make_node(CameraId(0), EdgeStorageNode::default())
+            .expect("placed");
+        // No MDCS table was ever pushed: every inform comes from the flood.
+        let out = drive(&mut node, 4, 12, 0);
+        let informs: Vec<CameraId> = out
             .messages
             .iter()
             .filter(|(_, m)| matches!(m, Message::Inform(_)))
             .map(|(c, _)| *c)
             .collect();
-        assert_eq!(informs.len(), 4, "four peers informed: {informs:?}");
-        assert!(!informs.contains(&CameraId(0)));
+        assert_eq!(
+            informs,
+            (1..5).map(CameraId).collect::<Vec<_>>(),
+            "every other placement informed once"
+        );
     }
 
     #[test]
@@ -739,15 +724,15 @@ mod tests {
         let mut all_b = FrameOutput::default();
         let mut now = 0;
         for t in 0..15 {
-            merge(&mut all_a, a.on_frame(&car_scene(4, t), now, None));
+            merge(&mut all_a, a.on_frame(&car_scene(4, t), now));
             let analysis = b.analyze_frame(&car_scene(4, t));
-            merge(&mut all_b, b.commit_frame(analysis, now, None));
+            merge(&mut all_b, b.commit_frame(analysis, now));
             now += 96;
         }
         for _ in 0..6 {
-            merge(&mut all_a, a.on_frame(&Scene::empty(200, 160), now, None));
+            merge(&mut all_a, a.on_frame(&Scene::empty(200, 160), now));
             let analysis = b.analyze_frame(&Scene::empty(200, 160));
-            merge(&mut all_b, b.commit_frame(analysis, now, None));
+            merge(&mut all_b, b.commit_frame(analysis, now));
             now += 96;
         }
         let ids_a: Vec<_> = all_a.events.iter().map(|e| e.event_id()).collect();
@@ -782,10 +767,10 @@ mod tests {
         let mut node = perfect_node(0, storage);
         let mut now = 0;
         for t in 0..8 {
-            node.on_frame(&car_scene(4, t), now, None);
+            node.on_frame(&car_scene(4, t), now);
             now += 96;
         }
-        let out = node.flush(now, None);
+        let out = node.flush(now);
         assert_eq!(out.events.len(), 1);
     }
 }

@@ -155,15 +155,10 @@ impl<T: Transport> NodeDriver<T> {
     /// # Errors
     ///
     /// Propagates the first transport failure.
-    pub fn capture(
-        &mut self,
-        scene: &Scene,
-        now: SimTime,
-        broadcast_roster: Option<&BTreeSet<CameraId>>,
-    ) -> Result<FrameOutput, SendError> {
+    pub fn capture(&mut self, scene: &Scene, now: SimTime) -> Result<FrameOutput, SendError> {
         let start = Instant::now();
         let analysis = self.node.analyze_frame(scene);
-        self.commit(analysis, start.elapsed(), now, broadcast_roster)
+        self.commit(analysis, start.elapsed(), now)
     }
 
     /// Commits a previously computed [`FrameAnalysis`]: runs the
@@ -181,12 +176,9 @@ impl<T: Transport> NodeDriver<T> {
         analysis: FrameAnalysis,
         analyze_elapsed: Duration,
         now: SimTime,
-        broadcast_roster: Option<&BTreeSet<CameraId>>,
     ) -> Result<FrameOutput, SendError> {
         let start = self.obs.is_some().then(Instant::now);
-        let mut out = self
-            .node
-            .commit_frame(analysis, now.as_millis(), broadcast_roster);
+        let mut out = self.node.commit_frame(analysis, now.as_millis());
         if let (Some(obs), Some(start)) = (&self.obs, start) {
             obs.note_frame(analyze_elapsed + start.elapsed());
         }
@@ -200,12 +192,8 @@ impl<T: Transport> NodeDriver<T> {
     /// # Errors
     ///
     /// Propagates the first transport failure.
-    pub fn flush(
-        &mut self,
-        now: SimTime,
-        broadcast_roster: Option<&BTreeSet<CameraId>>,
-    ) -> Result<FrameOutput, SendError> {
-        let mut out = self.node.flush(now.as_millis(), broadcast_roster);
+    pub fn flush(&mut self, now: SimTime) -> Result<FrameOutput, SendError> {
+        let mut out = self.node.flush(now.as_millis());
         self.send_all(now, &mut out.messages)?;
         Ok(out)
     }
@@ -622,9 +610,6 @@ pub struct SimWorld {
     /// The camera id of each slot (ascending).
     ids: Vec<CameraId>,
     alive: BTreeSet<CameraId>,
-    /// Every deployed camera, the flooding target set, when
-    /// `config.broadcast` replaces MDCS routing.
-    broadcast_roster: Option<BTreeSet<CameraId>>,
     last_traffic_step: SimTime,
     telemetry: Telemetry,
     obs: CoreObs,
@@ -691,7 +676,6 @@ impl SimWorld {
         let regions = stores.regions();
         assert_eq!(servers.len(), regions, "one topology server per region");
         let alive: BTreeSet<CameraId> = drivers.keys().copied().collect();
-        let broadcast_roster = config.broadcast.then(|| alive.clone());
         let (ids, mut drivers): (Vec<CameraId>, Vec<NodeDriver<SimLink>>) =
             drivers.into_iter().unzip();
         let obs = CoreObs::new();
@@ -799,7 +783,6 @@ impl SimWorld {
             traffic,
             arrivals: None,
             alive,
-            broadcast_roster,
             frames_synced: vec![0; drivers.len()],
             drivers,
             ids,
@@ -1146,12 +1129,7 @@ impl SimWorld {
             }
 
             let out = self.drivers[slot]
-                .commit(
-                    analysis,
-                    analyze_elapsed,
-                    now,
-                    self.broadcast_roster.as_ref(),
-                )
+                .commit(analysis, analyze_elapsed, now)
                 .expect(SIM_SEND);
             for e in &out.events {
                 self.telemetry.events.push((id, e.ground_truth, now));
@@ -1678,9 +1656,7 @@ impl SimWorld {
             // the state a dense run leaves it in.
             let slot = self.slot(id).expect("alive camera is deployed");
             self.sync_frames(slot, self.ticks);
-            let out = self.drivers[slot]
-                .node_mut()
-                .flush(now_ms, self.broadcast_roster.as_ref());
+            let out = self.drivers[slot].node_mut().flush(now_ms);
             for e in &out.events {
                 self.telemetry.events.push((id, e.ground_truth, now));
                 self.obs.observe_event(id, e, now);

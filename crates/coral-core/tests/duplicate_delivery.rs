@@ -63,14 +63,14 @@ fn drive(node: &mut CameraNode, gt: u64, frames: u32, t0_ms: u64) -> FrameOutput
     let mut all = FrameOutput::default();
     let mut now = t0_ms;
     for t in 0..frames {
-        let out = node.on_frame(&car_scene(gt, t), now, None);
+        let out = node.on_frame(&car_scene(gt, t), now);
         all.messages.extend(out.messages);
         all.events.extend(out.events);
         all.reids.extend(out.reids);
         now += 96;
     }
     for _ in 0..6 {
-        let out = node.on_frame(&Scene::empty(200, 160), now, None);
+        let out = node.on_frame(&Scene::empty(200, 160), now);
         all.messages.extend(out.messages);
         all.events.extend(out.events);
         all.reids.extend(out.reids);

@@ -4,7 +4,8 @@
 //! Responsibilities (paper Fig. 7 and §3.2/§4.1.3):
 //!
 //! - route each local detection event to the MDCS for its heading
-//!   (informing stage) and remember who was informed;
+//!   (informing stage), or flood it to a fixed roster for the §5.3
+//!   baseline, and remember who was informed;
 //! - on a confirmation from a downstream camera, relay the confirmation to
 //!   all *other* informed cameras so they can garbage-collect the event
 //!   from their candidate pools (confirming stage);
@@ -13,9 +14,7 @@
 
 use crate::message::{DetectionEvent, EventId, Message};
 use crate::socket_group::SocketGroup;
-use crate::transport::{Endpoint, Envelope, SendError, Transport};
 use coral_geo::GeoPoint;
-use coral_sim::SimTime;
 use coral_topology::{CameraId, MdcsUpdate};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
@@ -39,6 +38,9 @@ pub struct ConnectionManager {
     position: GeoPoint,
     videoing_angle_deg: f64,
     group: SocketGroup,
+    /// The flood recipients (every other deployed camera) when the §5.3
+    /// broadcast baseline replaces MDCS routing; `None` routes by `group`.
+    flood: Option<BTreeSet<CameraId>>,
     /// Events we informed downstream, with the informed set, so a
     /// confirmation can be relayed to the others. Bounded FIFO.
     informed: HashMap<EventId, BTreeSet<CameraId>>,
@@ -56,6 +58,7 @@ impl ConnectionManager {
             position,
             videoing_angle_deg,
             group: SocketGroup::new(),
+            flood: None,
             informed: HashMap::new(),
             informed_order: VecDeque::new(),
             max_pending: 4096,
@@ -79,23 +82,23 @@ impl ConnectionManager {
         self.stats
     }
 
-    /// Informing stage: routes a freshly generated detection event to the
-    /// MDCS of its heading. Returns `(recipient, message)` pairs for the
-    /// transport to deliver.
-    pub fn on_detection(&mut self, event: DetectionEvent) -> Vec<(CameraId, Message)> {
-        let recipients = self.group.recipients(event.heading);
-        self.on_detection_to(event, recipients)
+    /// Replaces MDCS routing with flooding to every camera of `roster`
+    /// but this one: the broadcast baseline the paper compares against
+    /// (§5.3 reports that broadcasting to all five cameras yields >83%
+    /// redundant pool entries). Decided once, at deployment.
+    pub fn flood_to(&mut self, roster: impl IntoIterator<Item = CameraId>) {
+        let me = self.camera;
+        self.flood = Some(roster.into_iter().filter(|&c| c != me).collect());
     }
 
-    /// Informing stage with an explicit recipient set — used by the
-    /// broadcast-flooding baseline the paper compares against (§5.3 reports
-    /// that broadcasting to all five cameras yields >83% redundant pool
-    /// entries).
-    pub fn on_detection_to(
-        &mut self,
-        event: DetectionEvent,
-        recipients: BTreeSet<CameraId>,
-    ) -> Vec<(CameraId, Message)> {
+    /// Informing stage: routes a freshly generated detection event to the
+    /// MDCS of its heading, or to the flood roster when one is set.
+    /// Returns `(recipient, message)` pairs for the transport to deliver.
+    pub fn on_detection(&mut self, event: DetectionEvent) -> Vec<(CameraId, Message)> {
+        let recipients = match &self.flood {
+            Some(roster) => roster.clone(),
+            None => self.group.recipients(event.heading),
+        };
         let id = event.event_id();
         if !recipients.is_empty() {
             self.remember(id, recipients.clone());
@@ -181,82 +184,6 @@ impl ConnectionManager {
     /// Number of events awaiting confirmation.
     pub fn pending_confirmations(&self) -> usize {
         self.informed.len()
-    }
-
-    /// Informing stage over any [`Transport`]: routes `event` to the MDCS
-    /// of its heading and sends each inform. Returns the number sent.
-    ///
-    /// # Errors
-    ///
-    /// Stops at — and returns — the first transport failure.
-    pub fn inform_via<T: Transport>(
-        &mut self,
-        transport: &mut T,
-        now: SimTime,
-        event: DetectionEvent,
-    ) -> Result<usize, SendError> {
-        let out = self.on_detection(event);
-        self.deliver_via(transport, now, out)
-    }
-
-    /// Confirming stage over any [`Transport`]: relays a downstream
-    /// camera's confirmation to all other informed cameras. Returns the
-    /// number of relays sent.
-    ///
-    /// # Errors
-    ///
-    /// Stops at — and returns — the first transport failure.
-    pub fn relay_confirmation_via<T: Transport>(
-        &mut self,
-        transport: &mut T,
-        now: SimTime,
-        event: EventId,
-        reidentified_by: CameraId,
-    ) -> Result<usize, SendError> {
-        let out = self.on_confirmation(event, reidentified_by);
-        self.deliver_via(transport, now, out)
-    }
-
-    /// Sends the periodic heartbeat to the topology server over any
-    /// [`Transport`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the transport failure.
-    pub fn heartbeat_via<T: Transport>(
-        &mut self,
-        transport: &mut T,
-        now: SimTime,
-    ) -> Result<(), SendError> {
-        let message = self.heartbeat();
-        transport.send(
-            now,
-            Envelope {
-                from: Endpoint::Camera(self.camera),
-                to: Endpoint::TopologyServer,
-                message,
-            },
-        )
-    }
-
-    fn deliver_via<T: Transport>(
-        &self,
-        transport: &mut T,
-        now: SimTime,
-        out: Vec<(CameraId, Message)>,
-    ) -> Result<usize, SendError> {
-        let n = out.len();
-        for (to, message) in out {
-            transport.send(
-                now,
-                Envelope {
-                    from: Endpoint::Camera(self.camera),
-                    to: Endpoint::Camera(to),
-                    message,
-                },
-            )?;
-        }
-        Ok(n)
     }
 
     fn remember(&mut self, id: EventId, informed: BTreeSet<CameraId>) {
@@ -472,35 +399,6 @@ mod tests {
         assert!(position.lat > 33.0);
         assert_eq!(videoing_angle_deg, 0.0);
         assert_eq!(cm.stats().heartbeats_sent, 1);
-    }
-
-    #[test]
-    fn protocol_round_over_a_transport() {
-        use crate::transport::{InProcRouter, InProcTransport, Transport};
-        let router = InProcRouter::new();
-        let mut t0 = InProcTransport::attach(&router, Endpoint::Camera(CameraId(0)));
-        let mut t1 = InProcTransport::attach(&router, Endpoint::Camera(CameraId(1)));
-        let mut server = InProcTransport::attach(&router, Endpoint::TopologyServer);
-
-        let mut cam_a = manager_with_corridor_mdcs();
-        let e = event(CameraId(0), 1, Some(Heading::East));
-        let sent = cam_a.inform_via(&mut t0, SimTime::ZERO, e.clone()).unwrap();
-        assert_eq!(sent, 1);
-        let env = t1.poll(SimTime::ZERO).expect("inform delivered");
-        assert!(matches!(env.message, Message::Inform(_)));
-
-        // Heartbeat reaches the server endpoint.
-        cam_a.heartbeat_via(&mut t0, SimTime::ZERO).unwrap();
-        let hb = server.poll(SimTime::ZERO).expect("heartbeat delivered");
-        assert_eq!(hb.to, Endpoint::TopologyServer);
-
-        // Confirmation relay: the only informed camera is the confirmer,
-        // so nothing is relayed, but the pending entry is consumed.
-        let relays = cam_a
-            .relay_confirmation_via(&mut t0, SimTime::ZERO, e.event_id(), CameraId(1))
-            .unwrap();
-        assert_eq!(relays, 0);
-        assert_eq!(cam_a.pending_confirmations(), 0);
     }
 
     #[test]

@@ -6,10 +6,7 @@
 //! this reproduction the group resolves *recipients*; actual delivery is
 //! the transport's job.
 
-use crate::message::Message;
-use crate::transport::{Endpoint, Envelope, SendError, Transport};
 use coral_geo::Heading;
-use coral_sim::SimTime;
 use coral_topology::{CameraId, MdcsTable};
 use std::collections::BTreeSet;
 
@@ -65,35 +62,6 @@ impl SocketGroup {
     /// All downstream cameras across headings.
     pub fn all_downstream(&self) -> BTreeSet<CameraId> {
         self.table.all_downstream()
-    }
-
-    /// Sends `message` from `from` to every recipient of `heading` over
-    /// any [`Transport`]. Returns the number of envelopes sent.
-    ///
-    /// # Errors
-    ///
-    /// Stops at — and returns — the first transport failure.
-    pub fn send_via<T: Transport>(
-        &self,
-        transport: &mut T,
-        now: SimTime,
-        from: CameraId,
-        heading: Option<Heading>,
-        message: &Message,
-    ) -> Result<usize, SendError> {
-        let recipients = self.recipients(heading);
-        let n = recipients.len();
-        for to in recipients {
-            transport.send(
-                now,
-                Envelope {
-                    from: Endpoint::Camera(from),
-                    to: Endpoint::Camera(to),
-                    message: message.clone(),
-                },
-            )?;
-        }
-        Ok(n)
     }
 }
 
@@ -160,29 +128,6 @@ mod tests {
             g.recipients(None),
             BTreeSet::from([CameraId(0), CameraId(2)])
         );
-    }
-
-    #[test]
-    fn send_via_transport_reaches_every_recipient() {
-        use crate::transport::{InProcRouter, InProcTransport};
-        let (mid_table, _) = corridor_tables();
-        let mut g = SocketGroup::new();
-        g.reconfigure(mid_table);
-        let router = InProcRouter::new();
-        let mut cam0 = InProcTransport::attach(&router, Endpoint::Camera(CameraId(0)));
-        let mut cam2 = InProcTransport::attach(&router, Endpoint::Camera(CameraId(2)));
-        let mut tx = InProcTransport::attach(&router, Endpoint::Camera(CameraId(1)));
-        let msg = Message::Heartbeat {
-            camera: CameraId(1),
-            position: coral_geo::GeoPoint::new(33.77, -84.39),
-            videoing_angle_deg: 0.0,
-        };
-        let n = g
-            .send_via(&mut tx, SimTime::ZERO, CameraId(1), None, &msg)
-            .unwrap();
-        assert_eq!(n, 2);
-        assert!(cam0.poll(SimTime::ZERO).is_some());
-        assert!(cam2.poll(SimTime::ZERO).is_some());
     }
 
     #[test]

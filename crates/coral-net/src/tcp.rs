@@ -148,6 +148,10 @@ fn accept_loop(listener: TcpListener, tx: Sender<Envelope>, stop: Arc<AtomicBool
     while !stop.load(Ordering::Relaxed) {
         match listener.accept() {
             Ok((stream, _)) => {
+                // The listener polls without blocking; its readers block.
+                if stream.set_nonblocking(false).is_err() {
+                    continue;
+                }
                 let tx = tx.clone();
                 // One short-lived connection per message batch.
                 std::thread::spawn(move || {
@@ -162,8 +166,12 @@ fn accept_loop(listener: TcpListener, tx: Sender<Envelope>, stop: Arc<AtomicBool
     }
 }
 
-fn read_frames(mut stream: TcpStream, tx: &Sender<Envelope>) -> Result<(), TcpError> {
-    stream.set_nonblocking(false)?;
+/// Reads length-prefixed frames from `stream` until it ends, handing each
+/// decoded envelope to `tx` in arrival order. A clean end of stream (also
+/// one inside a length prefix) is `Ok`; a bad length, an undecodable
+/// payload or a payload cut short stops at that frame with a [`TcpError`],
+/// after every frame before it was delivered.
+fn read_frames(mut stream: impl Read, tx: &Sender<Envelope>) -> Result<(), TcpError> {
     loop {
         let mut len_buf = [0u8; 4];
         match stream.read_exact(&mut len_buf) {
@@ -193,7 +201,7 @@ fn read_frames(mut stream: TcpStream, tx: &Sender<Envelope>) -> Result<(), TcpEr
 }
 
 /// Serialises `envelope` and writes it as one length-prefixed frame.
-fn write_frame(stream: &mut TcpStream, envelope: &Envelope) -> Result<(), TcpError> {
+fn write_frame(stream: &mut impl Write, envelope: &Envelope) -> Result<(), TcpError> {
     let wire = WireEnvelope {
         from: envelope.from,
         to: envelope.to,
@@ -507,6 +515,7 @@ mod tests {
     use coral_geo::GeoPoint;
     use coral_topology::CameraId;
     use coral_vision::{ColorHistogram, TrackId};
+    use proptest::prelude::*;
     use std::time::Duration;
 
     fn heartbeat(cam: u32) -> Message {
@@ -802,5 +811,135 @@ mod tests {
             std::thread::sleep(Duration::from_millis(20));
         }
         assert!(failed, "sends to a closed listener should eventually fail");
+    }
+
+    /// The bytes of one well-formed frame carrying `envelope`.
+    fn frame_bytes(envelope: &Envelope) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, envelope).expect("frame fits");
+        bytes
+    }
+
+    /// The `i`-th valid test envelope: heartbeats and informs alternate.
+    fn valid_envelope(i: u32) -> Envelope {
+        Envelope {
+            from: Endpoint::Camera(CameraId(i)),
+            to: Endpoint::TopologyServer,
+            message: if i.is_multiple_of(2) {
+                heartbeat(i)
+            } else {
+                inform(i)
+            },
+        }
+    }
+
+    /// One piece of a hostile stream.
+    #[derive(Debug, Clone)]
+    enum Chunk {
+        /// A well-formed frame.
+        Valid(u32),
+        /// A length prefix of 0 or above `MAX_FRAME_BYTES`, then some bytes.
+        BadLength(u32, Vec<u8>),
+        /// A well-formed length prefix over a payload that is not JSON (a
+        /// leading 0xFF byte can start no JSON value).
+        Garbage(Vec<u8>),
+    }
+
+    impl Chunk {
+        fn bytes(&self) -> Vec<u8> {
+            match self {
+                Chunk::Valid(i) => frame_bytes(&valid_envelope(*i)),
+                Chunk::BadLength(len, rest) => {
+                    let mut bytes = len.to_be_bytes().to_vec();
+                    bytes.extend_from_slice(rest);
+                    bytes
+                }
+                Chunk::Garbage(rest) => {
+                    let mut payload = vec![0xFF];
+                    payload.extend_from_slice(rest);
+                    let mut bytes = (payload.len() as u32).to_be_bytes().to_vec();
+                    bytes.extend(payload);
+                    bytes
+                }
+            }
+        }
+    }
+
+    fn arb_bytes(max: usize) -> impl Strategy<Value = Vec<u8>> {
+        proptest::collection::vec(0u8..=255, 0..max)
+    }
+
+    fn arb_chunk() -> impl Strategy<Value = Chunk> {
+        prop_oneof![
+            (0u32..16).prop_map(Chunk::Valid),
+            (0u32..16).prop_map(Chunk::Valid),
+            arb_bytes(16).prop_map(|rest| Chunk::BadLength(0, rest)),
+            (MAX_FRAME_BYTES + 1..=u32::MAX, arb_bytes(16))
+                .prop_map(|(len, rest)| Chunk::BadLength(len, rest)),
+            arb_bytes(64).prop_map(Chunk::Garbage),
+        ]
+    }
+
+    /// Feeds `bytes` to the frame reader; returns its result and every
+    /// envelope it delivered, in order.
+    fn read_all(bytes: &[u8]) -> (Result<(), TcpError>, Vec<Envelope>) {
+        let (tx, rx) = unbounded();
+        let result = read_frames(bytes, &tx);
+        drop(tx);
+        (result, rx.iter().collect())
+    }
+
+    proptest! {
+        #[test]
+        fn arbitrary_bytes_never_panic(
+            bytes in arb_bytes(256),
+            len in 1u32..96,
+            payload in arb_bytes(96),
+        ) {
+            // The reader's result is already `Ok` or a typed error; the
+            // property is that no input panics. Raw bytes almost always
+            // open with a bad length prefix...
+            let _ = read_all(&bytes);
+            // ...so a plausible length over arbitrary bytes reaches the
+            // decoder (or ends inside the payload).
+            let mut framed = len.to_be_bytes().to_vec();
+            framed.extend(payload);
+            let _ = read_all(&framed);
+        }
+
+        #[test]
+        fn frames_before_the_first_bad_one_are_delivered_in_order(
+            chunks in proptest::collection::vec(arb_chunk(), 0..8),
+            truncated in proptest::option::of((0u32..16, 1usize..10_000)),
+        ) {
+            let mut bytes = Vec::new();
+            for chunk in &chunks {
+                bytes.extend(chunk.bytes());
+            }
+            // Optionally end on a valid frame cut short.
+            let mut cut_in_payload = false;
+            if let Some((i, cut)) = truncated {
+                let whole = frame_bytes(&valid_envelope(i));
+                let cut = cut % whole.len();
+                cut_in_payload = cut >= 4;
+                bytes.extend_from_slice(&whole[..cut]);
+            }
+            let first_bad = chunks.iter().position(|c| !matches!(c, Chunk::Valid(_)));
+            let expected: Vec<Envelope> = chunks[..first_bad.unwrap_or(chunks.len())]
+                .iter()
+                .map(|c| match c {
+                    Chunk::Valid(i) => valid_envelope(*i),
+                    _ => unreachable!("only valid chunks precede the first bad one"),
+                })
+                .collect();
+
+            let (result, delivered) = read_all(&bytes);
+            prop_assert_eq!(delivered, expected);
+            match (first_bad, cut_in_payload) {
+                (Some(_), _) => prop_assert!(matches!(result, Err(TcpError::Frame(_))), "{result:?}"),
+                (None, true) => prop_assert!(matches!(result, Err(TcpError::Io(_))), "{result:?}"),
+                (None, false) => prop_assert!(result.is_ok(), "{result:?}"),
+            }
+        }
     }
 }

@@ -61,12 +61,11 @@ proptest! {
         confirmer_first in proptest::bool::ANY,
     ) {
         let mut cm = middle_manager();
-        // Broadcast-style inform to both neighbours so the relay set is
-        // non-trivial.
-        let recipients: BTreeSet<CameraId> =
-            [CameraId(0), CameraId(2)].into_iter().collect();
+        // Flood the whole roster (self included: it is skipped) so both
+        // neighbours are informed and the relay set is non-trivial.
+        cm.flood_to((0..3).map(CameraId));
         let e = event(1, track, Some(Heading::East));
-        cm.on_detection_to(e.clone(), recipients);
+        prop_assert_eq!(cm.on_detection(e.clone()).len(), 2);
         let confirmer = if confirmer_first { CameraId(0) } else { CameraId(2) };
         let relays = cm.on_confirmation(e.event_id(), confirmer);
         prop_assert_eq!(relays.len(), 1);

@@ -40,6 +40,6 @@ pub use occupancy::{slack_for, OccupancyIndex, DEFAULT_SLACK_M, MIN_REUSE_TICKS}
 pub use scenario::{IncidentSpec, Regime, ScenarioSpec};
 pub use time::{SimDuration, SimTime};
 pub use traffic::{
-    CarFollowModel, IdmParams, KraussParams, MobilParams, PoissonArrivals, SurgeProfile,
-    TrafficConfig, TrafficEvent, TrafficModel, VehicleId, VehicleState,
+    CarFollowModel, IdmParams, MobilParams, PoissonArrivals, SurgeProfile, TrafficConfig,
+    TrafficEvent, TrafficModel, VehicleId, VehicleState,
 };

@@ -183,15 +183,6 @@ impl CameraView {
     }
 
     /// Builds the scene from a pre-gathered candidate list of vehicle
-    /// states, with time-dependent effects evaluated at `t = 0`.
-    pub fn scene_from_states<'a>(
-        &self,
-        states: impl IntoIterator<Item = &'a VehicleState>,
-    ) -> Scene {
-        self.scene_from_states_at(states, 0)
-    }
-
-    /// Builds the scene from a pre-gathered candidate list of vehicle
     /// states at simulation time `now_ms`.
     ///
     /// The list may be any superset of the vehicles actually in FOV (the

@@ -54,7 +54,7 @@ pub const MIN_REUSE_TICKS: f64 = 8.0;
 /// [`DEFAULT_SLACK_M`].
 ///
 /// Use [`TrafficConfig::max_speed_mps`] as the speed envelope — every
-/// stepping model (first-order, IDM, Krauss) caps instantaneous speed at
+/// stepping model (first-order or IDM) caps instantaneous speed at
 /// the jittered cruise draw that bound covers.
 ///
 /// [`TrafficConfig::max_speed_mps`]: crate::traffic::TrafficConfig::max_speed_mps

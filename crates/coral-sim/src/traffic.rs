@@ -8,7 +8,7 @@
 //!
 //! # Car-following models
 //!
-//! Three stepping models are available through
+//! Two stepping models are available through
 //! [`TrafficConfig::model`]:
 //!
 //! * [`CarFollowModel::FirstOrder`] (the default) — the legacy kinematic
@@ -19,12 +19,8 @@
 //!   `a = a_max·[1 − (v/v0)^δ − (s*/s)²]` with desired gap
 //!   `s* = s0 + max(0, v·T + v·Δv/(2·√(a_max·b)))`, integrated with
 //!   semi-implicit Euler (`v += a·h` then `x += v·h`).
-//! * [`CarFollowModel::Krauss`] — the Krauss safe-speed model:
-//!   `v_safe = −b·τ + √(b²τ² + v_l² + 2·b·max(0, gap − s0))`, desired
-//!   speed `min(v + a·h, v0, v_safe)` minus a deterministic dawdling
-//!   term `σ·a·h`.
 //!
-//! Under a microscopic model, multi-lane edges
+//! Under IDM, multi-lane edges
 //! ([`TrafficConfig::lanes_per_edge`] > 1) support MOBIL lane changes
 //! ([`TrafficConfig::mobil`]): a vehicle moves to an adjacent sub-lane
 //! when the acceleration gain exceeds
@@ -34,7 +30,7 @@
 //! deterministic and independent of iteration order.
 //!
 //! Red lights act as a virtual stopped leader just before the stop line,
-//! so IDM/Krauss vehicles decelerate smoothly instead of teleporting to
+//! so IDM vehicles decelerate smoothly instead of teleporting to
 //! the line.
 //!
 //! # Determinism contract
@@ -150,34 +146,6 @@ impl Default for IdmParams {
     }
 }
 
-/// Krauss safe-speed model parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct KraussParams {
-    /// Driver reaction time `τ`, seconds.
-    pub reaction_s: f64,
-    /// Maximum acceleration `a`, m/s².
-    pub accel_mps2: f64,
-    /// Maximum deceleration `b`, m/s².
-    pub decel_mps2: f64,
-    /// Standstill minimum gap `s0`, meters.
-    pub min_gap_m: f64,
-    /// Deterministic dawdling factor `σ` (fraction of `a·h` shaved off
-    /// the desired speed each step; 0 disables).
-    pub sigma: f64,
-}
-
-impl Default for KraussParams {
-    fn default() -> Self {
-        Self {
-            reaction_s: 1.0,
-            accel_mps2: 1.8,
-            decel_mps2: 2.5,
-            min_gap_m: 2.0,
-            sigma: 0.1,
-        }
-    }
-}
-
 /// MOBIL lane-change parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MobilParams {
@@ -209,8 +177,6 @@ pub enum CarFollowModel {
     FirstOrder,
     /// Intelligent Driver Model.
     Idm(IdmParams),
-    /// Krauss safe-speed model.
-    Krauss(KraussParams),
 }
 
 /// Traffic model configuration.
@@ -228,8 +194,8 @@ pub struct TrafficConfig {
     #[serde(default)]
     pub model: CarFollowModel,
     /// Sub-lanes per directed edge (≥1). Values above 1 spread vehicles
-    /// laterally and, under a microscopic model with [`Self::mobil`]
-    /// set, enable lane changing.
+    /// laterally and, under IDM with [`Self::mobil`] set, enable lane
+    /// changing.
     #[serde(default)]
     pub lanes_per_edge: u32,
     /// MOBIL lane-change parameters (`None` disables lane changes).
@@ -292,16 +258,9 @@ fn idm_accel(p: &IdmParams, v: f64, v0: f64, leader: Option<(f64, f64)>) -> f64 
     p.accel_mps2 * (free - inter)
 }
 
-/// Krauss safe speed toward a leader `(gap, v_leader)`.
-fn krauss_vsafe(p: &KraussParams, gap: f64, vl: f64) -> f64 {
-    let bt = p.decel_mps2 * p.reaction_s;
-    let g = (gap - p.min_gap_m).max(0.0);
-    -bt + (bt * bt + vl * vl + 2.0 * p.decel_mps2 * g).sqrt()
-}
-
-/// Speed after `h` seconds under a microscopic model (semi-implicit
-/// Euler for IDM; safe-speed update for Krauss). `FirstOrder` never
-/// reaches this (it has its own stepper); return `v0` for totality.
+/// Speed after `h` seconds under IDM (semi-implicit Euler).
+/// `FirstOrder` never reaches this (it has its own stepper); return `v0`
+/// for totality.
 fn micro_next_speed(
     model: &CarFollowModel,
     v: f64,
@@ -312,11 +271,6 @@ fn micro_next_speed(
     match model {
         CarFollowModel::FirstOrder => v0,
         CarFollowModel::Idm(p) => (v + idm_accel(p, v, v0, leader) * h).clamp(0.0, v0),
-        CarFollowModel::Krauss(p) => {
-            let vsafe = leader.map_or(f64::INFINITY, |(g, vl)| krauss_vsafe(p, g, vl));
-            let vdes = (v + p.accel_mps2 * h).min(v0).min(vsafe);
-            (vdes - p.sigma * p.accel_mps2 * h).max(0.0)
-        }
     }
 }
 
@@ -679,9 +633,7 @@ impl TrafficModel {
         self.pending = still_pending;
         match self.config.model {
             CarFollowModel::FirstOrder => self.step_first_order(now, dt, &mut done),
-            CarFollowModel::Idm(_) | CarFollowModel::Krauss(_) => {
-                self.step_microscopic(now, dt, &mut done)
-            }
+            CarFollowModel::Idm(_) => self.step_microscopic(now, dt, &mut done),
         }
         for id in done {
             if let Some(v) = self.vehicles.remove(&id) {
@@ -798,7 +750,7 @@ impl TrafficModel {
     }
 
     /// The microscopic stepper: MOBIL lane changes on start-of-step
-    /// state, then IDM/Krauss speed updates with semi-implicit Euler
+    /// state, then IDM speed updates with semi-implicit Euler
     /// integration. Red lights brake vehicles as a virtual stopped
     /// leader at the stop line.
     fn step_microscopic(&mut self, now: SimTime, dt: SimDuration, done: &mut Vec<VehicleId>) {
@@ -1629,7 +1581,7 @@ mod tests {
         assert_eq!(tm.state_of(v).unwrap().appearance_seed, v.0);
     }
 
-    // --- PR 8: IDM / Krauss / MOBIL ---
+    // --- IDM / MOBIL ---
 
     fn idm_config() -> TrafficConfig {
         TrafficConfig {
@@ -1734,31 +1686,6 @@ mod tests {
         assert!(p < 300.0, "crossed the stop line: {p:.1}");
         assert!(saw_braking, "no smooth deceleration observed");
         assert_eq!(tm.journey_of(v).unwrap().len(), 1, "crossed on red");
-    }
-
-    #[test]
-    fn krauss_vehicle_cruises_and_completes() {
-        let net = straight_net();
-        let r = straight_route(&net);
-        let cfg = TrafficConfig {
-            mean_speed_mps: 10.0,
-            speed_jitter_mps: 0.0,
-            model: CarFollowModel::Krauss(KraussParams::default()),
-            ..TrafficConfig::default()
-        };
-        let mut tm = TrafficModel::new(net, cfg, 1);
-        let v = tm.spawn(SimTime::ZERO, r, Some(ObjectClass::Car));
-        let mut now = SimTime::ZERO;
-        let mut completed = false;
-        for _ in 0..800 {
-            let evs = tm.step(now, SimDuration::from_millis(100));
-            now += SimDuration::from_millis(100);
-            if evs.contains(&TrafficEvent::Completed(v)) {
-                completed = true;
-                break;
-            }
-        }
-        assert!(completed, "Krauss vehicle never finished the corridor");
     }
 
     #[test]

@@ -116,7 +116,7 @@ fn main() {
                 // of the run can fail a send — tolerated, like any LAN.
                 received += driver.pump(now, |_| {}).unwrap_or(0) as u64;
                 let scene = { driver.node().view().scene(&cam_traffic.lock()) };
-                let _ = driver.capture(&scene, now, None);
+                let _ = driver.capture(&scene, now);
                 thread::sleep(Duration::from_millis(4));
             }
             let (node, transport) = driver.into_parts();

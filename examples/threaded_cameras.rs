@@ -156,12 +156,12 @@ fn main() {
                 driver.pump(now, |_| {}).expect("peers reachable");
                 // One frame; the driver sends the resulting informs.
                 let scene = { driver.node().view().scene(&cam_traffic.lock()) };
-                let out = driver.capture(&scene, now, None).expect("peers reachable");
+                let out = driver.capture(&scene, now).expect("peers reachable");
                 sent += out.reids.len() as u64;
                 thread::sleep(Duration::from_millis(4)); // ~96 ms scaled 1/24
             }
             let now = SimTime::from_millis(cam_clock.load(Ordering::Relaxed));
-            driver.flush(now, None).expect("peers reachable");
+            driver.flush(now).expect("peers reachable");
             (cam, driver.node().events_generated(), sent)
         }));
     }

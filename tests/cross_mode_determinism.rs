@@ -8,8 +8,12 @@
 //! changes *when* messages move, not *what* the system concludes. Vertices
 //! are compared as (camera, ground-truth) pairs and edges as the pairs
 //! they connect; timestamps and latencies are deliberately excluded.
+//! The §5.3 broadcast baseline is decided when `Deployment::make_node`
+//! builds each node, so both modes flood alike.
 
-use coral_pie::core::{CameraSpec, Deployment, NodeConfig, NodeDriver, ServerDriver, SystemConfig};
+use coral_pie::core::{
+    CameraNode, CameraSpec, Deployment, NodeConfig, NodeDriver, ServerDriver, SystemConfig,
+};
 use coral_pie::geo::{generators, route, IntersectionId, RoadNetwork};
 use coral_pie::net::{Endpoint, InProcRouter, InProcTransport, Transport};
 use coral_pie::sim::{SimTime, TrafficModel};
@@ -20,7 +24,7 @@ use coral_pie::vision::{DetectorNoise, ObjectClass};
 const N: u32 = 5;
 const RUN_SECS: u64 = 90;
 
-fn corridor_deployment() -> Deployment {
+fn corridor_deployment(broadcast: bool) -> Deployment {
     let net = generators::corridor(N as usize, 120.0, 12.0);
     let specs: Vec<CameraSpec> = (0..N)
         .map(|i| CameraSpec {
@@ -37,6 +41,7 @@ fn corridor_deployment() -> Deployment {
                 detector_noise: DetectorNoise::perfect(),
                 ..NodeConfig::default()
             },
+            broadcast,
             seed: 11,
             ..SystemConfig::default()
         },
@@ -53,8 +58,36 @@ fn spawn_workload(traffic: &mut TrafficModel, net: &RoadNetwork) {
     traffic.spawn(SimTime::from_secs(9), east, Some(ObjectClass::Car));
 }
 
+/// What a run concluded: the sorted vertex labels (camera + ground truth),
+/// the sorted edge labels (the endpoints' labels), and the totals of
+/// detection events generated and informs sent over all cameras.
+struct RunSummary {
+    vertices: Vec<String>,
+    edges: Vec<String>,
+    events: u64,
+    informs: u64,
+}
+
+fn summarize<'a>(
+    storage: &EdgeStorageNode,
+    nodes: impl Iterator<Item = &'a CameraNode>,
+) -> RunSummary {
+    let (vertices, edges) = graph_signature(storage);
+    let (mut events, mut informs) = (0, 0);
+    for node in nodes {
+        events += node.events_generated();
+        informs += node.connection().stats().informs_sent;
+    }
+    RunSummary {
+        vertices,
+        edges,
+        events,
+        informs,
+    }
+}
+
 /// The timing-free summary of a trajectory graph: sorted vertex labels
-/// (camera + ground truth) and sorted edge labels (the endpoints' labels).
+/// and sorted edge labels.
 fn graph_signature(storage: &EdgeStorageNode) -> (Vec<String>, Vec<String>) {
     storage.with_graph(|g| {
         let label = |id| {
@@ -76,18 +109,19 @@ fn graph_signature(storage: &EdgeStorageNode) -> (Vec<String>, Vec<String>) {
 }
 
 /// Mode 1: the discrete-event runtime over `SimTransport`.
-fn run_des(deployment: Deployment) -> (Vec<String>, Vec<String>) {
+fn run_des(deployment: Deployment) -> RunSummary {
     let net = deployment.net().clone();
     let mut runtime = deployment.build();
     spawn_workload(runtime.world_mut().traffic_mut(), &net);
     runtime.run_until(SimTime::from_secs(RUN_SECS));
     runtime.finish();
-    graph_signature(runtime.world().storage())
+    let world = runtime.world();
+    summarize(world.storage(), world.nodes().map(|(_, node)| node))
 }
 
 /// Mode 2: the same drivers hand-driven over the in-process router with a
 /// virtual frame clock — single-threaded, so delivery order is fixed.
-fn run_inproc(deployment: Deployment) -> (Vec<String>, Vec<String>) {
+fn run_inproc(deployment: Deployment) -> RunSummary {
     let router = InProcRouter::new();
     let storage = EdgeStorageNode::default();
     let mut server = ServerDriver::new(
@@ -147,14 +181,14 @@ fn run_inproc(deployment: Deployment) -> (Vec<String>, Vec<String>) {
         // exactly like the DES tick.
         for d in cams.iter_mut() {
             let scene = d.node().view().scene(&traffic);
-            d.capture(&scene, now, None).expect("in-proc send");
+            d.capture(&scene, now).expect("in-proc send");
         }
     }
 
     // End of stream: flush in-flight tracks, then drain message cascades
     // (informs beget confirmations) until the network is quiet.
     for d in cams.iter_mut() {
-        d.flush(last, None).expect("in-proc send");
+        d.flush(last).expect("in-proc send");
     }
     loop {
         let mut moved = 0;
@@ -166,28 +200,55 @@ fn run_inproc(deployment: Deployment) -> (Vec<String>, Vec<String>) {
             break;
         }
     }
-    graph_signature(&storage)
+    summarize(&storage, cams.iter().map(NodeDriver::node))
 }
 
-#[test]
-fn des_and_inproc_modes_build_the_same_graph() {
-    let (des_vertices, des_edges) = run_des(corridor_deployment());
-    let (ip_vertices, ip_edges) = run_inproc(corridor_deployment());
+/// Runs `deployment(broadcast)` in both modes, checks that they agree, and
+/// returns the DES run.
+fn assert_modes_agree(broadcast: bool) -> RunSummary {
+    let des = run_des(corridor_deployment(broadcast));
+    let ip = run_inproc(corridor_deployment(broadcast));
 
     // The workload is non-trivial in both modes: every vehicle is seen by
     // every camera, and re-identification links the passages.
     assert!(
-        des_vertices.len() >= N as usize,
-        "DES vertices: {des_vertices:?}"
+        des.vertices.len() >= N as usize,
+        "DES vertices: {:?}",
+        des.vertices
     );
-    assert!(!des_edges.is_empty(), "DES made no re-identifications");
+    assert!(!des.edges.is_empty(), "DES made no re-identifications");
 
     assert_eq!(
-        des_vertices, ip_vertices,
+        des.vertices, ip.vertices,
         "vertex sets diverge between DES and in-process modes"
     );
     assert_eq!(
-        des_edges, ip_edges,
+        des.edges, ip.edges,
         "edge sets diverge between DES and in-process modes"
+    );
+    assert_eq!(
+        (des.events, des.informs),
+        (ip.events, ip.informs),
+        "event and inform totals diverge between DES and in-process modes"
+    );
+    des
+}
+
+#[test]
+fn des_and_inproc_modes_build_the_same_graph() {
+    let des = assert_modes_agree(false);
+    assert!(
+        des.informs < des.events * u64::from(N - 1),
+        "MDCS routing informs fewer cameras than a flood"
+    );
+}
+
+#[test]
+fn des_and_inproc_modes_flood_alike_when_broadcasting() {
+    let des = assert_modes_agree(true);
+    assert_eq!(
+        des.informs,
+        des.events * u64::from(N - 1),
+        "every event floods every other camera"
     );
 }

@@ -181,13 +181,13 @@ fn run_threaded(drop: f64) -> RunResult {
                 }
                 driver.pump(now, |_| {}).expect("peers reachable");
                 let scene = { driver.node().view().scene(&cam_traffic.lock()) };
-                driver.capture(&scene, now, None).expect("peers reachable");
+                driver.capture(&scene, now).expect("peers reachable");
                 // Drive the retransmission timers (no-op on clean links).
                 driver.transport_mut().tick(now);
                 thread::sleep(Duration::from_millis(2));
             }
             let now = SimTime::from_millis(cam_clock.load(Ordering::Relaxed));
-            driver.flush(now, None).expect("peers reachable");
+            driver.flush(now).expect("peers reachable");
         }));
     }
 

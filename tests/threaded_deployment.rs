@@ -90,11 +90,11 @@ fn threads_and_router_build_a_track() {
                 let now = SimTime::from_millis(cam_clock.load(Ordering::Relaxed));
                 driver.pump(now, |_| {}).expect("peers reachable");
                 let scene = { driver.node().view().scene(&cam_traffic.lock()) };
-                driver.capture(&scene, now, None).expect("peers reachable");
+                driver.capture(&scene, now).expect("peers reachable");
                 thread::sleep(Duration::from_millis(2));
             }
             let now = SimTime::from_millis(cam_clock.load(Ordering::Relaxed));
-            driver.flush(now, None).expect("peers reachable");
+            driver.flush(now).expect("peers reachable");
             driver.node().events_generated()
         }));
     }
