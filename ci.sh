@@ -167,8 +167,9 @@ if [ "$quick" -eq 0 ]; then
     PROPTEST_CASES=1024 cargo test -q --release -p coral-topology --test incremental_equivalence
 fi
 
-# Row-kernel oracle: the span renderer and the hoisted signature weights
-# must match the per-pixel reference bit for bit (the default case count
+# Row-kernel oracle: the span renderer, the table-driven bin kernel (at
+# 1-8, 16 and 41 bins per channel) and the hoisted signature weights must
+# match the per-pixel reference bit for bit (the default case count
 # already ran with the workspace tests).
 if [ "$quick" -eq 0 ]; then
     echo "==> row-kernel oracle proptests (release, 2048 cases)"

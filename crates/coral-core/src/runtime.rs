@@ -31,7 +31,7 @@ use coral_sim::{
 use coral_storage::{EdgeStorageNode, FederatedStores, TrajectoryGraph};
 use coral_topology::{CameraId, MdcsUpdate, TopologyServer};
 use coral_vision::{GroundTruthId, Scene};
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 
 /// A camera node bound to its transport endpoint — the unit every
@@ -524,9 +524,9 @@ struct TickAnalysis {
     /// The camera's slot (see `SimWorld::drivers`).
     slot: usize,
     analysis: FrameAnalysis,
-    /// Ground-truth vehicles currently in the camera's FOV (for the
-    /// edge-triggered passage detector).
-    in_fov: HashSet<GroundTruthId>,
+    /// Ground-truth vehicles currently in the camera's FOV, ascending (for
+    /// the edge-triggered passage detector).
+    in_fov: Vec<GroundTruthId>,
     /// Wall-clock cost of the analysis (possibly on a worker thread).
     analyze_elapsed: Duration,
 }
@@ -613,10 +613,10 @@ pub struct SimWorld {
     last_traffic_step: SimTime,
     telemetry: Telemetry,
     obs: CoreObs,
-    /// Ground-truth vehicles in each camera's FOV at its last commit. Only
-    /// non-empty sets are kept, so the keys are the cameras that may owe
-    /// an exit edge.
-    in_fov: BTreeMap<usize, HashSet<GroundTruthId>>,
+    /// Ground-truth vehicles in each camera's FOV at its last commit,
+    /// ascending. Only non-empty lists are kept, so the keys are the
+    /// cameras that may owe an exit edge.
+    in_fov: BTreeMap<usize, Vec<GroundTruthId>>,
     ground_truth: GroundTruthLog,
     recovery_trackers: Vec<RecoveryTracker>,
     pending_kills: Vec<(CameraId, SimTime)>,
@@ -1025,8 +1025,10 @@ impl SimWorld {
                 // culled vehicle *stays* in ground truth (real MOT
                 // semantics): the pipeline's failure to see it scores as a
                 // miss, not as a hole in the ground-truth record.
+                // Both state orders are ascending by vehicle id, so the
+                // list comes out sorted.
                 let view = driver.node().view();
-                let in_fov: HashSet<GroundTruthId> = match candidates {
+                let in_fov: Vec<GroundTruthId> = match candidates {
                     Some(c) => c
                         .iter()
                         .map(|&i| &states[i as usize])
@@ -1039,6 +1041,7 @@ impl SimWorld {
                         .map(|s| GroundTruthId(s.id.0))
                         .collect(),
                 };
+                debug_assert!(in_fov.is_sorted_by(|a, b| a < b), "FOV ids ascend");
                 TickAnalysis {
                     slot,
                     analysis,
@@ -1088,25 +1091,18 @@ impl SimWorld {
                 None => {
                     self.claim_frame(slot, tick);
                     let idle = self.drivers[slot].node_mut().advance_idle_frame();
-                    (idle, HashSet::new(), Duration::ZERO)
+                    (idle, Vec::new(), Duration::ZERO)
                 }
             };
             // Ground-truth passage detection (edge-triggered on FOV entry)
             // plus the exit edge for the ground-truth interval log.
+            // Both lists ascend, so exits and same-tick entries come out of
+            // a merge in id order.
             let prev = self.in_fov.remove(&slot).unwrap_or_default();
-            let mut entered: Vec<GroundTruthId> = current.difference(&prev).copied().collect();
-            let mut exited: Vec<GroundTruthId> = prev.difference(&current).copied().collect();
-            // Same-tick entries in id order: HashSet iteration order is
-            // seeded per process and must not leak into the record.
-            entered.sort_unstable();
-            exited.sort_unstable();
-            if !current.is_empty() {
-                self.in_fov.insert(slot, current);
-            }
-            for gt in exited {
+            for gt in ascending_difference(&prev, &current) {
                 self.ground_truth.record_exit(id, gt, now_ms);
             }
-            for gt in entered {
+            for gt in ascending_difference(&current, &prev) {
                 self.ground_truth.record_entry(id, gt, now_ms);
                 let passage = Passage {
                     camera: id,
@@ -1115,6 +1111,9 @@ impl SimWorld {
                 };
                 self.telemetry.passages.push(passage);
                 self.obs.observe_passage(&passage);
+            }
+            if !current.is_empty() {
+                self.in_fov.insert(slot, current);
             }
 
             // Raw detection evidence for the evaluation layer's per-stage
@@ -1693,6 +1692,20 @@ impl SimWorld {
     }
 }
 
+/// The ids of `a` missing from `b`, ascending; both must ascend strictly.
+/// One merge walk: no hashing, no allocation.
+fn ascending_difference<'a>(
+    a: &'a [GroundTruthId],
+    b: &'a [GroundTruthId],
+) -> impl Iterator<Item = GroundTruthId> + 'a {
+    let mut rest = b;
+    a.iter().copied().filter(move |id| {
+        let skip = rest.partition_point(|other| other < id);
+        rest = &rest[skip..];
+        rest.first() != Some(id)
+    })
+}
+
 /// Schedules one engine delivery action for every envelope sent since the
 /// last drain. Every event handler ends with this, so in-flight envelopes
 /// always have their delivery on the engine queue before the handler's
@@ -1830,5 +1843,25 @@ impl SimRuntime {
     pub fn finish(&mut self) {
         let now = self.engine.now();
         self.engine.state_mut().finish(now);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn ascending_difference_is_the_set_difference_in_order() {
+        let ids = |v: &[u64]| v.iter().map(|&i| GroundTruthId(i)).collect::<Vec<_>>();
+        let diff = |a: &[u64], b: &[u64]| -> Vec<u64> {
+            ascending_difference(&ids(a), &ids(b))
+                .map(|g| g.0)
+                .collect()
+        };
+        assert_eq!(diff(&[1, 3, 5, 7], &[2, 3, 4, 7, 9]), [1, 5]);
+        assert_eq!(diff(&[2, 3, 4, 7, 9], &[1, 3, 5, 7]), [2, 4, 9]);
+        assert_eq!(diff(&[], &[1, 2]), [0u64; 0]);
+        assert_eq!(diff(&[1, 2], &[]), [1, 2]);
+        assert_eq!(diff(&[4, 8], &[4, 8]), [0u64; 0]);
     }
 }

@@ -5,6 +5,7 @@
 //! serialisation blows the 100 ms sub-task budget on a Raspberry Pi
 //! (paper §4.1.5). This module models exactly that raw representation.
 
+use crate::histogram::bin_index;
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
@@ -140,7 +141,8 @@ fn byte_offset(width: u32, x: u32, y: u32) -> usize {
 /// Read access to a grid of pixels, one row span at a time: a rendered
 /// [`Frame`], or a lazy [`SceneView`](crate::render::SceneView) that
 /// computes only the spans it is asked for. Signature extraction reads
-/// through this seam.
+/// through this seam, as histogram bins: it never needs the pixels
+/// themselves, so a source may produce a pixel's bin without its color.
 pub trait PixelSource {
     /// Width in pixels.
     fn width(&self) -> u32;
@@ -149,6 +151,36 @@ pub trait PixelSource {
     /// Replaces the contents of `out` with the pixels `x0..x1` of row `y`,
     /// left to right. Requires `x0 <= x1 <= width` and `y < height`.
     fn row_into(&self, y: u32, x0: u32, x1: u32, out: &mut Vec<Rgb>);
+    /// Replaces the contents of `out` with the color-histogram bin of each
+    /// pixel `x0..x1` of row `y`, left to right, at `bins_per_channel`
+    /// bins per channel: `(r·n/256 · n + g·n/256) · n + b·n/256` for
+    /// `n = bins_per_channel`, each channel scaled with integer division.
+    /// Same bounds as [`PixelSource::row_into`].
+    ///
+    /// The default bins the pixels [`PixelSource::row_into`] produces,
+    /// through a pixel row it allocates per call; the sources in this
+    /// crate override it to skip that row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a bin index does not fit in `u32`.
+    fn bin_row_into(&self, y: u32, x0: u32, x1: u32, bins_per_channel: usize, out: &mut Vec<u32>) {
+        let mut row = Vec::new();
+        self.row_into(y, x0, x1, &mut row);
+        out.clear();
+        out.extend(row.into_iter().map(|px| bin_index(px, bins_per_channel)));
+    }
+}
+
+impl Frame {
+    /// The raw bytes of pixels `x0..x1` of row `y`.
+    fn span(&self, y: u32, x0: u32, x1: u32) -> &[u8] {
+        assert!(
+            x0 <= x1 && x1 <= self.width && y < self.height,
+            "row span out of bounds"
+        );
+        &self.data[byte_offset(self.width, x0, y)..byte_offset(self.width, x1, y)]
+    }
 }
 
 impl PixelSource for Frame {
@@ -161,13 +193,23 @@ impl PixelSource for Frame {
     }
 
     fn row_into(&self, y: u32, x0: u32, x1: u32, out: &mut Vec<Rgb>) {
-        assert!(
-            x0 <= x1 && x1 <= self.width && y < self.height,
-            "row span out of bounds"
-        );
-        let span = &self.data[byte_offset(self.width, x0, y)..byte_offset(self.width, x1, y)];
         out.clear();
-        out.extend(span.chunks_exact(3).map(|p| Rgb::new(p[0], p[1], p[2])));
+        out.extend(
+            self.span(y, x0, x1)
+                .chunks_exact(3)
+                .map(|p| Rgb::new(p[0], p[1], p[2])),
+        );
+    }
+
+    /// Bins the bytes in place. The default's per-row pixel buffer made
+    /// extraction from a stored frame about 16% slower.
+    fn bin_row_into(&self, y: u32, x0: u32, x1: u32, bins_per_channel: usize, out: &mut Vec<u32>) {
+        out.clear();
+        out.extend(
+            self.span(y, x0, x1)
+                .chunks_exact(3)
+                .map(|p| bin_index(Rgb::new(p[0], p[1], p[2]), bins_per_channel)),
+        );
     }
 }
 
@@ -232,6 +274,37 @@ mod tests {
         assert_eq!(row, [f.pixel(1, 1), f.pixel(2, 1)]);
         f.row_into(2, 4, 4, &mut row);
         assert!(row.is_empty());
+    }
+
+    /// A source that only has pixels gets the default bins, which are
+    /// the bins a `Frame` reads from its bytes directly.
+    #[test]
+    fn default_bins_are_the_bins_of_the_pixels() {
+        struct PixelsOnly(Frame);
+        impl PixelSource for PixelsOnly {
+            fn width(&self) -> u32 {
+                self.0.width()
+            }
+            fn height(&self) -> u32 {
+                self.0.height()
+            }
+            fn row_into(&self, y: u32, x0: u32, x1: u32, out: &mut Vec<Rgb>) {
+                self.0.row_into(y, x0, x1, out);
+            }
+        }
+        let data = (0..5 * 2 * 3).map(|v| (v * 37 % 256) as u8).collect();
+        let frame = Frame::from_raw(5, 2, data).unwrap();
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        for bins_per_channel in [1, 3, 8, 41] {
+            frame.bin_row_into(1, 1, 5, bins_per_channel, &mut want);
+            PixelsOnly(frame.clone()).bin_row_into(1, 1, 5, bins_per_channel, &mut got);
+            assert_eq!(got, want);
+            assert_eq!(want.len(), 4);
+        }
+        let px = frame.pixel(2, 1);
+        frame.bin_row_into(1, 2, 3, 8, &mut want);
+        let scale = |v: u8| u32::from(v) * 8 / 256;
+        assert_eq!(want, [(scale(px.r) * 8 + scale(px.g)) * 8 + scale(px.b)]);
     }
 
     #[test]

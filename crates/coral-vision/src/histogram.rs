@@ -42,8 +42,8 @@ pub struct HistogramScratch {
     bins: Vec<f64>,
     /// `dx²` of each column of the box being extracted.
     dx2: Vec<f64>,
-    /// The row span of pixels being binned.
-    row: Vec<Rgb>,
+    /// The bins of the row span being extracted.
+    row: Vec<u32>,
     reuses: u64,
     allocs: u64,
 }
@@ -204,9 +204,10 @@ impl ColorHistogram {
     /// Allocation-free extraction: identical numerics to
     /// [`ColorHistogram::extract`], written densely into the arena's
     /// recycled buffer instead of a fresh histogram. Read the result from
-    /// [`HistogramScratch::bins`]. Only the row spans inside `bbox` are
-    /// read, so a lazy [`SceneView`](crate::render::SceneView) renders just
-    /// those.
+    /// [`HistogramScratch::bins`]. Only the bins of the row spans inside
+    /// `bbox` are read ([`PixelSource::bin_row_into`]), so a lazy
+    /// [`SceneView`](crate::render::SceneView) computes just those, without
+    /// forming their pixels.
     ///
     /// Each pixel's weight is `exp(-(dx² + dy²) / 2)`, with `dx²` computed
     /// once per column and `dy²` once per row; pixels are binned in
@@ -241,10 +242,10 @@ impl ColorHistogram {
         for y in y0..y1 {
             let dy = (f64::from(y) + 0.5 - c.y) / sy;
             let dy2 = dy * dy;
-            frame.row_into(y, x0, x1, row);
-            for (px, &dx2) in row.iter().zip(dx2.iter()) {
+            frame.bin_row_into(y, x0, x1, b, row);
+            for (&bin, &dx2) in row.iter().zip(dx2.iter()) {
                 let w = (-(dx2 + dy2) / 2.0).exp();
-                bins[bin_index(px.r, px.g, px.b, b)] += w;
+                bins[bin as usize] += w;
                 total += w;
             }
         }
@@ -470,10 +471,16 @@ impl Default for SignatureAccumulator {
     }
 }
 
+/// The histogram bin of `px` at `bins` bins per channel.
+///
+/// # Panics
+///
+/// Panics if the index does not fit in `u32`.
 #[inline]
-fn bin_index(r: u8, g: u8, b: u8, bins: usize) -> usize {
+pub(crate) fn bin_index(px: Rgb, bins: usize) -> u32 {
     let scale = |v: u8| (usize::from(v) * bins) / 256;
-    (scale(r) * bins + scale(g)) * bins + scale(b)
+    let index = (scale(px.r) * bins + scale(px.g)) * bins + scale(px.b);
+    u32::try_from(index).expect("bin index fits in u32")
 }
 
 #[cfg(test)]
@@ -603,7 +610,7 @@ mod tests {
         };
         let ht = ColorHistogram::extract(&frame, &bbox, &tight);
         let hl = ColorHistogram::extract(&frame, &bbox, &loose);
-        let red_bin = bin_index(255, 0, 0, 4);
+        let red_bin = bin_index(Rgb::new(255, 0, 0), 4) as usize;
         let red = |h: &ColorHistogram| {
             h.bins()
                 .iter()

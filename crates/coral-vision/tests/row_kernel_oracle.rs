@@ -1,17 +1,21 @@
-//! Oracle tests for the span-based row kernel and the hoisted signature
-//! weights: both must reproduce, bit for bit, the per-pixel definitions
-//! they replaced. Those definitions live only here, as the reference:
+//! Oracle tests for the span-based row kernel, the table-driven bin
+//! kernel and the hoisted signature weights: each must reproduce, bit for
+//! bit, the per-pixel definitions they replaced. Those definitions live
+//! only here, as the reference:
 //!
 //! - a pixel belongs to the last actor in draw order whose integer
 //!   footprint covers it, shaded by its trim / body / wheel band and a
 //!   texture hash, else to the background plus sensor noise;
+//! - a pixel's bin is its scaled channels, `(r·n/256 · n + g·n/256) · n +
+//!   b·n/256` at `n` bins per channel;
 //! - a signature bins every pixel of the clamped box in row-major order
 //!   with weight `exp(-(dx·dx + dy·dy) / 2)` evaluated in full per pixel.
 //!
-//! Checked against the reference: [`SceneView`] row spans, full
-//! [`Renderer::render`] frames, and [`ColorHistogram::extract_into`] read
-//! through both a lazy view and a rendered frame. `PROPTEST_CASES` raises
-//! the case count (read by this file; the proptest stub ignores it).
+//! Checked against the reference: [`SceneView`] pixel and bin row spans,
+//! full [`Renderer::render`] frames and their bin row spans, and
+//! [`ColorHistogram::extract_into`] read through both a lazy view and a
+//! rendered frame. `PROPTEST_CASES` raises the case count (read by this
+//! file; the proptest stub ignores it).
 
 use coral_vision::{
     BoundingBox, ColorHistogram, GroundTruthId, HistogramConfig, HistogramScratch, ObjectClass,
@@ -182,7 +186,7 @@ fn arb_track_box() -> impl Strategy<Value = BoundingBox> {
 }
 
 /// A box whose rows all cover rows 6..10 of the frame: a stack of these
-/// puts more actors on one row than the kernel holds inline (eight).
+/// puts up to 24 actors, and so up to 48 band tables, on one row.
 fn arb_row_box() -> impl Strategy<Value = BoundingBox> {
     (-10.0f64..40.0, 0.0f64..6.0, extent(30.0), 10.0f64..30.0).prop_map(|(x0, y0, w, h)| {
         BoundingBox::new(x0, y0, x0 + w, y0 + h).expect("non-negative extent")
@@ -228,8 +232,19 @@ fn arb_scene() -> impl Strategy<Value = (Renderer, Scene)> {
         })
 }
 
-/// Row spans of `view` match the reference pixel for pixel: every full
-/// row, plus sub-spans (empty ones included) starting and ending anywhere.
+/// The full row of a frame `width` pixels wide, plus one sub-span
+/// (possibly empty) per cut, starting and ending anywhere.
+fn spans(width: u32, cuts: &[(u32, u32)]) -> Vec<(u32, u32)> {
+    let mut spans = vec![(0, width)];
+    spans.extend(cuts.iter().map(|&(a, b)| {
+        let (a, b) = (a % (width + 1), b % (width + 1));
+        (a.min(b), a.max(b))
+    }));
+    spans
+}
+
+/// Row spans of `view` match the reference pixel for pixel, on every row
+/// and each of its [`spans`].
 fn check_rows(
     renderer: &Renderer,
     scene: &Scene,
@@ -239,12 +254,7 @@ fn check_rows(
 ) -> Result<(), String> {
     let mut row = Vec::new();
     for y in 0..scene.height {
-        let mut spans = vec![(0, scene.width)];
-        spans.extend(cuts.iter().map(|&(a, b)| {
-            let (a, b) = (a % (scene.width + 1), b % (scene.width + 1));
-            (a.min(b), a.max(b))
-        }));
-        for (x0, x1) in spans {
+        for (x0, x1) in spans(scene.width, cuts) {
             view.row_into(y, x0, x1, &mut row);
             let want: Vec<Rgb> = (x0..x1)
                 .map(|x| reference_pixel(renderer, scene, frame_seed, x, y))
@@ -253,6 +263,34 @@ fn check_rows(
         }
     }
     Ok(())
+}
+
+/// Bin row spans of `source` are the reference pixels' bins, on every row
+/// and each of its [`spans`].
+fn check_bin_rows(
+    source: &dyn PixelSource,
+    pixel: impl Fn(u32, u32) -> Rgb,
+    bins_per_channel: usize,
+    cuts: &[(u32, u32)],
+) -> Result<(), String> {
+    let (width, height) = (source.width(), source.height());
+    let mut row = Vec::new();
+    for y in 0..height {
+        for (x0, x1) in spans(width, cuts) {
+            source.bin_row_into(y, x0, x1, bins_per_channel, &mut row);
+            let want: Vec<u32> = (x0..x1)
+                .map(|x| bin_index(pixel(x, y), bins_per_channel) as u32)
+                .collect();
+            prop_assert_eq!(&row, &want, "row {} span {}..{}", y, x0, x1);
+        }
+    }
+    Ok(())
+}
+
+/// Bins per channel from one to eight (the default), sixteen, or 41,
+/// whose 68 921 cells do not fit in a `u16`.
+fn arb_bins_per_channel() -> impl Strategy<Value = usize> {
+    prop_oneof![1usize..=8, Just(16usize), Just(41usize)]
 }
 
 proptest! {
@@ -279,33 +317,66 @@ proptest! {
         }
     }
 
+    /// `SceneView` and rendered-frame bin row spans are the bins of the
+    /// reference pixels, at every noise amplitude and bins per channel.
+    #[test]
+    fn bin_kernel_matches_per_pixel_reference(
+        (renderer, scene) in arb_scene(),
+        frame_seed in 0u64..u64::MAX,
+        cuts in proptest::collection::vec((0u32..64, 0u32..64), 0..4),
+        bins_per_channel in arb_bins_per_channel(),
+    ) {
+        let pixel = |x, y| reference_pixel(&renderer, &scene, frame_seed, x, y);
+        let view = renderer.view(&scene, frame_seed);
+        check_bin_rows(&view, pixel, bins_per_channel, &cuts)?;
+        let frame = renderer.render(&scene, frame_seed);
+        check_bin_rows(&frame, pixel, bins_per_channel, &cuts)?;
+    }
+
     /// `extract_into` through a lazy view and through a rendered frame
     /// writes the reference bins bit for bit, for boxes one pixel wide,
-    /// partly off-frame and wholly off-frame, at 1–8 bins per channel.
+    /// partly off-frame and wholly off-frame. Each box is extracted at two
+    /// bins-per-channel values in turn through one view and one scratch,
+    /// so the view's bin tables and the scratch's buffers are rebuilt
+    /// between extractions.
     #[test]
     fn hoisted_weights_match_per_pixel_reference(
         (renderer, scene) in arb_scene(),
         frame_seed in 0u64..u64::MAX,
         boxes in proptest::collection::vec(arb_track_box(), 1..8),
-        bins_per_channel in 1usize..=8,
+        bins_per_channel in (1usize..=8, arb_bins_per_channel()),
         center_sigma_frac in 0.1f64..2.0,
     ) {
-        let config = HistogramConfig { bins_per_channel, center_sigma_frac };
         let frame = renderer.render(&scene, frame_seed);
         let view = renderer.view(&scene, frame_seed);
         let mut scratch = HistogramScratch::new();
         for bbox in &boxes {
-            let want = reference_signature(
-                scene.width,
-                scene.height,
-                |x, y| reference_pixel(&renderer, &scene, frame_seed, x, y),
-                bbox,
-                &config,
-            );
-            ColorHistogram::extract_into(&view, bbox, &config, &mut scratch);
-            prop_assert_eq!(bits(scratch.bins()), bits(&want), "view, box {:?}", bbox);
-            ColorHistogram::extract_into(&frame, bbox, &config, &mut scratch);
-            prop_assert_eq!(bits(scratch.bins()), bits(&want), "frame, box {:?}", bbox);
+            for bins_per_channel in [bins_per_channel.0, bins_per_channel.1] {
+                let config = HistogramConfig { bins_per_channel, center_sigma_frac };
+                let want = reference_signature(
+                    scene.width,
+                    scene.height,
+                    |x, y| reference_pixel(&renderer, &scene, frame_seed, x, y),
+                    bbox,
+                    &config,
+                );
+                ColorHistogram::extract_into(&view, bbox, &config, &mut scratch);
+                prop_assert_eq!(
+                    bits(scratch.bins()),
+                    bits(&want),
+                    "view, box {:?}, {} bins",
+                    bbox,
+                    bins_per_channel
+                );
+                ColorHistogram::extract_into(&frame, bbox, &config, &mut scratch);
+                prop_assert_eq!(
+                    bits(scratch.bins()),
+                    bits(&want),
+                    "frame, box {:?}, {} bins",
+                    bbox,
+                    bins_per_channel
+                );
+            }
         }
     }
 }
