@@ -247,17 +247,20 @@ if [ "$quick" -eq 0 ]; then
     done
 fi
 
-# Deployment examples: three camera nodes on OS threads over the
-# in-process router, and over real loopback TCP sockets. They are the
-# non-test drivers of `NodeDriver::capture` / `flush` and each asserts the
-# 3-camera track. The threaded one binds its ops endpoint to an ephemeral
-# port so an occupied default port cannot fail it. Skipped in --quick
-# (needs the release build).
+# Examples: every one runs to completion (about 3 s in total). The
+# threaded runtime runs three camera nodes on OS threads over the
+# in-process router and over real loopback TCP sockets, and each of those
+# two asserts the 3-camera track. The threaded one binds its ops endpoint
+# to an ephemeral port so an occupied default port cannot fail it.
+# Skipped in --quick (needs the release build).
 if [ "$quick" -eq 0 ]; then
+    for example in quickstart observability campus_self_healing suspicious_vehicle \
+        pipeline_tuning tcp_cameras; do
+        echo "==> ${example} example (release)"
+        cargo run -q --release --example "$example"
+    done
     echo "==> threaded_cameras example (release)"
     CORAL_OPS_ADDR=127.0.0.1:0 cargo run -q --release --example threaded_cameras
-    echo "==> tcp_cameras example (release)"
-    cargo run -q --release --example tcp_cameras
 fi
 
 # The benchmark's own tests: metric arithmetic, argument parsing and a

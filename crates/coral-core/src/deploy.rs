@@ -4,14 +4,15 @@
 //! and manufactures the actors — the topology server and the per-camera
 //! nodes — with the exact seeds and view geometry the experiments pin.
 //! [`Deployment::build`] wires them onto a simulated network and launches
-//! the discrete-event runtime; threaded and TCP harnesses instead call
-//! [`Deployment::make_server`] / [`Deployment::make_node`] and bind the
-//! actors to their own transports.
+//! the discrete-event runtime; [`Deployment::build_threaded`] wires them
+//! onto real-time transports (the in-process router or TCP sockets) for
+//! the threaded runtime. Both build every link with the same stack.
 
 use crate::node::{CameraNode, NodeConfig};
-use crate::runtime::{region_endpoint, sim_link, NodeDriver, SimRuntime, SimWorld};
+use crate::runtime::{build_link, region_endpoint, NodeDriver, ServerDriver, SimRuntime, SimWorld};
+use crate::threaded::ThreadedRuntime;
 use coral_geo::{GeoPoint, IntersectionId, RoadNetwork};
-use coral_net::{Endpoint, FaultPlan, RetryPolicy, SimNet};
+use coral_net::{Endpoint, FaultPlan, RetryPolicy, SimNet, Transport};
 use coral_sim::{CameraView, LinkProfile, SceneEffects, SimDuration, TrafficConfig, TrafficModel};
 use coral_storage::{EdgeStorageNode, FederatedStores, StorageConfig};
 use coral_topology::{CameraId, MdcsOptions, ServerConfig, TopologyServer};
@@ -145,6 +146,9 @@ const NET_SEED_MIX: u64 = 0x1a7e;
 /// Per-camera seed mixing base.
 const NODE_SEED_BASE: u64 = 0x5eed;
 
+/// Raw frames each store retains per camera.
+const FRAMES_PER_CAMERA: usize = 512;
+
 /// A resolved deployment: camera placements on a road network plus the
 /// system configuration.
 #[derive(Debug, Clone)]
@@ -271,7 +275,7 @@ impl Deployment {
     pub fn build(self) -> SimRuntime {
         let regions = usize::from(self.config.regions.max(1));
         let servers: Vec<TopologyServer> = (0..regions).map(|_| self.make_server()).collect();
-        let stores = FederatedStores::new(regions, 512, self.config.storage.clone());
+        let stores = FederatedStores::new(regions, FRAMES_PER_CAMERA, self.config.storage.clone());
         let traffic = self.make_traffic();
         let links = self.config.links;
         let mut rng = StdRng::seed_from_u64(self.config.seed ^ NET_SEED_MIX);
@@ -302,12 +306,50 @@ impl Deployment {
                 .make_node(id, stores.node(usize::from(region)).clone())
                 .expect("placement exists");
             let endpoint = Endpoint::Camera(id);
-            let link = sim_link(&self.config, net.handle(endpoint), endpoint);
+            let link = build_link(&self.config, net.handle(endpoint), endpoint);
             let mut driver = NodeDriver::new(node, link);
             driver.set_parent(region_endpoint(region));
             drivers.insert(id, driver);
         }
         let world = SimWorld::new(self.config, net, servers, stores, home, traffic, drivers);
         SimRuntime::launch(world, &join_order)
+    }
+
+    /// Wires the deployment onto real-time transports and returns the
+    /// threaded runtime: one topology server and one trajectory store
+    /// (a single region), and one camera node per placement. `raw` makes
+    /// each endpoint's raw transport, the server's first, and every one
+    /// is made here, before any thread starts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the config asks for more than one region.
+    pub fn build_threaded<T: Transport + Send>(
+        self,
+        mut raw: impl FnMut(Endpoint) -> T,
+    ) -> ThreadedRuntime<T> {
+        assert!(
+            self.config.regions <= 1,
+            "the threaded runtime deploys one region"
+        );
+        let storage = EdgeStorageNode::with_config(FRAMES_PER_CAMERA, self.config.storage.clone());
+        let endpoint = Endpoint::TopologyServer;
+        let server = ServerDriver::new(
+            self.make_server(),
+            build_link(&self.config, raw(endpoint), endpoint),
+        );
+        let drivers = self
+            .placements
+            .iter()
+            .map(|&(id, _, _)| {
+                let endpoint = Endpoint::Camera(id);
+                let node = self
+                    .make_node(id, storage.clone())
+                    .expect("placement exists");
+                NodeDriver::new(node, build_link(&self.config, raw(endpoint), endpoint))
+            })
+            .collect();
+        let traffic = self.make_traffic();
+        ThreadedRuntime::new(self.config, server, drivers, storage, traffic)
     }
 }

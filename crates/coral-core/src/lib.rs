@@ -14,6 +14,8 @@
 //! - [`runtime`] — [`NodeDriver`] / [`ServerDriver`], the per-actor drive
 //!   units generic over any `coral_net::Transport`, plus the
 //!   discrete-event [`SimRuntime`].
+//! - [`threaded`] — [`ThreadedRuntime`], the same drivers on one OS
+//!   thread each over the in-process router or TCP sockets.
 //! - [`stepper`] — the deterministic scoped worker pool that fans each
 //!   tick's per-camera analysis across threads and merges results in
 //!   `CameraId` order, keeping parallel runs byte-identical.
@@ -61,6 +63,7 @@ pub mod runtime;
 pub mod stepper;
 pub mod system;
 pub mod telemetry;
+pub mod threaded;
 
 pub use deploy::{CameraSpec, Deployment, SystemConfig};
 pub use node::{CameraNode, FrameOutput, HandoffEdge, NodeConfig, ReidRecord};
@@ -75,3 +78,4 @@ pub use runtime::{
 pub use stepper::{StepStats, Stepper};
 pub use system::CoralPieSystem;
 pub use telemetry::{InformArrival, Passage, Recovery, RegionRecovery, Telemetry};
+pub use threaded::ThreadedRuntime;

@@ -1,14 +1,17 @@
 //! The layered runtime: node/server drivers generic over any
-//! [`Transport`], and the discrete-event world that drives them.
+//! [`Transport`], the one link stack every endpoint is built with, and the
+//! discrete-event world that drives them.
 //!
 //! [`NodeDriver`] and [`ServerDriver`] bind a protocol actor (a
-//! [`CameraNode`] or the [`TopologyServer`]) to one transport endpoint.
-//! The same drive methods serve all three deployment modes: the DES
-//! ([`SimRuntime`], over [`SimTransport`]), the multi-threaded deployment
-//! (over `InProcTransport`) and the multi-process TCP deployment (over
-//! `TcpTransport`). The DES integration schedules exactly one engine
-//! delivery action per in-flight envelope, reproducing the event order of
-//! the original monolithic event loop bit for bit.
+//! [`CameraNode`] or the [`TopologyServer`]) to one [`Link`]: the
+//! reliability and fault layers over a raw transport. The same drive
+//! methods serve both runtimes: the DES ([`SimRuntime`], over
+//! [`SimTransport`]) and the threaded runtime
+//! ([`ThreadedRuntime`](crate::ThreadedRuntime), one OS thread per actor
+//! over `InProcTransport` or loopback `TcpTransport`). The DES integration
+//! schedules exactly one engine delivery action per in-flight envelope,
+//! reproducing the event order of the original monolithic event loop bit
+//! for bit.
 
 use crate::deploy::SystemConfig;
 use crate::node::{CameraNode, FrameAnalysis, FrameOutput};
@@ -108,11 +111,6 @@ impl<T: Transport> NodeDriver<T> {
     /// This driver's network address.
     pub fn endpoint(&self) -> Endpoint {
         Endpoint::Camera(self.node.id())
-    }
-
-    /// Unbinds the node from its transport (e.g. to shut a socket down).
-    pub fn into_parts(self) -> (CameraNode, T) {
-        (self.node, self.transport)
     }
 
     /// Builds and sends this camera's heartbeat to the topology server,
@@ -326,11 +324,6 @@ impl<T: Transport> ServerDriver<T> {
         &mut self.transport
     }
 
-    /// Unbinds the server from its transport (e.g. to shut a socket down).
-    pub fn into_parts(self) -> (TopologyServer, T) {
-        (self.server, self.transport)
-    }
-
     /// Handles one delivered envelope (heartbeats drive joins and
     /// re-joins; anything else is ignored), sending topology updates to
     /// every affected camera admitted by `permit`. Returns the number of
@@ -424,12 +417,15 @@ impl<T: Transport> ServerDriver<T> {
     }
 }
 
-/// The concrete transport stack of every DES endpoint: at-least-once
-/// delivery over fault injection over the simulated network. Both
+/// The transport stack of every endpoint in every deployment mode:
+/// at-least-once delivery over fault injection over a raw transport. Both
 /// decorator layers are exact passthroughs unless enabled in
 /// [`SystemConfig`] (`reliability` / `faults`), so the default stack is
-/// bit-identical to a bare [`SimTransport`].
-pub type SimLink = ReliableTransport<FaultyTransport<SimTransport>>;
+/// bit-identical to the bare raw transport. `build_link` assembles it.
+pub type Link<T> = ReliableTransport<FaultyTransport<T>>;
+
+/// The link of every DES endpoint: the stack over the simulated network.
+pub type SimLink = Link<SimTransport>;
 
 /// Seed-mixing constant decorrelating retransmission jitter from the
 /// other seeded components.
@@ -500,9 +496,14 @@ fn pick_mut<'a, T>(mut items: &'a mut [T], slots: &[usize]) -> Vec<&'a mut T> {
         .collect()
 }
 
-/// Builds the [`SimLink`] stack for `endpoint` per the deployment config:
-/// each layer is live when configured, a verbatim passthrough otherwise.
-pub(crate) fn sim_link(config: &SystemConfig, raw: SimTransport, endpoint: Endpoint) -> SimLink {
+/// Builds the [`Link`] stack for `endpoint` over its `raw` transport per
+/// the deployment config: each layer is live when configured, a verbatim
+/// passthrough otherwise.
+pub(crate) fn build_link<T: Transport>(
+    config: &SystemConfig,
+    raw: T,
+    endpoint: Endpoint,
+) -> Link<T> {
     let faulty = match &config.faults {
         Some(plan) => FaultyTransport::new(raw, endpoint, plan.clone()),
         None => FaultyTransport::transparent(raw, endpoint),
@@ -516,6 +517,53 @@ pub(crate) fn sim_link(config: &SystemConfig, raw: SimTransport, endpoint: Endpo
         ),
         None => ReliableTransport::passthrough(faulty, endpoint),
     }
+}
+
+/// Publishes a link's chaos and retry counters and journals its events,
+/// each only when the corresponding layer is live (passthrough layers
+/// would just pin zeros into every metrics snapshot).
+pub(crate) fn instrument_link<T: Transport>(
+    config: &SystemConfig,
+    link: &mut Link<T>,
+    obs: &CoreObs,
+) {
+    if config.reliability.is_some() {
+        link.instrument(obs.registry());
+        link.set_journal(obs.journal().clone());
+    }
+    if config.faults.is_some() {
+        link.inner_mut().instrument(obs.registry());
+        link.inner_mut().set_journal(obs.journal().clone());
+    }
+}
+
+/// The deployment's observer: the handoff deadline and, when
+/// `health_checks` is set, the default health rules (plus the region
+/// rules when `regions > 1`).
+pub(crate) fn deployment_obs(config: &SystemConfig, regions: usize) -> CoreObs {
+    let obs = CoreObs::new();
+    obs.set_handoff_deadline_ms(HANDOFF_DEADLINE_MS);
+    let heartbeat_ms = config.heartbeat_interval.as_millis();
+    let miss_threshold = u64::from(config.miss_threshold);
+    let mut rules = default_health_rules(
+        heartbeat_ms,
+        miss_threshold,
+        HANDOFF_DEADLINE_MS,
+        config.sparse_stepping,
+    );
+    // Region contact only means something when a region has peers; one
+    // region keeps the classic rule set and metric surface.
+    if regions > 1 {
+        rules.extend(region_health_rules(heartbeat_ms, miss_threshold));
+        obs.registry().describe(
+            "region_last_contact_ms",
+            "Per-region sim-clock timestamp of the last directly received heartbeat",
+        );
+    }
+    if config.health_checks {
+        obs.install_health_rules(rules);
+    }
+    obs
 }
 
 /// One camera's per-tick analysis result, carried from the parallel
@@ -678,28 +726,7 @@ impl SimWorld {
         let alive: BTreeSet<CameraId> = drivers.keys().copied().collect();
         let (ids, mut drivers): (Vec<CameraId>, Vec<NodeDriver<SimLink>>) =
             drivers.into_iter().unzip();
-        let obs = CoreObs::new();
-        obs.set_handoff_deadline_ms(HANDOFF_DEADLINE_MS);
-        let heartbeat_ms = config.heartbeat_interval.as_millis();
-        let miss_threshold = u64::from(config.miss_threshold);
-        let mut rules = default_health_rules(
-            heartbeat_ms,
-            miss_threshold,
-            HANDOFF_DEADLINE_MS,
-            config.sparse_stepping,
-        );
-        // Region contact only means something when a region has peers; one
-        // region keeps the classic rule set and metric surface.
-        if regions > 1 {
-            rules.extend(region_health_rules(heartbeat_ms, miss_threshold));
-            obs.registry().describe(
-                "region_last_contact_ms",
-                "Per-region sim-clock timestamp of the last directly received heartbeat",
-            );
-        }
-        if config.health_checks {
-            obs.install_health_rules(rules);
-        }
+        let obs = deployment_obs(&config, regions);
         for store in stores.nodes() {
             store.instrument(obs.registry());
         }
@@ -712,7 +739,7 @@ impl SimWorld {
             .map(|(r, server)| {
                 let endpoint = region_endpoint(r as u16);
                 let mut driver =
-                    ServerDriver::new(server, sim_link(&config, net.handle(endpoint), endpoint));
+                    ServerDriver::new(server, build_link(&config, net.handle(endpoint), endpoint));
                 driver.set_endpoint(endpoint);
                 driver.set_obs(ServerObs::new(&obs));
                 driver
@@ -722,32 +749,19 @@ impl SimWorld {
             (0..regions)
                 .map(|r| {
                     let endpoint = Endpoint::EdgeStore(r as u32);
-                    sim_link(&config, net.handle(endpoint), endpoint)
+                    build_link(&config, net.handle(endpoint), endpoint)
                 })
                 .collect()
         } else {
             Vec::new()
         };
-        // Chaos and retry counters, published only when the corresponding
-        // layer is live (passthrough layers would just pin zeros into
-        // every metrics snapshot).
-        {
-            let registry = obs.registry();
-            let links = drivers
-                .iter_mut()
-                .map(NodeDriver::transport_mut)
-                .chain(servers.iter_mut().map(ServerDriver::transport_mut))
-                .chain(store_links.iter_mut());
-            for link in links {
-                if config.reliability.is_some() {
-                    link.instrument(registry);
-                    link.set_journal(obs.journal().clone());
-                }
-                if config.faults.is_some() {
-                    link.inner_mut().instrument(registry);
-                    link.inner_mut().set_journal(obs.journal().clone());
-                }
-            }
+        let links = drivers
+            .iter_mut()
+            .map(NodeDriver::transport_mut)
+            .chain(servers.iter_mut().map(ServerDriver::transport_mut))
+            .chain(store_links.iter_mut());
+        for link in links {
+            instrument_link(&config, link, &obs);
         }
         // Spatial occupancy index for sparse stepping: one slot per driver
         // in `CameraId` order. Dead cameras keep their slot (their

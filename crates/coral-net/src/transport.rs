@@ -383,12 +383,6 @@ impl InProcTransport {
     pub fn endpoint(&self) -> Endpoint {
         self.endpoint
     }
-
-    /// Blocking receive with a timeout — for threaded drive loops that
-    /// sleep between frames.
-    pub fn recv_timeout(&self, timeout: std::time::Duration) -> Option<Envelope> {
-        self.rx.recv_timeout(timeout).ok()
-    }
 }
 
 impl Transport for InProcTransport {

@@ -142,15 +142,6 @@ impl GroundTruthLog {
         track.sort_by_key(|i| (i.entered_ms, i.camera));
         track
     }
-
-    /// Intervals observed by `camera`, in entry order.
-    pub fn camera_intervals(&self, camera: CameraId) -> Vec<FovInterval> {
-        self.intervals
-            .iter()
-            .filter(|i| i.camera == camera)
-            .copied()
-            .collect()
-    }
 }
 
 #[cfg(test)]

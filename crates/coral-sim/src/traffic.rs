@@ -928,11 +928,6 @@ impl TrafficModel {
             appearance_seed: v.appearance_seed,
         }
     }
-
-    /// Time the vehicle has spent in the network so far.
-    pub fn age_of(&self, id: VehicleId, now: SimTime) -> Option<SimDuration> {
-        self.vehicles.get(&id).map(|v| now.since(v.spawned_at))
-    }
 }
 
 /// Time-varying arrival-rate profile: a rush-hour surge window at the

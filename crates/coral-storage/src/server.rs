@@ -118,11 +118,6 @@ impl EdgeStorageNode {
         &self.graph
     }
 
-    /// The store configuration.
-    pub fn storage_config(&self) -> &StorageConfig {
-        self.graph.config()
-    }
-
     /// Starts publishing per-operation write/query latencies into
     /// `registry` (histograms `storage_write_latency_us{op=...}` and
     /// `storage_query_latency_us{op=...}`). Affects every clone of this

@@ -1,28 +1,23 @@
-//! A real multi-threaded deployment (no discrete-event loop): camera nodes
-//! on OS threads exchanging protocol messages through the in-process
-//! router, with the topology server on its own thread — a compressed
-//! version of `examples/threaded_cameras.rs` suitable for CI.
-//!
-//! The threads run the same `NodeDriver` / `ServerDriver` units the DES
-//! drives; only the pacing (thread loops and a shared atomic clock)
-//! differs.
+//! The threaded runtime (no discrete-event loop): camera nodes and the
+//! topology server on OS threads, exchanging protocol messages over the
+//! in-process router or loopback TCP sockets — a CI-sized version of
+//! `examples/threaded_cameras.rs` and `examples/tcp_cameras.rs`.
 
-use coral_pie::core::{CameraSpec, Deployment, NodeConfig, NodeDriver, ServerDriver, SystemConfig};
+use coral_pie::core::{CameraSpec, Deployment, NodeConfig, SystemConfig, ThreadedRuntime};
 use coral_pie::geo::{generators, route, IntersectionId};
-use coral_pie::net::{Endpoint, InProcRouter, InProcTransport, Transport};
-use coral_pie::sim::{SimDuration, SimTime, TrafficConfig, TrafficModel};
-use coral_pie::storage::{EdgeStorageNode, QueryOptions};
+use coral_pie::net::{
+    Endpoint, InProcRouter, InProcTransport, TcpDirectory, TcpTransport, Transport,
+};
+use coral_pie::sim::SimTime;
+use coral_pie::storage::QueryOptions;
 use coral_pie::topology::CameraId;
 use coral_pie::vision::{DetectorNoise, ObjectClass};
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread;
-use std::time::Duration;
 
-#[test]
-fn threads_and_router_build_a_track() {
-    const N: u32 = 3;
+const N: u32 = 3;
+
+/// Three cameras down a corridor with perfect detectors, one vehicle
+/// driven through them in a threaded run over `raw` transports.
+fn run_corridor<T: Transport + Send>(raw: impl FnMut(Endpoint) -> T) -> ThreadedRuntime<T> {
     let net = generators::corridor(N as usize, 120.0, 12.0);
     let specs: Vec<CameraSpec> = (0..N)
         .map(|i| CameraSpec {
@@ -31,8 +26,10 @@ fn threads_and_router_build_a_track() {
             videoing_angle_deg: 0.0,
         })
         .collect();
+    let r =
+        route::shortest_path(&net, IntersectionId(0), IntersectionId(N - 1)).expect("connected");
     let deployment = Deployment::from_specs(
-        net.clone(),
+        net,
         &specs,
         SystemConfig {
             node: NodeConfig {
@@ -42,86 +39,19 @@ fn threads_and_router_build_a_track() {
             ..SystemConfig::default()
         },
     );
-    let router = InProcRouter::new();
-    let storage = EdgeStorageNode::default();
-    let stop = Arc::new(AtomicBool::new(false));
-    let clock_ms = Arc::new(AtomicU64::new(0));
-    let traffic = Arc::new(Mutex::new(TrafficModel::new(
-        net.clone(),
-        TrafficConfig::default(),
-        7,
-    )));
-
-    // Topology server thread.
-    let mut server_driver = ServerDriver::new(
-        deployment.make_server(),
-        InProcTransport::attach(&router, Endpoint::TopologyServer),
-    );
-    let server_stop = stop.clone();
-    let server = thread::spawn(move || {
-        let mut now_ms = 0u64;
-        while !server_stop.load(Ordering::Relaxed) {
-            while let Some(env) = server_driver.transport_mut().poll(SimTime::ZERO) {
-                now_ms += 1;
-                server_driver
-                    .on_envelope(env, SimTime::from_millis(now_ms), |_| true)
-                    .expect("cameras reachable");
-            }
-            thread::sleep(Duration::from_millis(1));
-        }
-    });
-
-    // Camera node threads, each driving a NodeDriver over the router.
-    let mut camera_threads = Vec::new();
-    for i in 0..N {
-        let cam = CameraId(i);
-        let mut driver = NodeDriver::new(
-            deployment.make_node(cam, storage.clone()).expect("placed"),
-            InProcTransport::attach(&router, Endpoint::Camera(cam)),
-        );
-        let cam_stop = stop.clone();
-        let cam_clock = clock_ms.clone();
-        let cam_traffic = traffic.clone();
-        camera_threads.push(thread::spawn(move || {
-            driver
-                .send_heartbeat(SimTime::ZERO)
-                .expect("server reachable");
-            while !cam_stop.load(Ordering::Relaxed) {
-                let now = SimTime::from_millis(cam_clock.load(Ordering::Relaxed));
-                driver.pump(now, |_| {}).expect("peers reachable");
-                let scene = { driver.node().view().scene(&cam_traffic.lock()) };
-                driver.capture(&scene, now).expect("peers reachable");
-                thread::sleep(Duration::from_millis(2));
-            }
-            let now = SimTime::from_millis(cam_clock.load(Ordering::Relaxed));
-            driver.flush(now).expect("peers reachable");
-            driver.node().events_generated()
-        }));
-    }
-
-    // Drive traffic at high speedup on the main thread.
-    let r = route::shortest_path(&net, IntersectionId(0), IntersectionId(2)).expect("connected");
-    traffic
-        .lock()
+    let mut runtime = deployment.build_threaded(raw);
+    runtime
+        .traffic_mut()
         .spawn(SimTime::from_secs(1), r, Some(ObjectClass::Car));
-    for _ in 0..450 {
-        {
-            let mut t = traffic.lock();
-            let now = SimTime::from_millis(clock_ms.load(Ordering::Relaxed));
-            t.step(now, SimDuration::from_millis(96));
-        }
-        clock_ms.fetch_add(96, Ordering::Relaxed);
-        thread::sleep(Duration::from_millis(2));
-    }
-    stop.store(true, Ordering::Relaxed);
-    let mut total_events = 0;
-    for h in camera_threads {
-        total_events += h.join().expect("camera thread ok");
-    }
-    server.join().expect("server thread ok");
+    runtime.run();
+    runtime
+}
 
-    // Every camera detected the vehicle; re-identification linked them.
+/// Every camera detected the vehicle and re-identification linked them.
+fn assert_track<T: Transport + Send>(runtime: &ThreadedRuntime<T>) {
+    let total_events: u64 = runtime.nodes().map(|n| n.events_generated()).sum();
     assert!(total_events >= 3, "events: {total_events}");
+    let storage = runtime.storage();
     let stats = storage.stats();
     let (vertices, edges) = (stats.vertices, stats.edges);
     assert!(vertices >= 3, "vertices: {vertices}");
@@ -134,4 +64,42 @@ fn threads_and_router_build_a_track() {
         .expect("seed exists")
         .best_track();
     assert!(track.len() >= 2, "track: {track:?}");
+}
+
+#[test]
+fn threads_and_router_build_a_track() {
+    let router = InProcRouter::new();
+    let runtime = run_corridor(|endpoint| InProcTransport::attach(&router, endpoint));
+    assert_track(&runtime);
+}
+
+#[test]
+fn threads_and_tcp_sockets_build_a_track() {
+    let directory = TcpDirectory::new();
+    let runtime = run_corridor(|endpoint| {
+        TcpTransport::bind(endpoint, "127.0.0.1:0", &directory).expect("bind loopback")
+    });
+    assert_eq!(directory.len(), N as usize + 1, "one listener per party");
+    assert_track(&runtime);
+}
+
+/// The server stamps each heartbeat with the shared sim clock: every
+/// camera's last heartbeat lies within one interval of the final clock.
+#[test]
+fn server_stamps_heartbeats_on_the_shared_clock() {
+    let router = InProcRouter::new();
+    let runtime = run_corridor(|endpoint| InProcTransport::attach(&router, endpoint));
+    let end = runtime.now().as_millis();
+    let interval = runtime.config().heartbeat_interval.as_millis();
+    for node in runtime.nodes() {
+        let cam = node.id();
+        let last = runtime
+            .server()
+            .last_heartbeat_ms(cam)
+            .expect("camera joined");
+        assert!(
+            end - interval < last && last <= end,
+            "{cam}: last heartbeat at {last} ms, clock ended at {end} ms"
+        );
+    }
 }
