@@ -9,7 +9,10 @@
 //! the threaded runtime. Both build every link with the same stack.
 
 use crate::node::{CameraNode, NodeConfig};
-use crate::runtime::{build_link, region_endpoint, NodeDriver, ServerDriver, SimRuntime, SimWorld};
+use crate::obs::{default_health_rules, region_health_rules, CoreObs, HANDOFF_DEADLINE_MS};
+use crate::runtime::{
+    build_link, region_endpoint, NodeDriver, ServerDriver, SimLink, SimRuntime, SimWorld,
+};
 use crate::threaded::ThreadedRuntime;
 use coral_geo::{GeoPoint, IntersectionId, RoadNetwork};
 use coral_net::{Endpoint, FaultPlan, RetryPolicy, SimNet, Transport};
@@ -258,6 +261,34 @@ impl Deployment {
         Some(node)
     }
 
+    /// The deployment's observer, which every actor is built metered
+    /// into: the default health rules when `health_checks` is set (plus
+    /// the region rules when `regions > 1`).
+    fn make_obs(&self, regions: usize) -> CoreObs {
+        let obs = CoreObs::new();
+        let heartbeat_ms = self.config.heartbeat_interval.as_millis();
+        let miss_threshold = u64::from(self.config.miss_threshold);
+        let mut rules = default_health_rules(
+            heartbeat_ms,
+            miss_threshold,
+            HANDOFF_DEADLINE_MS,
+            self.config.sparse_stepping,
+        );
+        // Region contact only means something when a region has peers; one
+        // region keeps the classic rule set and metric surface.
+        if regions > 1 {
+            rules.extend(region_health_rules(heartbeat_ms, miss_threshold));
+            obs.registry().describe(
+                "region_last_contact_ms",
+                "Per-region sim-clock timestamp of the last directly received heartbeat",
+            );
+        }
+        if self.config.health_checks {
+            obs.install_health_rules(rules);
+        }
+        obs
+    }
+
     /// The ground-truth traffic model for this deployment.
     pub fn make_traffic(&self) -> TrafficModel {
         TrafficModel::new(
@@ -271,11 +302,15 @@ impl Deployment {
     /// discrete-event runtime: one topology server and one trajectory
     /// store per region, cameras partitioned into contiguous stripes of
     /// the id-sorted roster, each node writing to (and heartbeating at)
-    /// its home region.
+    /// its home region. Every actor and link is built metered into one
+    /// observer.
     pub fn build(self) -> SimRuntime {
         let regions = usize::from(self.config.regions.max(1));
-        let servers: Vec<TopologyServer> = (0..regions).map(|_| self.make_server()).collect();
+        let obs = self.make_obs(regions);
         let stores = FederatedStores::new(regions, FRAMES_PER_CAMERA, self.config.storage.clone());
+        for store in stores.nodes() {
+            store.instrument(obs.registry());
+        }
         let traffic = self.make_traffic();
         let links = self.config.links;
         let mut rng = StdRng::seed_from_u64(self.config.seed ^ NET_SEED_MIX);
@@ -298,6 +333,15 @@ impl Deployment {
             .enumerate()
             .map(|(i, &id)| (id, (((i * regions) / n).min(regions - 1)) as u16))
             .collect();
+        let servers: Vec<ServerDriver<SimLink>> = (0..regions)
+            .map(|r| {
+                let endpoint = region_endpoint(r as u16);
+                let link = build_link(&self.config, net.handle(endpoint), endpoint, &obs);
+                let mut driver = ServerDriver::new(self.make_server(), link, &obs);
+                driver.set_endpoint(endpoint);
+                driver
+            })
+            .collect();
         let mut drivers = BTreeMap::new();
         let join_order: Vec<CameraId> = self.placements.iter().map(|&(id, _, _)| id).collect();
         for &id in &join_order {
@@ -306,20 +350,21 @@ impl Deployment {
                 .make_node(id, stores.node(usize::from(region)).clone())
                 .expect("placement exists");
             let endpoint = Endpoint::Camera(id);
-            let link = build_link(&self.config, net.handle(endpoint), endpoint);
-            let mut driver = NodeDriver::new(node, link);
+            let link = build_link(&self.config, net.handle(endpoint), endpoint, &obs);
+            let mut driver = NodeDriver::new(node, link, &obs);
             driver.set_parent(region_endpoint(region));
             drivers.insert(id, driver);
         }
-        let world = SimWorld::new(self.config, net, servers, stores, home, traffic, drivers);
+        let world = SimWorld::new(self.config, net, obs, servers, stores, traffic, drivers);
         SimRuntime::launch(world, &join_order)
     }
 
     /// Wires the deployment onto real-time transports and returns the
     /// threaded runtime: one topology server and one trajectory store
-    /// (a single region), and one camera node per placement. `raw` makes
-    /// each endpoint's raw transport, the server's first, and every one
-    /// is made here, before any thread starts.
+    /// (a single region), and one camera node per placement, each built
+    /// metered into one observer. `raw` makes each endpoint's raw
+    /// transport, the server's first, and every one is made here, before
+    /// any thread starts.
     ///
     /// # Panics
     ///
@@ -332,12 +377,12 @@ impl Deployment {
             self.config.regions <= 1,
             "the threaded runtime deploys one region"
         );
+        let obs = self.make_obs(1);
         let storage = EdgeStorageNode::with_config(FRAMES_PER_CAMERA, self.config.storage.clone());
+        storage.instrument(obs.registry());
         let endpoint = Endpoint::TopologyServer;
-        let server = ServerDriver::new(
-            self.make_server(),
-            build_link(&self.config, raw(endpoint), endpoint),
-        );
+        let link = build_link(&self.config, raw(endpoint), endpoint, &obs);
+        let server = ServerDriver::new(self.make_server(), link, &obs);
         let drivers = self
             .placements
             .iter()
@@ -346,10 +391,11 @@ impl Deployment {
                 let node = self
                     .make_node(id, storage.clone())
                     .expect("placement exists");
-                NodeDriver::new(node, build_link(&self.config, raw(endpoint), endpoint))
+                let link = build_link(&self.config, raw(endpoint), endpoint, &obs);
+                NodeDriver::new(node, link, &obs)
             })
             .collect();
         let traffic = self.make_traffic();
-        ThreadedRuntime::new(self.config, server, drivers, storage, traffic)
+        ThreadedRuntime::new(self.config, obs, server, drivers, storage, traffic)
     }
 }

@@ -67,9 +67,7 @@ pub mod threaded;
 
 pub use deploy::{CameraSpec, Deployment, SystemConfig};
 pub use node::{CameraNode, FrameOutput, HandoffEdge, NodeConfig, ReidRecord};
-pub use obs::{
-    region_health_rules, region_subject, CoreObs, NodeObs, ServerObs, Stage, TickActivity,
-};
+pub use obs::{region_health_rules, region_subject, CoreObs, Stage, TickActivity};
 pub use pool::{Candidate, CandidatePool, PoolStats};
 pub use reid::{ReIdentifier, ReidConfig, ReidMatch};
 pub use runtime::{

@@ -1,8 +1,8 @@
 //! Observability glue: the workspace metrics registry and per-vehicle
 //! causal traces, adapted to the domain ids of the runtime.
 //!
-//! [`CoreObs`] is the deployment-wide bundle every driver shares and the
-//! only observer the runtime calls. It plays two roles:
+//! [`CoreObs`] is the deployment-wide bundle every actor is built metered
+//! into. It plays two roles:
 //!
 //! 1. **Metrics** — counters for protocol activity (passages, events,
 //!    informs, confirms, recoveries) that land in the shared
@@ -15,12 +15,19 @@
 //!    completion) → [`Stage::InformSend`] → [`Stage::TransportHop`] →
 //!    [`Stage::Reid`] at the downstream camera.
 //!
+//! Each camera driver meters its own work (frames, events,
+//! re-identifications, sends, deliveries, heartbeats) and the server
+//! driver its own, so the DES and threaded runtimes export the same
+//! protocol counters. The DES adds what only it has: ground-truth
+//! passages, recoveries under failure injection, inform latency on its
+//! exact clock, and its tick and stepper statistics.
+//!
 //! The evaluation evidence (passages, detections, events, inform
 //! arrivals, recoveries) is a separate record, [`Telemetry`](crate::Telemetry),
-//! which the runtime appends to directly; the counters here count the same
+//! which the DES appends to directly; the counters here count the same
 //! occurrences.
 
-use crate::node::ReidRecord;
+use crate::node::{FrameOutput, ReidRecord};
 use crate::stepper::StepStats;
 use crate::telemetry::{Passage, Recovery};
 use coral_net::{DetectionEvent, EventId, Message};
@@ -243,7 +250,6 @@ pub struct CoreObs {
     inner: Arc<Mutex<CoreObsInner>>,
     health: Arc<std::sync::Mutex<HealthEngine>>,
     inform_latency: Histogram,
-    handoff_deadline_us: Arc<AtomicU64>,
     /// Previous tick's sparse active fraction in permille (for the
     /// spike-edge detector feeding [`JournalKind::SparseAnomaly`]).
     last_active_permille: Arc<AtomicU64>,
@@ -311,7 +317,6 @@ impl CoreObs {
         Self {
             health: Arc::new(std::sync::Mutex::new(HealthEngine::new(Vec::new()))),
             inform_latency: r.histogram("runtime_inform_latency_us", &[]),
-            handoff_deadline_us: Arc::new(AtomicU64::new(HANDOFF_DEADLINE_MS * 1_000)),
             last_active_permille: Arc::new(AtomicU64::new(0)),
             passages: r.counter("runtime_passages_total", &[]),
             events: r.counter("runtime_events_total", &[]),
@@ -410,13 +415,6 @@ impl CoreObs {
             .expect("health engine poisoned")
             .latest()
             .cloned()
-    }
-
-    /// Overrides the handoff deadline used for SLO-miss journaling
-    /// (milliseconds; 0 disables the check).
-    pub fn set_handoff_deadline_ms(&self, ms: u64) {
-        self.handoff_deadline_us
-            .store(ms.saturating_mul(1_000), Ordering::Relaxed);
     }
 
     /// The staleness gauge of `camera` that the `heartbeat-staleness`
@@ -529,7 +527,7 @@ impl CoreObs {
     /// A detection event was generated at `camera`. Counts it and, while
     /// tracing, registers the event's vehicle attribution and emits the
     /// Track / FeatureExtract / Store stages of the causal trace.
-    pub fn observe_event(&self, camera: CameraId, event: &DetectionEvent, now: SimTime) {
+    pub(crate) fn observe_event(&self, camera: CameraId, event: &DetectionEvent, now: SimTime) {
         self.events.inc();
         let tracer = self.tracer();
         if !tracer.is_enabled() {
@@ -577,7 +575,7 @@ impl CoreObs {
     }
 
     /// A re-identification happened at `camera`.
-    pub fn observe_reid(&self, camera: CameraId, record: &ReidRecord, now: SimTime) {
+    pub(crate) fn observe_reid(&self, camera: CameraId, record: &ReidRecord, now: SimTime) {
         self.reids.inc();
         let tracer = self.tracer();
         if !tracer.is_enabled() {
@@ -607,7 +605,13 @@ impl CoreObs {
     }
 
     /// A protocol message left `from` for camera `to` (driver send path).
-    pub fn observe_send(&self, from: CameraId, to: CameraId, message: &Message, now: SimTime) {
+    pub(crate) fn observe_send(
+        &self,
+        from: CameraId,
+        to: CameraId,
+        message: &Message,
+        now: SimTime,
+    ) {
         match message {
             Message::Inform(event) => {
                 self.sent_informs.inc();
@@ -647,7 +651,7 @@ impl CoreObs {
 
     /// A protocol message was delivered to a camera: counts it and its
     /// JSON bytes by kind.
-    pub fn observe_delivery(&self, message: &Message) {
+    pub(crate) fn observe_delivery(&self, message: &Message) {
         let kind = match message {
             Message::Inform(_) => 0,
             Message::Confirm { .. } => 1,
@@ -676,8 +680,8 @@ impl CoreObs {
         }
         let latency_us = at.since(sent).as_micros();
         self.inform_latency.observe_us(latency_us);
-        let deadline_us = self.handoff_deadline_us.load(Ordering::Relaxed);
-        if deadline_us > 0 && latency_us > deadline_us {
+        let deadline_us = HANDOFF_DEADLINE_MS * 1_000;
+        if latency_us > deadline_us {
             self.journal().record(
                 JournalKind::HandoffDeadlineMiss,
                 Severity::Error,
@@ -706,7 +710,7 @@ impl CoreObs {
     }
 
     /// A heartbeat of `bytes` JSON bytes left a camera for the cloud.
-    pub fn observe_heartbeat(&self, bytes: u64) {
+    pub(crate) fn observe_heartbeat(&self, bytes: u64) {
         self.heartbeats.inc();
         self.cloud_bytes.add(bytes);
     }
@@ -734,11 +738,12 @@ impl CoreObs {
     }
 }
 
-/// Instrumentation handles for one [`NodeDriver`](crate::NodeDriver):
-/// frame/message handling histograms plus the shared [`CoreObs`] for the
-/// send-path trace events.
+/// The metering handles of one [`NodeDriver`](crate::NodeDriver), which
+/// counts its own work through them: frame and message handling
+/// histograms, the heartbeat-staleness gauge, and the shared [`CoreObs`]
+/// for the protocol counters and the camera's causal-trace stages.
 #[derive(Debug, Clone)]
-pub struct NodeObs {
+pub(crate) struct NodeObs {
     core: CoreObs,
     camera: CameraId,
     frame_us: Histogram,
@@ -751,7 +756,7 @@ pub struct NodeObs {
 
 impl NodeObs {
     /// Creates the handles for `camera`.
-    pub fn new(core: &CoreObs, camera: CameraId) -> Self {
+    pub(crate) fn new(core: &CoreObs, camera: CameraId) -> Self {
         Self {
             core: core.clone(),
             camera,
@@ -761,14 +766,11 @@ impl NodeObs {
         }
     }
 
-    /// The shared deployment observability.
-    pub fn core(&self) -> &CoreObs {
-        &self.core
-    }
-
-    /// A heartbeat left this camera at sim time `now`: refresh the
-    /// staleness gauge the `heartbeat-staleness` health rule watches.
-    pub fn note_heartbeat_sent(&mut self, now: SimTime) {
+    /// A heartbeat of `bytes` JSON bytes left this camera at sim time
+    /// `now`: count it as cloud traffic and refresh the staleness gauge
+    /// the `heartbeat-staleness` health rule watches.
+    pub(crate) fn note_heartbeat_sent(&mut self, now: SimTime, bytes: u64) {
+        self.core.observe_heartbeat(bytes);
         self.heartbeat
             .get_or_insert_with(|| self.core.heartbeat_gauge(self.camera))
             .set(now.as_millis() as i64);
@@ -777,18 +779,34 @@ impl NodeObs {
     /// Records the wall-clock cost of one frame capture (the runtime
     /// commits, and so observes, only the frames of cameras with work; see
     /// [`TickActivity::committed`]).
-    pub fn note_frame(&self, elapsed: std::time::Duration) {
+    pub(crate) fn note_frame(&self, elapsed: std::time::Duration) {
         self.frame_us.observe(elapsed);
     }
 
     /// Records the wall-clock cost of handling one delivered message.
-    pub fn note_message(&self, elapsed: std::time::Duration) {
+    pub(crate) fn note_message(&self, elapsed: std::time::Duration) {
         self.message_us.observe(elapsed);
     }
 
     /// Observes one outgoing message on the driver's send path.
-    pub fn observe_send(&self, to: CameraId, message: &Message, now: SimTime) {
+    pub(crate) fn observe_send(&self, to: CameraId, message: &Message, now: SimTime) {
         self.core.observe_send(self.camera, to, message, now);
+    }
+
+    /// Observes the events and re-identifications of one committed or
+    /// flushed frame output.
+    pub(crate) fn observe_output(&self, out: &FrameOutput, now: SimTime) {
+        for event in &out.events {
+            self.core.observe_event(self.camera, event, now);
+        }
+        for record in &out.reids {
+            self.core.observe_reid(self.camera, record, now);
+        }
+    }
+
+    /// Observes one message delivered to this camera.
+    pub(crate) fn observe_delivery(&self, message: &Message) {
+        self.core.observe_delivery(message);
     }
 }
 
@@ -796,7 +814,7 @@ impl NodeObs {
 /// [`ServerDriver`](crate::ServerDriver): MDCS recomputation timings and
 /// the update-fanout counter.
 #[derive(Debug, Clone)]
-pub struct ServerObs {
+pub(crate) struct ServerObs {
     heartbeat_us: Histogram,
     liveness_us: Histogram,
     updates_sent: Counter,
@@ -804,7 +822,7 @@ pub struct ServerObs {
 
 impl ServerObs {
     /// Creates the handles.
-    pub fn new(core: &CoreObs) -> Self {
+    pub(crate) fn new(core: &CoreObs) -> Self {
         let r = core.registry();
         Self {
             heartbeat_us: r.histogram("server_mdcs_recompute_us", &[("op", "heartbeat")]),
@@ -814,17 +832,17 @@ impl ServerObs {
     }
 
     /// Records the wall-clock cost of one heartbeat-driven recompute.
-    pub fn note_heartbeat(&self, elapsed: std::time::Duration) {
+    pub(crate) fn note_heartbeat(&self, elapsed: std::time::Duration) {
         self.heartbeat_us.observe(elapsed);
     }
 
     /// Records the wall-clock cost of one liveness sweep.
-    pub fn note_liveness(&self, elapsed: std::time::Duration) {
+    pub(crate) fn note_liveness(&self, elapsed: std::time::Duration) {
         self.liveness_us.observe(elapsed);
     }
 
     /// Counts topology updates fanned out to cameras.
-    pub fn note_updates_sent(&self, n: usize) {
+    pub(crate) fn note_updates_sent(&self, n: usize) {
         self.updates_sent.add(n as u64);
     }
 }

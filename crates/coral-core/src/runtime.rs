@@ -16,8 +16,7 @@
 use crate::deploy::SystemConfig;
 use crate::node::{CameraNode, FrameAnalysis, FrameOutput};
 use crate::obs::{
-    camera_pid, default_health_rules, region_health_rules, region_subject, subject_for, CoreObs,
-    NodeObs, ServerObs, TickActivity, HANDOFF_DEADLINE_MS, SERVER_PID,
+    camera_pid, region_subject, subject_for, CoreObs, NodeObs, ServerObs, TickActivity, SERVER_PID,
 };
 use crate::stepper::Stepper;
 use crate::telemetry::{InformArrival, Passage, Recovery, RegionRecovery, Telemetry};
@@ -43,13 +42,16 @@ use std::time::{Duration, Instant};
 /// The driver owns the protocol side effects: frames captured through
 /// [`NodeDriver::capture`] send their inform/confirm messages over the
 /// transport, and envelopes fed to [`NodeDriver::deliver`] send any
-/// confirmation relays the node produces. What remains for the caller is
-/// pacing (a DES clock, a thread loop, or a socket poll loop).
+/// confirmation relays the node produces. It also meters its own work
+/// into the deployment's [`CoreObs`]: events, re-identifications,
+/// deliveries, heartbeats and their causal-trace stages, so every runtime
+/// exports the same counters. What remains for the caller is pacing (a
+/// DES clock or a thread loop).
 #[derive(Debug)]
 pub struct NodeDriver<T: Transport> {
     node: CameraNode,
     transport: T,
-    obs: Option<NodeObs>,
+    obs: NodeObs,
     /// Where this camera's heartbeats go: its home region's server
     /// ([`region_endpoint`]), or an adoptive region's while a failover is
     /// in effect.
@@ -60,12 +62,12 @@ pub struct NodeDriver<T: Transport> {
 }
 
 impl<T: Transport> NodeDriver<T> {
-    /// Binds `node` to `transport`.
-    pub fn new(node: CameraNode, transport: T) -> Self {
+    /// Binds `node` to `transport`, metering into `obs`.
+    pub fn new(node: CameraNode, transport: T, obs: &CoreObs) -> Self {
         Self {
+            obs: NodeObs::new(obs, node.id()),
             node,
             transport,
-            obs: None,
             parent: Endpoint::TopologyServer,
             heartbeat_bytes: None,
         }
@@ -81,20 +83,15 @@ impl<T: Transport> NodeDriver<T> {
         self.parent = parent;
     }
 
-    /// Installs observability handles: frame/message handling wall-times
-    /// land in the registry, and sends feed the per-vehicle causal trace.
-    pub fn set_obs(&mut self, obs: NodeObs) {
-        self.obs = Some(obs);
-    }
-
     /// The camera node.
     pub fn node(&self) -> &CameraNode {
         &self.node
     }
 
-    /// The camera node, mutably (e.g. to flush without a transport at the
-    /// end of a simulated run).
-    pub fn node_mut(&mut self) -> &mut CameraNode {
+    /// The camera node, mutably, for the DES's split analysis phase, its
+    /// idle-frame bookkeeping and failover; no caller outside the crate
+    /// can reach the node around the metered methods.
+    pub(crate) fn node_mut(&mut self) -> &mut CameraNode {
         &mut self.node
     }
 
@@ -113,13 +110,14 @@ impl<T: Transport> NodeDriver<T> {
         Endpoint::Camera(self.node.id())
     }
 
-    /// Builds and sends this camera's heartbeat to the topology server,
-    /// returning its JSON size in bytes (so callers can meter it).
+    /// Builds and sends this camera's heartbeat to its parent server, and
+    /// meters it: the heartbeat count, its JSON bytes as cloud traffic,
+    /// and the staleness gauge the health engine watches.
     ///
     /// # Errors
     ///
     /// Propagates the transport failure, if any.
-    pub fn send_heartbeat(&mut self, now: SimTime) -> Result<u64, SendError> {
+    pub fn send_heartbeat(&mut self, now: SimTime) -> Result<(), SendError> {
         let message = self.node.heartbeat();
         let bytes = *self
             .heartbeat_bytes
@@ -137,13 +135,8 @@ impl<T: Transport> NodeDriver<T> {
                 message,
             },
         )?;
-        // Refresh the staleness gauge the health engine watches; done
-        // here (not per deployment mode) so DES, threaded and TCP runs
-        // all feed the same heartbeat-staleness rule.
-        if let Some(obs) = &mut self.obs {
-            obs.note_heartbeat_sent(now);
-        }
-        Ok(bytes)
+        self.obs.note_heartbeat_sent(now, bytes);
+        Ok(())
     }
 
     /// Processes one captured frame and sends the resulting protocol
@@ -175,13 +168,10 @@ impl<T: Transport> NodeDriver<T> {
         analyze_elapsed: Duration,
         now: SimTime,
     ) -> Result<FrameOutput, SendError> {
-        let start = self.obs.is_some().then(Instant::now);
-        let mut out = self.node.commit_frame(analysis, now.as_millis());
-        if let (Some(obs), Some(start)) = (&self.obs, start) {
-            obs.note_frame(analyze_elapsed + start.elapsed());
-        }
-        self.send_all(now, &mut out.messages)?;
-        Ok(out)
+        let start = Instant::now();
+        let out = self.node.commit_frame(analysis, now.as_millis());
+        self.obs.note_frame(analyze_elapsed + start.elapsed());
+        self.send_output(out, now)
     }
 
     /// Flushes in-flight tracks (end of stream) and sends the resulting
@@ -191,47 +181,67 @@ impl<T: Transport> NodeDriver<T> {
     ///
     /// Propagates the first transport failure.
     pub fn flush(&mut self, now: SimTime) -> Result<FrameOutput, SendError> {
-        let mut out = self.node.flush(now.as_millis());
-        self.send_all(now, &mut out.messages)?;
-        Ok(out)
+        let out = self.node.flush(now.as_millis());
+        self.send_output(out, now)
+    }
+
+    /// Flushes in-flight tracks and meters the output like
+    /// [`NodeDriver::flush`], but leaves its messages to the caller: the
+    /// DES's zero-latency end-of-run epilogue hands them straight to
+    /// their recipients through [`NodeDriver::receive`].
+    pub(crate) fn flush_unsent(&mut self, now: SimTime) -> FrameOutput {
+        let out = self.node.flush(now.as_millis());
+        self.obs.observe_output(&out, now);
+        out
     }
 
     /// Hands a delivered message to the node and sends any replies
-    /// (confirmation relays). Returns the number of replies sent.
+    /// (confirmation relays).
     ///
     /// # Errors
     ///
     /// Propagates the first transport failure.
-    pub fn deliver(&mut self, message: Message, now: SimTime) -> Result<usize, SendError> {
-        let start = self.obs.is_some().then(Instant::now);
+    pub fn deliver(&mut self, message: Message, now: SimTime) -> Result<(), SendError> {
+        self.obs.observe_delivery(&message);
+        let start = Instant::now();
         let mut replies = self.node.on_message(message, now.as_millis());
-        if let (Some(obs), Some(start)) = (&self.obs, start) {
-            obs.note_message(start.elapsed());
-        }
-        let n = replies.len();
-        self.send_all(now, &mut replies)?;
-        Ok(n)
+        self.obs.note_message(start.elapsed());
+        self.send_all(now, &mut replies)
+    }
+
+    /// Hands a message to the node and meters its delivery like
+    /// [`NodeDriver::deliver`], but returns the replies unsent (the DES's
+    /// end-of-run epilogue).
+    pub(crate) fn receive(&mut self, message: Message, now: SimTime) -> Vec<(CameraId, Message)> {
+        self.obs.observe_delivery(&message);
+        self.node.on_message(message, now.as_millis())
     }
 
     /// Drains every envelope deliverable at `now`, handing each to the
-    /// node. `inspect` observes each envelope before delivery (telemetry).
-    /// Returns the number of envelopes processed.
+    /// node. Returns the number of envelopes processed.
     ///
     /// # Errors
     ///
     /// Propagates the first transport failure.
-    pub fn pump(
-        &mut self,
-        now: SimTime,
-        mut inspect: impl FnMut(&Envelope),
-    ) -> Result<usize, SendError> {
+    pub fn pump(&mut self, now: SimTime) -> Result<usize, SendError> {
         let mut n = 0;
         while let Some(envelope) = self.transport.poll(now) {
-            inspect(&envelope);
             self.deliver(envelope.message, now)?;
             n += 1;
         }
         Ok(n)
+    }
+
+    /// Sends a frame output's messages, then meters its events and
+    /// re-identifications.
+    fn send_output(
+        &mut self,
+        mut out: FrameOutput,
+        now: SimTime,
+    ) -> Result<FrameOutput, SendError> {
+        self.send_all(now, &mut out.messages)?;
+        self.obs.observe_output(&out, now);
+        Ok(out)
     }
 
     fn send_all(
@@ -243,9 +253,7 @@ impl<T: Transport> NodeDriver<T> {
         for (to, message) in messages.drain(..) {
             // Observed before the send so the trace records the attempt
             // even when the transport rejects it.
-            if let Some(obs) = &self.obs {
-                obs.observe_send(to, &message, now);
-            }
+            self.obs.observe_send(to, &message, now);
             self.transport.send(
                 now,
                 Envelope {
@@ -274,7 +282,7 @@ pub struct LivenessOutcome {
 pub struct ServerDriver<T: Transport> {
     server: TopologyServer,
     transport: T,
-    obs: Option<ServerObs>,
+    obs: ServerObs,
     /// This server's own network address — the `from` of every update it
     /// sends. `Endpoint::TopologyServer` unless rebound to another
     /// region's server endpoint.
@@ -282,12 +290,13 @@ pub struct ServerDriver<T: Transport> {
 }
 
 impl<T: Transport> ServerDriver<T> {
-    /// Binds `server` to `transport`.
-    pub fn new(server: TopologyServer, transport: T) -> Self {
+    /// Binds `server` to `transport`, metering into `obs`: MDCS
+    /// recomputation wall-times and the update-fanout counter.
+    pub fn new(server: TopologyServer, transport: T, obs: &CoreObs) -> Self {
         Self {
             server,
             transport,
-            obs: None,
+            obs: ServerObs::new(obs),
             endpoint: Endpoint::TopologyServer,
         }
     }
@@ -301,12 +310,6 @@ impl<T: Transport> ServerDriver<T> {
     /// other than region 0).
     pub fn set_endpoint(&mut self, endpoint: Endpoint) {
         self.endpoint = endpoint;
-    }
-
-    /// Installs observability handles: MDCS recomputation wall-times and
-    /// the update-fanout counter land in the registry.
-    pub fn set_obs(&mut self, obs: ServerObs) {
-        self.obs = Some(obs);
     }
 
     /// The topology server.
@@ -346,14 +349,12 @@ impl<T: Transport> ServerDriver<T> {
         else {
             return Ok(0);
         };
-        let start = self.obs.is_some().then(Instant::now);
+        let start = Instant::now();
         let updates = self
             .server
             .handle_heartbeat(camera, position, videoing_angle_deg, now.as_millis())
             .unwrap_or_default();
-        if let (Some(obs), Some(start)) = (&self.obs, start) {
-            obs.note_heartbeat(start.elapsed());
-        }
+        self.obs.note_heartbeat(start.elapsed());
         self.send_updates(updates, now, permit)
     }
 
@@ -368,11 +369,9 @@ impl<T: Transport> ServerDriver<T> {
         now: SimTime,
         mut permit: impl FnMut(CameraId) -> bool,
     ) -> Result<LivenessOutcome, SendError> {
-        let start = self.obs.is_some().then(Instant::now);
+        let start = Instant::now();
         let sweep = self.server.check_liveness(now.as_millis());
-        if let (Some(obs), Some(start)) = (&self.obs, start) {
-            obs.note_liveness(start.elapsed());
-        }
+        self.obs.note_liveness(start.elapsed());
         if sweep.evicted.is_empty() {
             return Ok(LivenessOutcome::default());
         }
@@ -410,9 +409,7 @@ impl<T: Transport> ServerDriver<T> {
                 sent += 1;
             }
         }
-        if let Some(obs) = &self.obs {
-            obs.note_updates_sent(sent);
-        }
+        self.obs.note_updates_sent(sent);
         Ok(sent)
     }
 }
@@ -498,72 +495,38 @@ fn pick_mut<'a, T>(mut items: &'a mut [T], slots: &[usize]) -> Vec<&'a mut T> {
 
 /// Builds the [`Link`] stack for `endpoint` over its `raw` transport per
 /// the deployment config: each layer is live when configured, a verbatim
-/// passthrough otherwise.
+/// passthrough otherwise. A live layer publishes its chaos or retry
+/// counters into `obs` and journals its events there; a passthrough layer
+/// is left unmetered (it would only pin zeros into every snapshot).
 pub(crate) fn build_link<T: Transport>(
     config: &SystemConfig,
     raw: T,
     endpoint: Endpoint,
+    obs: &CoreObs,
 ) -> Link<T> {
     let faulty = match &config.faults {
-        Some(plan) => FaultyTransport::new(raw, endpoint, plan.clone()),
+        Some(plan) => {
+            let mut faulty = FaultyTransport::new(raw, endpoint, plan.clone());
+            faulty.instrument(obs.registry());
+            faulty.set_journal(obs.journal().clone());
+            faulty
+        }
         None => FaultyTransport::transparent(raw, endpoint),
     };
     match &config.reliability {
-        Some(policy) => ReliableTransport::new(
-            faulty,
-            endpoint,
-            policy.clone(),
-            config.seed ^ RELIABILITY_SEED_MIX ^ endpoint_seed(endpoint),
-        ),
+        Some(policy) => {
+            let mut link = ReliableTransport::new(
+                faulty,
+                endpoint,
+                policy.clone(),
+                config.seed ^ RELIABILITY_SEED_MIX ^ endpoint_seed(endpoint),
+            );
+            link.instrument(obs.registry());
+            link.set_journal(obs.journal().clone());
+            link
+        }
         None => ReliableTransport::passthrough(faulty, endpoint),
     }
-}
-
-/// Publishes a link's chaos and retry counters and journals its events,
-/// each only when the corresponding layer is live (passthrough layers
-/// would just pin zeros into every metrics snapshot).
-pub(crate) fn instrument_link<T: Transport>(
-    config: &SystemConfig,
-    link: &mut Link<T>,
-    obs: &CoreObs,
-) {
-    if config.reliability.is_some() {
-        link.instrument(obs.registry());
-        link.set_journal(obs.journal().clone());
-    }
-    if config.faults.is_some() {
-        link.inner_mut().instrument(obs.registry());
-        link.inner_mut().set_journal(obs.journal().clone());
-    }
-}
-
-/// The deployment's observer: the handoff deadline and, when
-/// `health_checks` is set, the default health rules (plus the region
-/// rules when `regions > 1`).
-pub(crate) fn deployment_obs(config: &SystemConfig, regions: usize) -> CoreObs {
-    let obs = CoreObs::new();
-    obs.set_handoff_deadline_ms(HANDOFF_DEADLINE_MS);
-    let heartbeat_ms = config.heartbeat_interval.as_millis();
-    let miss_threshold = u64::from(config.miss_threshold);
-    let mut rules = default_health_rules(
-        heartbeat_ms,
-        miss_threshold,
-        HANDOFF_DEADLINE_MS,
-        config.sparse_stepping,
-    );
-    // Region contact only means something when a region has peers; one
-    // region keeps the classic rule set and metric surface.
-    if regions > 1 {
-        rules.extend(region_health_rules(heartbeat_ms, miss_threshold));
-        obs.registry().describe(
-            "region_last_contact_ms",
-            "Per-region sim-clock timestamp of the last directly received heartbeat",
-        );
-    }
-    if config.health_checks {
-        obs.install_health_rules(rules);
-    }
-    obs
 }
 
 /// One camera's per-tick analysis result, carried from the parallel
@@ -709,60 +672,37 @@ impl std::fmt::Debug for SimWorld {
 const SIM_SEND: &str = "sim transport sends cannot fail";
 
 impl SimWorld {
-    /// Builds the world over one topology server and one store per
-    /// region (`servers[r]` and `stores.node(r)` serve region `r`). Every
-    /// camera starts parented at its home region.
+    /// Builds the world over one metered topology server driver and one
+    /// store per region (`servers[r]` and `stores.node(r)` serve region
+    /// `r`), and over camera drivers metered into the same `obs`. Each
+    /// camera's home region is the one its driver starts parented at.
     pub(crate) fn new(
         config: SystemConfig,
         net: SimNet,
-        servers: Vec<TopologyServer>,
+        obs: CoreObs,
+        servers: Vec<ServerDriver<SimLink>>,
         stores: FederatedStores,
-        home: BTreeMap<CameraId, u16>,
         traffic: TrafficModel,
         drivers: BTreeMap<CameraId, NodeDriver<SimLink>>,
     ) -> Self {
         let regions = stores.regions();
         assert_eq!(servers.len(), regions, "one topology server per region");
         let alive: BTreeSet<CameraId> = drivers.keys().copied().collect();
-        let (ids, mut drivers): (Vec<CameraId>, Vec<NodeDriver<SimLink>>) =
-            drivers.into_iter().unzip();
-        let obs = deployment_obs(&config, regions);
-        for store in stores.nodes() {
-            store.instrument(obs.registry());
-        }
-        for (driver, &id) in drivers.iter_mut().zip(&ids) {
-            driver.set_obs(NodeObs::new(&obs, id));
-        }
-        let mut servers: Vec<ServerDriver<SimLink>> = servers
-            .into_iter()
-            .enumerate()
-            .map(|(r, server)| {
-                let endpoint = region_endpoint(r as u16);
-                let mut driver =
-                    ServerDriver::new(server, build_link(&config, net.handle(endpoint), endpoint));
-                driver.set_endpoint(endpoint);
-                driver.set_obs(ServerObs::new(&obs));
-                driver
-            })
+        let home: BTreeMap<CameraId, u16> = drivers
+            .iter()
+            .map(|(&id, driver)| (id, server_region(driver.parent()).unwrap_or(0)))
             .collect();
-        let mut store_links: Vec<SimLink> = if regions > 1 {
+        let (ids, drivers): (Vec<CameraId>, Vec<NodeDriver<SimLink>>) = drivers.into_iter().unzip();
+        let store_links: Vec<SimLink> = if regions > 1 {
             (0..regions)
                 .map(|r| {
                     let endpoint = Endpoint::EdgeStore(r as u32);
-                    build_link(&config, net.handle(endpoint), endpoint)
+                    build_link(&config, net.handle(endpoint), endpoint, &obs)
                 })
                 .collect()
         } else {
             Vec::new()
         };
-        let links = drivers
-            .iter_mut()
-            .map(NodeDriver::transport_mut)
-            .chain(servers.iter_mut().map(ServerDriver::transport_mut))
-            .chain(store_links.iter_mut());
-        for link in links {
-            instrument_link(&config, link, &obs);
-        }
         // Spatial occupancy index for sparse stepping: one slot per driver
         // in `CameraId` order. Dead cameras keep their slot (their
         // candidate lists simply go unread). The anchor slack scales with the
@@ -938,8 +878,8 @@ impl SimWorld {
         }
     }
 
-    /// Records a protocol message delivered to camera `to`: an inform's
-    /// arrival is evaluation evidence; every kind is observed.
+    /// Records an inform's arrival at camera `to` as evaluation evidence
+    /// (the driver meters every delivery itself).
     fn note_delivery(&mut self, now: SimTime, to: CameraId, message: &Message) {
         if let Message::Inform(e) = message {
             self.telemetry.informs.push(InformArrival {
@@ -949,7 +889,6 @@ impl SimWorld {
                 arrived: now,
             });
         }
-        self.obs.observe_delivery(message);
     }
 
     fn on_tick(&mut self, now: SimTime) {
@@ -1146,10 +1085,6 @@ impl SimWorld {
                 .expect(SIM_SEND);
             for e in &out.events {
                 self.telemetry.events.push((id, e.ground_truth, now));
-                self.obs.observe_event(id, e, now);
-            }
-            for r in &out.reids {
-                self.obs.observe_reid(id, r, now);
             }
             let driver = &mut self.drivers[slot];
             // A re-identification whose upstream camera lives in another
@@ -1267,9 +1202,8 @@ impl SimWorld {
     fn on_heartbeat(&mut self, cam: CameraId, now: SimTime) {
         self.maybe_fail_over(cam, now);
         let slot = self.slot(cam).expect("alive camera is deployed");
-        let bytes = self.drivers[slot].send_heartbeat(now).expect(SIM_SEND);
+        self.drivers[slot].send_heartbeat(now).expect(SIM_SEND);
         self.note_link(slot);
-        self.obs.observe_heartbeat(bytes);
     }
 
     /// Failover detection, from the camera's own vantage point: when the
@@ -1669,13 +1603,9 @@ impl SimWorld {
             // the state a dense run leaves it in.
             let slot = self.slot(id).expect("alive camera is deployed");
             self.sync_frames(slot, self.ticks);
-            let out = self.drivers[slot].node_mut().flush(now_ms);
+            let out = self.drivers[slot].flush_unsent(now);
             for e in &out.events {
                 self.telemetry.events.push((id, e.ground_truth, now));
-                self.obs.observe_event(id, e, now);
-            }
-            for r in &out.reids {
-                self.obs.observe_reid(id, r, now);
             }
             pending.extend(out.messages);
         }
@@ -1686,7 +1616,7 @@ impl SimWorld {
             }
             self.note_delivery(now, to, &msg);
             let slot = self.slot(to).expect("alive camera is deployed");
-            pending.extend(self.drivers[slot].node_mut().on_message(msg, now_ms));
+            pending.extend(self.drivers[slot].receive(msg, now));
         }
         // Publish the histogram scratch-arena hit rate accumulated across
         // every camera's feature extractions (reuse ≫ alloc is what keeps

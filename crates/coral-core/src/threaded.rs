@@ -4,8 +4,10 @@
 //! paper's prototype. It is the counterpart of the discrete-event
 //! [`SimRuntime`](crate::SimRuntime), built by
 //! [`Deployment::build_threaded`](crate::Deployment::build_threaded) with
-//! the same actors, the same link stack and the same observer wiring;
-//! only the pacing differs.
+//! the same actors, built metered the same way, and the same link stack;
+//! only the pacing differs. Every driver counts its own work, so `/metrics`
+//! of a threaded run carries the same protocol counters as the DES's
+//! registry.
 //!
 //! One [`ThreadedRuntime::run`] drives 450 frames of traffic on the
 //! calling thread, one frame period of sim time every 2 ms of wall time
@@ -17,17 +19,18 @@
 //! cameras flush their open tracks and stop, and the server stops after
 //! them.
 //!
-//! Two sim-clock mechanisms of the DES are left out, because at 48x a
-//! wall-clock stall of a loaded host reads as seconds of sim time: the
+//! Only two sim-clock mechanisms of the DES are left out, because at 48x
+//! a wall-clock stall of a loaded host reads as seconds of sim time: the
 //! server's liveness sweep (no failure detection; a 2 s heartbeat and a
 //! miss threshold of 2 would evict a camera after ~83 ms of silence) and
 //! the inform-latency samples (a 52 ms stall would read as a 2.5 s
-//! latency).
+//! latency). The DES-only observations (ground-truth passages, recoveries,
+//! tick statistics) have no counterpart here either.
 
 use crate::deploy::SystemConfig;
 use crate::node::CameraNode;
-use crate::obs::{CoreObs, NodeObs, ServerObs};
-use crate::runtime::{deployment_obs, instrument_link, Link, NodeDriver, ServerDriver};
+use crate::obs::CoreObs;
+use crate::runtime::{Link, NodeDriver, ServerDriver};
 use coral_net::Transport;
 use coral_obs::OpsState;
 use coral_sim::{SimTime, TrafficModel};
@@ -70,23 +73,15 @@ pub struct ThreadedRuntime<T: Transport> {
 }
 
 impl<T: Transport + Send> ThreadedRuntime<T> {
-    /// Wires the observer the way the DES does: health rules, storage
-    /// latencies, per-actor handles and the live link layers' counters.
+    /// Takes actors and a store already built metered into `obs`.
     pub(crate) fn new(
         config: SystemConfig,
-        mut server: ServerDriver<Link<T>>,
-        mut drivers: Vec<NodeDriver<Link<T>>>,
+        obs: CoreObs,
+        server: ServerDriver<Link<T>>,
+        drivers: Vec<NodeDriver<Link<T>>>,
         storage: EdgeStorageNode,
         traffic: TrafficModel,
     ) -> Self {
-        let obs = deployment_obs(&config, 1);
-        storage.instrument(obs.registry());
-        for driver in &mut drivers {
-            driver.set_obs(NodeObs::new(&obs, driver.node().id()));
-            instrument_link(&config, driver.transport_mut(), &obs);
-        }
-        server.set_obs(ServerObs::new(&obs));
-        instrument_link(&config, server.transport_mut(), &obs);
         Self {
             config,
             server,
@@ -217,8 +212,11 @@ fn drive_camera<T: Transport>(
             driver.send_heartbeat(now).expect("server reachable");
             last_heartbeat = Some(now.as_millis());
         }
-        driver.pump(now, |_| {}).expect("peers reachable");
-        let scene = driver.node().view().scene(&traffic.read());
+        driver.pump(now).expect("peers reachable");
+        let scene = driver
+            .node()
+            .view()
+            .scene_at(&traffic.read(), now.as_millis());
         driver.capture(&scene, now).expect("peers reachable");
         driver.transport_mut().tick(now);
         thread::sleep(PACE);

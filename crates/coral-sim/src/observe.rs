@@ -120,7 +120,7 @@ impl CameraView {
     /// outside the image (e.g. exactly `range_m` behind the viewing axis
     /// projects to `cy == image_height`, which is off-image). Use
     /// [`CameraView::in_fov`] for the authoritative visibility predicate —
-    /// the one [`CameraView::scene`] rasterises and the simulator's
+    /// the one [`CameraView::scene_at`] rasterises and the simulator's
     /// ground-truth log records.
     pub fn observes(&self, p: GeoPoint) -> bool {
         self.position.planar_m(p) <= self.range_m
@@ -130,7 +130,7 @@ impl CameraView {
     /// it projects into the image (within range *and* the projected
     /// centroid lands inside the image bounds).
     ///
-    /// Absent scene effects, [`CameraView::scene`] includes exactly the
+    /// Absent scene effects, [`CameraView::scene_at`] includes exactly the
     /// vehicles for which this holds, so rendered presence and
     /// ground-truth presence coincide. With [`SceneEffects`] enabled the
     /// rendered scene may cull occluded vehicles (and inject clutter
@@ -167,17 +167,11 @@ impl CameraView {
         Some((x, y))
     }
 
-    /// Builds the scene this camera sees in the current traffic state,
-    /// with time-dependent effects evaluated at `t = 0`.
-    ///
-    /// Actors are ordered near-to-far before drawing so that nearer
-    /// vehicles (drawn later) occlude farther ones.
-    pub fn scene(&self, traffic: &TrafficModel) -> Scene {
-        self.scene_at(traffic, 0)
-    }
-
     /// Builds the scene this camera sees at simulation time `now_ms`
     /// (clutter bursts are time-windowed; pass the tick time).
+    ///
+    /// Actors are ordered far-to-near, so nearer vehicles (drawn later)
+    /// occlude farther ones.
     pub fn scene_at(&self, traffic: &TrafficModel, now_ms: u64) -> Scene {
         self.scene_from_states_at(&traffic.states(), now_ms)
     }
@@ -187,7 +181,7 @@ impl CameraView {
     ///
     /// The list may be any superset of the vehicles actually in FOV (the
     /// occupancy index hands each camera only the vehicles near it; extra
-    /// candidates are culled by the same projection gate `scene` applies),
+    /// candidates are culled by the same projection gate `scene_at` applies),
     /// but it must preserve the ascending-id order
     /// [`TrafficModel::states`] produces: the far-to-near sort below is
     /// stable, so input order is what breaks exact distance ties, and
@@ -386,10 +380,10 @@ mod tests {
         let r = route::shortest_path(&net, IntersectionId(0), IntersectionId(2)).unwrap();
         let v = tm.spawn(SimTime::ZERO, r, None);
         // At spawn (intersection 0, 100 m away) the camera sees nothing.
-        assert!(view.scene(&tm).actors.is_empty());
+        assert!(view.scene_at(&tm, 0).actors.is_empty());
         // Advance ~8 s: vehicle is ~80 m along, 20 m from the camera.
         tm.step(SimTime::ZERO, SimDuration::from_secs(8));
-        let scene = view.scene(&tm);
+        let scene = view.scene_at(&tm, 0);
         assert_eq!(scene.actors.len(), 1);
         assert_eq!(scene.actors[0].gt, GroundTruthId(v.0));
     }
@@ -406,7 +400,7 @@ mod tests {
         for _ in 0..30 {
             tm.step(now, SimDuration::from_millis(200));
             now += SimDuration::from_millis(200);
-            if let Some(a) = view.scene(&tm).actors.first() {
+            if let Some(a) = view.scene_at(&tm, 0).actors.first() {
                 xs.push(a.bbox.centroid().x);
             }
         }
@@ -433,7 +427,7 @@ mod tests {
         for _ in 0..120 {
             tm.step(now, SimDuration::from_millis(250));
             now += SimDuration::from_millis(250);
-            let scene = view.scene(&tm);
+            let scene = view.scene_at(&tm, 0);
             if scene.actors.len() == 2 {
                 // Draw order is far-to-near.
                 let dist = |gt: GroundTruthId| {
@@ -476,7 +470,7 @@ mod tests {
             now += SimDuration::from_millis(100);
             let Some(state) = tm.state_of(v) else { break };
             let rendered = view
-                .scene(&tm)
+                .scene_at(&tm, 0)
                 .actors
                 .iter()
                 .any(|a| a.gt == GroundTruthId(v.0));
@@ -573,7 +567,7 @@ mod tests {
         let r = route::shortest_path(&net, IntersectionId(0), IntersectionId(2)).unwrap();
         tm.spawn(SimTime::ZERO, r, None);
         tm.step(SimTime::ZERO, SimDuration::from_secs(8));
-        let clean = view.scene(&tm);
+        let clean = view.scene_at(&tm, 0);
         let timed = view.scene_at(&tm, 123_456);
         assert_eq!(clean.actors, timed.actors, "no effects => time-invariant");
     }
@@ -613,8 +607,8 @@ mod tests {
         for _ in 0..240 {
             tm.step(now, SimDuration::from_millis(100));
             now += SimDuration::from_millis(100);
-            let without = clean.scene(&tm);
-            let with = view.scene(&tm);
+            let without = clean.scene_at(&tm, 0);
+            let with = view.scene_at(&tm, 0);
             assert!(with.actors.len() <= without.actors.len());
             if without.actors.len() == 2 {
                 both_frames += 1;

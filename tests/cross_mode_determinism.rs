@@ -9,10 +9,11 @@
 //! are compared as (camera, ground-truth) pairs and edges as the pairs
 //! they connect; timestamps and latencies are deliberately excluded.
 //! The §5.3 broadcast baseline is decided when `Deployment::make_node`
-//! builds each node, so both modes flood alike.
+//! builds each node, so both modes flood alike. The drivers meter their
+//! own work, so both modes also export the same protocol counters.
 
 use coral_pie::core::{
-    CameraNode, CameraSpec, Deployment, NodeConfig, NodeDriver, ServerDriver, SystemConfig,
+    CameraNode, CameraSpec, CoreObs, Deployment, NodeConfig, NodeDriver, ServerDriver, SystemConfig,
 };
 use coral_pie::geo::{generators, route, IntersectionId, RoadNetwork};
 use coral_pie::net::{Endpoint, InProcRouter, InProcTransport, Transport};
@@ -58,19 +59,40 @@ fn spawn_workload(traffic: &mut TrafficModel, net: &RoadNetwork) {
     traffic.spawn(SimTime::from_secs(9), east, Some(ObjectClass::Car));
 }
 
+/// The registry series both modes must agree on: the counters of work
+/// every driver meters itself. Left out, because the modes legitimately
+/// differ there:
+/// - heartbeats and cloud bytes: the lock-step loop sends only the join
+///   heartbeats, the DES one per interval;
+/// - delivered topology updates: the DES's jittered WAN latency lets the
+///   server take the joins out of send order, and the MDCS fan-out
+///   depends on join order (10 updates against 9 here);
+/// - sent messages: the DES hands its end-of-run flush straight to the
+///   recipients, with no send;
+/// - passages: ground truth, which only the DES records.
+const SHARED_SERIES: [(&str, &[(&str, &str)]); 4] = [
+    ("runtime_events_total", &[]),
+    ("runtime_reids_total", &[]),
+    ("runtime_messages_delivered_total", &[("kind", "inform")]),
+    ("runtime_messages_delivered_total", &[("kind", "confirm")]),
+];
+
 /// What a run concluded: the sorted vertex labels (camera + ground truth),
-/// the sorted edge labels (the endpoints' labels), and the totals of
-/// detection events generated and informs sent over all cameras.
+/// the sorted edge labels (the endpoints' labels), the totals of
+/// detection events generated and informs sent over all cameras, and the
+/// [`SHARED_SERIES`] values.
 struct RunSummary {
     vertices: Vec<String>,
     edges: Vec<String>,
     events: u64,
     informs: u64,
+    counters: Vec<u64>,
 }
 
 fn summarize<'a>(
     storage: &EdgeStorageNode,
     nodes: impl Iterator<Item = &'a CameraNode>,
+    obs: &CoreObs,
 ) -> RunSummary {
     let (vertices, edges) = graph_signature(storage);
     let (mut events, mut informs) = (0, 0);
@@ -78,11 +100,16 @@ fn summarize<'a>(
         events += node.events_generated();
         informs += node.connection().stats().informs_sent;
     }
+    let counters = SHARED_SERIES
+        .iter()
+        .map(|(name, labels)| obs.registry().counter_value(name, labels).unwrap_or(0))
+        .collect();
     RunSummary {
         vertices,
         edges,
         events,
         informs,
+        counters,
     }
 }
 
@@ -116,7 +143,11 @@ fn run_des(deployment: Deployment) -> RunSummary {
     runtime.run_until(SimTime::from_secs(RUN_SECS));
     runtime.finish();
     let world = runtime.world();
-    summarize(world.storage(), world.nodes().map(|(_, node)| node))
+    summarize(
+        world.storage(),
+        world.nodes().map(|(_, node)| node),
+        world.observability(),
+    )
 }
 
 /// Mode 2: the same drivers hand-driven over the in-process router with a
@@ -124,9 +155,11 @@ fn run_des(deployment: Deployment) -> RunSummary {
 fn run_inproc(deployment: Deployment) -> RunSummary {
     let router = InProcRouter::new();
     let storage = EdgeStorageNode::default();
+    let obs = CoreObs::new();
     let mut server = ServerDriver::new(
         deployment.make_server(),
         InProcTransport::attach(&router, Endpoint::TopologyServer),
+        &obs,
     );
     let mut cams: Vec<NodeDriver<InProcTransport>> = (0..N)
         .map(|i| {
@@ -134,6 +167,7 @@ fn run_inproc(deployment: Deployment) -> RunSummary {
             NodeDriver::new(
                 deployment.make_node(cam, storage.clone()).expect("placed"),
                 InProcTransport::attach(&router, Endpoint::Camera(cam)),
+                &obs,
             )
         })
         .collect();
@@ -158,7 +192,7 @@ fn run_inproc(deployment: Deployment) -> RunSummary {
     }
     pump_server(&mut server, SimTime::ZERO);
     for d in cams.iter_mut() {
-        d.pump(SimTime::ZERO, |_| {}).expect("in-proc send");
+        d.pump(SimTime::ZERO).expect("in-proc send");
     }
 
     // Frame loop. Deliveries from frame k land at the start of frame k+1 —
@@ -171,16 +205,16 @@ fn run_inproc(deployment: Deployment) -> RunSummary {
         traffic.step(last, now.since(last));
         last = now;
         for d in cams.iter_mut() {
-            d.pump(now, |_| {}).expect("in-proc send");
+            d.pump(now).expect("in-proc send");
         }
         pump_server(&mut server, now);
         for d in cams.iter_mut() {
-            d.pump(now, |_| {}).expect("in-proc send");
+            d.pump(now).expect("in-proc send");
         }
         // All deliveries done: capture this frame in camera-id order,
         // exactly like the DES tick.
         for d in cams.iter_mut() {
-            let scene = d.node().view().scene(&traffic);
+            let scene = d.node().view().scene_at(&traffic, now.as_millis());
             d.capture(&scene, now).expect("in-proc send");
         }
     }
@@ -193,14 +227,14 @@ fn run_inproc(deployment: Deployment) -> RunSummary {
     loop {
         let mut moved = 0;
         for d in cams.iter_mut() {
-            moved += d.pump(last, |_| {}).expect("in-proc send");
+            moved += d.pump(last).expect("in-proc send");
         }
         moved += pump_server(&mut server, last);
         if moved == 0 {
             break;
         }
     }
-    summarize(&storage, cams.iter().map(NodeDriver::node))
+    summarize(&storage, cams.iter().map(NodeDriver::node), &obs)
 }
 
 /// Runs `deployment(broadcast)` in both modes, checks that they agree, and
@@ -230,6 +264,14 @@ fn assert_modes_agree(broadcast: bool) -> RunSummary {
         (des.events, des.informs),
         (ip.events, ip.informs),
         "event and inform totals diverge between DES and in-process modes"
+    );
+    assert_eq!(
+        des.counters, ip.counters,
+        "metered counters {SHARED_SERIES:?} diverge between DES and in-process modes"
+    );
+    assert_eq!(
+        des.counters[0], des.events,
+        "the registry counts every event generated"
     );
     des
 }

@@ -5,17 +5,22 @@
 //! Fault-free links keep `/healthz` at OK; a lossy network (35% drop)
 //! must surface as a non-OK `retransmit-rate` finding while the run is
 //! hot. This is the CI smoke for the ops plane (`ci.sh` runs it by name).
+//! A property test sends hostile request heads to a live endpoint: each
+//! gets a well-formed status line or a clean close, and `/metrics` still
+//! answers afterwards.
 
 use coral_pie::core::{CameraSpec, Deployment, NodeConfig, SystemConfig};
 use coral_pie::geo::{generators, route, IntersectionId};
 use coral_pie::net::{FaultPlan, FaultPolicy, InProcRouter, InProcTransport, RetryPolicy};
-use coral_pie::obs::OpsServer;
+use coral_pie::obs::{HealthEngine, Journal, JournalKind, OpsServer, OpsState, Registry, Severity};
 use coral_pie::sim::SimTime;
 use coral_pie::topology::CameraId;
 use coral_pie::vision::{DetectorNoise, ObjectClass};
+use proptest::prelude::*;
 use std::io::{Read as _, Write as _};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
@@ -183,4 +188,109 @@ fn lossy_network_degrades_health_while_hot() {
         "journal has no retransmit events: {}",
         run.final_journal
     );
+}
+
+/// Sends `head` as a whole request (then closes the write side) and
+/// returns every byte the endpoint answered.
+fn exchange(addr: SocketAddr, head: &[u8]) -> std::io::Result<Vec<u8>> {
+    let mut stream = TcpStream::connect(addr)?;
+    stream.write_all(head)?;
+    stream.shutdown(Shutdown::Write)?;
+    let mut response = Vec::new();
+    stream.read_to_end(&mut response)?;
+    Ok(response)
+}
+
+/// A clean close (no bytes) or a response opening with a status line
+/// `HTTP/1.1 <3 digits> <reason>\r\n`.
+fn well_formed(response: &[u8]) -> bool {
+    if response.is_empty() {
+        return true;
+    }
+    let Some(end) = response.windows(2).position(|w| w == b"\r\n") else {
+        return false;
+    };
+    let Ok(line) = std::str::from_utf8(&response[..end]) else {
+        return false;
+    };
+    let mut parts = line.splitn(3, ' ');
+    parts.next() == Some("HTTP/1.1")
+        && parts
+            .next()
+            .is_some_and(|code| code.len() == 3 && code.bytes().all(|b| b.is_ascii_digit()))
+        && parts.next().is_some_and(|reason| !reason.is_empty())
+}
+
+/// An ops endpoint on an ephemeral loopback port over a registry and a
+/// journal with something in them.
+fn spawn_ops() -> OpsServer {
+    let registry = Registry::new();
+    registry.counter("probe_total", &[]).inc();
+    let journal = Journal::new();
+    for i in 0..3 {
+        journal.record(JournalKind::NodeKill, Severity::Error, i, "cam0", "probe");
+    }
+    let state = OpsState {
+        registry,
+        journal,
+        health: Arc::new(Mutex::new(HealthEngine::new(Vec::new()))),
+        clock_ms: Arc::new(|| 0),
+    };
+    OpsServer::spawn("127.0.0.1:0", state).expect("ephemeral port bound")
+}
+
+/// One hostile request head: arbitrary bytes, a `GET` of arbitrary bytes,
+/// or a `/journal` request whose `last=` is empty, negative, huge,
+/// non-numeric, non-ASCII or arbitrary bytes.
+fn hostile_head() -> impl Strategy<Value = Vec<u8>> {
+    let bytes = |max| proptest::collection::vec(0u8..=255, 0..max);
+    let last = prop_oneof![
+        Just(Vec::new()),
+        Just(b"-1".to_vec()),
+        Just(b"-18446744073709551616".to_vec()),
+        Just(b"18446744073709551615".to_vec()),
+        Just(b"99999999999999999999999999".to_vec()),
+        Just(b"ten".to_vec()),
+        Just(b"1e3".to_vec()),
+        Just("\u{ff15}\u{ff10}".as_bytes().to_vec()),
+        Just(b"%FF%FE".to_vec()),
+        bytes(16),
+    ];
+    prop_oneof![
+        bytes(256),
+        bytes(128).prop_map(|target| [b"GET ".as_slice(), &target, b"\r\n\r\n"].concat()),
+        last.prop_map(|value| {
+            [
+                b"GET /journal?last=".as_slice(),
+                &value,
+                b" HTTP/1.1\r\n\r\n",
+            ]
+            .concat()
+        }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn hostile_request_lines_never_break_the_endpoint(
+        heads in proptest::collection::vec(hostile_head(), 1..4),
+    ) {
+        let ops = spawn_ops();
+        let addr = ops.local_addr();
+        for head in &heads {
+            let response = exchange(addr, head);
+            prop_assert!(
+                response.as_deref().is_ok_and(well_formed),
+                "request {:?} got {:?}",
+                String::from_utf8_lossy(head),
+                response.map(|r| String::from_utf8_lossy(&r).into_owned())
+            );
+        }
+        let (status, body) = http_get(addr, "/metrics");
+        prop_assert_eq!(status, 200);
+        prop_assert!(body.contains("probe_total 1"), "{}", body);
+        ops.shutdown();
+    }
 }

@@ -66,11 +66,40 @@ fn assert_track<T: Transport + Send>(runtime: &ThreadedRuntime<T>) {
     assert!(track.len() >= 2, "track: {track:?}");
 }
 
+/// Every driver metered its own work into the registry, as under the DES.
+fn assert_metered<T: Transport + Send>(runtime: &ThreadedRuntime<T>) {
+    let registry = runtime.obs().registry();
+    let counter =
+        |name: &str, labels: &[(&str, &str)]| registry.counter_value(name, labels).unwrap_or(0);
+    let events: u64 = runtime.nodes().map(|n| n.events_generated()).sum();
+    assert!(events > 0, "no events generated");
+    assert_eq!(counter("runtime_events_total", &[]), events);
+    assert!(
+        counter("runtime_reids_total", &[]) >= 1,
+        "no re-ids counted"
+    );
+    assert!(
+        counter("runtime_heartbeats_total", &[]) >= u64::from(N),
+        "fewer heartbeats than cameras"
+    );
+    assert!(counter("runtime_cloud_bytes_total", &[]) > 0);
+    // Informs sent by the final flush are never pumped, so deliveries
+    // trail sends.
+    let inform = [("kind", "inform")];
+    let delivered = counter("runtime_messages_delivered_total", &inform);
+    let sent = counter("runtime_messages_sent_total", &inform);
+    assert!(
+        delivered > 0 && delivered <= sent,
+        "informs delivered {delivered}, sent {sent}"
+    );
+}
+
 #[test]
 fn threads_and_router_build_a_track() {
     let router = InProcRouter::new();
     let runtime = run_corridor(|endpoint| InProcTransport::attach(&router, endpoint));
     assert_track(&runtime);
+    assert_metered(&runtime);
 }
 
 #[test]
@@ -81,6 +110,7 @@ fn threads_and_tcp_sockets_build_a_track() {
     });
     assert_eq!(directory.len(), N as usize + 1, "one listener per party");
     assert_track(&runtime);
+    assert_metered(&runtime);
 }
 
 /// The server stamps each heartbeat with the shared sim clock: every

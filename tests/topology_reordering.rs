@@ -10,7 +10,7 @@
 //! LIFO order, so the newest update arrives first and every earlier one
 //! arrives stale.
 
-use coral_pie::core::{CameraSpec, Deployment, NodeDriver, ServerDriver, SystemConfig};
+use coral_pie::core::{CameraSpec, CoreObs, Deployment, NodeDriver, ServerDriver, SystemConfig};
 use coral_pie::geo::{generators, IntersectionId};
 use coral_pie::net::{Endpoint, Envelope, Message, SendError, Transport};
 use coral_pie::sim::SimTime;
@@ -50,7 +50,12 @@ fn stale_topology_updates_do_not_overwrite_newer_tables() {
 
     // Joins processed one at a time: each recomputation that touches
     // camera 0 emits a TopologyUpdate for it with a higher version.
-    let mut server = ServerDriver::new(deployment.make_server(), ReorderingTransport::default());
+    let obs = CoreObs::new();
+    let mut server = ServerDriver::new(
+        deployment.make_server(),
+        ReorderingTransport::default(),
+        &obs,
+    );
     for (i, t) in [(0u32, 10u64), (1, 20), (2, 30), (3, 40)] {
         let cam = CameraId(i);
         server
@@ -106,11 +111,17 @@ fn stale_topology_updates_do_not_overwrite_newer_tables() {
                 .collect(),
             outbox: Vec::new(),
         },
+        &obs,
     );
     let delivered = driver
-        .pump(SimTime::from_millis(100), |_| {})
+        .pump(SimTime::from_millis(100))
         .expect("collector send");
     assert_eq!(delivered, updates.len(), "all updates were delivered");
+    assert_eq!(
+        obs.delivered("topology_update"),
+        updates.len() as u64,
+        "the driver meters every delivery, stale ones included"
+    );
 
     // Only the newest survived: the stale ones were rejected, and the
     // installed table is the newest version's, not the last-delivered's.
