@@ -194,6 +194,16 @@ if [ "$quick" -eq 0 ]; then
     PROPTEST_CASES=2048 cargo test -q --release -p coral-vision --test signature_gating_oracle
 fi
 
+# Appearance-index oracle: the sharded store's pruned query-by-appearance
+# must return the flat graph's full-scan results (ids, order and distance
+# bits) for rendered, unnormalised, diffuse and mixed-bins signatures,
+# after snapshot import and federation adoption too (the default case
+# count already ran with the workspace tests).
+if [ "$quick" -eq 0 ]; then
+    echo "==> appearance-index oracle proptests (release, 2048 cases)"
+    PROPTEST_CASES=2048 cargo test -q --release -p coral-storage --test appearance_index_oracle
+fi
+
 # Health-engine oracle: the cached-series evaluator must produce the same
 # report JSON, journal bytes and overall verdict as the snapshot evaluator
 # it replaced, kept in the test (the default case count already ran with

@@ -1,8 +1,9 @@
 //! Criterion benchmarks for the two scans over stored appearance
-//! signatures: query-by-appearance over a city-sized store, and a camera's
-//! re-identification pass over its candidate pool. Both compare sparse
-//! signatures read off rendered vehicles (a handful of non-zero bins out
-//! of 512), the shape the hard regimes produce.
+//! signatures: query-by-appearance over a city-sized store (through the
+//! appearance index, and the full scan a diffuse query falls back to),
+//! and a camera's re-identification pass over its candidate pool. Both
+//! compare sparse signatures read off rendered vehicles (a handful of
+//! non-zero bins out of 512), the shape the hard regimes produce.
 
 use coral_core::{CandidatePool, ReIdentifier, ReidConfig};
 use coral_net::{DetectionEvent, EventId};
@@ -65,6 +66,12 @@ fn bench_nearest_by_signature(c: &mut Criterion) {
     let query = signature(7, 1_000_000);
     c.bench_function("nearest_by_signature_1660", |b| {
         b.iter(|| store.nearest_by_signature(&query, 5, 0.5));
+    });
+    // Mass spread over every bin: the bound needs so many of the query's
+    // bins that their postings cover the store, so each shard is scanned.
+    let diffuse = ColorHistogram::uniform(HistogramConfig::default().bins_per_channel);
+    c.bench_function("nearest_by_signature_diffuse", |b| {
+        b.iter(|| store.nearest_by_signature(&diffuse, 5, 0.5));
     });
 }
 

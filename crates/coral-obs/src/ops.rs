@@ -9,11 +9,14 @@
 //! | `GET /healthz` | JSON [`crate::health::HealthReport`] (HTTP 503 when CRITICAL) |
 //! | `GET /journal?last=N` | last N flight-recorder events as JSONL |
 //!
-//! The server is deliberately tiny: one accept thread, blocking
-//! per-connection handling (requests are single-line GETs from a scraper
-//! or a human's `curl`), no keep-alive. It is **off in DES runs by
-//! default** — the simulator never needs a socket, and determinism is
-//! easier to reason about when the sim binary opens none.
+//! The server is deliberately tiny: one accept thread handing connections
+//! to a fixed pool of four workers, blocking per-connection
+//! handling (requests are single-line GETs from a scraper or a human's
+//! `curl`), no keep-alive. A client that connects and sends nothing holds
+//! one worker until its read timeout, not the endpoint; a connection
+//! beyond the cap gets an immediate `503` and is closed. It is **off in
+//! DES runs by default** — the simulator never needs a socket, and
+//! determinism is easier to reason about when the sim binary opens none.
 
 use crate::health::HealthEngine;
 use crate::journal::Journal;
@@ -21,10 +24,14 @@ use crate::registry::Registry;
 use crate::Verdict;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// Connections served at once, one worker thread each.
+const MAX_CONNECTIONS: usize = 4;
 
 /// The shared handles the endpoint serves from.
 #[derive(Clone)]
@@ -52,25 +59,45 @@ pub struct OpsServer {
     local_addr: SocketAddr,
     stop: Arc<AtomicBool>,
     handle: Option<JoinHandle<()>>,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl OpsServer {
     /// Binds `addr` (use port 0 for an ephemeral port) and starts the
-    /// accept thread.
+    /// accept thread and its workers.
     pub fn spawn(addr: impl ToSocketAddrs, state: OpsState) -> std::io::Result<OpsServer> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let stop_thread = stop.clone();
-        let handle = std::thread::Builder::new()
-            .name("coral-ops".to_string())
-            .spawn(move || accept_loop(listener, state, stop_thread))?;
-        Ok(OpsServer {
+        let mut server = OpsServer {
             local_addr,
             stop,
-            handle: Some(handle),
-        })
+            handle: None,
+            workers: Vec::with_capacity(MAX_CONNECTIONS),
+        };
+        // At most MAX_CONNECTIONS streams are queued or in service, so the
+        // accept thread never blocks on a send. Dropping `tx` stops the
+        // workers; declared after `server`, it is dropped first when a
+        // spawn fails, before `server`'s drop joins them.
+        let (tx, rx) = sync_channel(MAX_CONNECTIONS);
+        let rx = Arc::new(Mutex::new(rx));
+        let busy = Arc::new(AtomicUsize::new(0));
+        for i in 0..MAX_CONNECTIONS {
+            let (rx, state, busy) = (rx.clone(), state.clone(), busy.clone());
+            server.workers.push(
+                std::thread::Builder::new()
+                    .name(format!("coral-ops-{i}"))
+                    .spawn(move || serve_loop(&rx, &state, &busy))?,
+            );
+        }
+        server.handle = Some(
+            std::thread::Builder::new()
+                .name("coral-ops".to_string())
+                .spawn(move || accept_loop(listener, tx, &busy, &stop_thread))?,
+        );
+        Ok(server)
     }
 
     /// The bound address (resolves port 0 to the real port).
@@ -78,7 +105,7 @@ impl OpsServer {
         self.local_addr
     }
 
-    /// Stops the accept thread and joins it.
+    /// Stops the accept thread and its workers and joins them.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
@@ -87,6 +114,9 @@ impl OpsServer {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(h) = self.handle.take() {
             let _ = h.join();
+        }
+        for w in self.workers.drain(..) {
+            let _ = w.join();
         }
     }
 }
@@ -97,19 +127,61 @@ impl Drop for OpsServer {
     }
 }
 
-fn accept_loop(listener: TcpListener, state: OpsState, stop: Arc<AtomicBool>) {
+/// Hands each accepted connection to a worker, or refuses it when
+/// [`MAX_CONNECTIONS`] are already queued or in service. `busy` only
+/// counts (each stream travels through the queue), so `Relaxed` suffices.
+fn accept_loop(
+    listener: TcpListener,
+    tx: SyncSender<TcpStream>,
+    busy: &AtomicUsize,
+    stop: &AtomicBool,
+) {
     while !stop.load(Ordering::Relaxed) {
         match listener.accept() {
-            Ok((stream, _)) => {
-                // Serve inline: requests are tiny and rare.
-                let _ = handle_connection(stream, &state);
+            // Only this thread raises `busy`, so the check cannot race.
+            Ok((stream, _)) if busy.load(Ordering::Relaxed) < MAX_CONNECTIONS => {
+                busy.fetch_add(1, Ordering::Relaxed);
+                let _ = tx.send(stream);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
+            Ok((stream, _)) => {
+                let _ = refuse(stream);
             }
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }
+}
+
+/// One worker: serves queued connections until the queue closes.
+fn serve_loop(rx: &Mutex<Receiver<TcpStream>>, state: &OpsState, busy: &AtomicUsize) {
+    loop {
+        let next = rx.lock().expect("ops queue poisoned").recv();
+        let Ok(stream) = next else {
+            return;
+        };
+        let _ = handle_connection(stream, state);
+        busy.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// Answers a connection over the cap with `503` without waiting on it.
+/// What the client already sent is read first, so closing does not reset
+/// the connection under the response.
+fn refuse(mut stream: TcpStream) -> std::io::Result<()> {
+    stream.set_nonblocking(true)?;
+    let mut sink = [0u8; 1024];
+    for _ in 0..8 {
+        if !matches!(stream.read(&mut sink), Ok(n) if n > 0) {
+            break;
+        }
+    }
+    stream.set_nonblocking(false)?;
+    stream.set_write_timeout(Some(Duration::from_millis(100)))?;
+    respond(
+        &mut stream,
+        503,
+        "text/plain; charset=utf-8",
+        "ops endpoint busy\n",
+    )
 }
 
 fn handle_connection(mut stream: TcpStream, state: &OpsState) -> std::io::Result<()> {
@@ -224,8 +296,14 @@ mod tests {
     fn get(addr: SocketAddr, target: &str) -> (u16, String) {
         let mut stream = TcpStream::connect(addr).unwrap();
         write!(stream, "GET {target} HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
-        let mut raw = String::new();
-        stream.read_to_string(&mut raw).unwrap();
+        // Read to the close; a refused connection may end in a reset
+        // after its response.
+        let mut bytes = Vec::new();
+        let mut chunk = [0u8; 4096];
+        while let Ok(n @ 1..) = stream.read(&mut chunk) {
+            bytes.extend_from_slice(&chunk[..n]);
+        }
+        let raw = String::from_utf8(bytes).unwrap();
         let status: u16 = raw
             .split_whitespace()
             .nth(1)
@@ -311,5 +389,43 @@ mod tests {
         let (status, body) = get(server.local_addr(), "/healthz");
         assert_eq!(status, 503);
         assert!(body.contains("\"overall\": \"critical\""), "{body}");
+    }
+
+    /// Opens `n` connections that never send a request. The listen
+    /// queue is first in, first out, so the server accepts them before
+    /// any connection opened after them.
+    fn idle_connections(addr: SocketAddr, n: usize) -> Vec<TcpStream> {
+        (0..n).map(|_| TcpStream::connect(addr).unwrap()).collect()
+    }
+
+    #[test]
+    fn an_idle_connection_does_not_stall_other_requests() {
+        let server = OpsServer::spawn("127.0.0.1:0", test_state()).unwrap();
+        let idle = idle_connections(server.local_addr(), 1);
+        let start = std::time::Instant::now();
+        let (status, _) = get(server.local_addr(), "/healthz");
+        let waited = start.elapsed();
+        assert_eq!(status, 200);
+        // The read timeout is 2 s; serving inline behind the idle
+        // connection would wait that long.
+        assert!(waited < Duration::from_millis(500), "waited {waited:?}");
+        drop(idle);
+    }
+
+    #[test]
+    fn connections_over_the_cap_get_an_immediate_503() {
+        let server = OpsServer::spawn("127.0.0.1:0", test_state()).unwrap();
+        let idle = idle_connections(server.local_addr(), MAX_CONNECTIONS);
+        let start = std::time::Instant::now();
+        let (status, body) = get(server.local_addr(), "/metrics");
+        assert_eq!(status, 503, "{body}");
+        assert!(start.elapsed() < Duration::from_millis(500));
+        // Closing the idle connections frees their workers.
+        drop(idle);
+        let deadline = std::time::Instant::now() + Duration::from_secs(3);
+        while get(server.local_addr(), "/metrics").0 != 200 {
+            assert!(std::time::Instant::now() < deadline, "workers never freed");
+            std::thread::sleep(Duration::from_millis(20));
+        }
     }
 }

@@ -83,12 +83,201 @@ struct SeqEdge {
 /// One independently-lockable shard.
 #[derive(Debug, Default)]
 struct Shard {
-    vertices: BTreeMap<VertexId, VertexRecord>,
+    /// Vertex records in insertion order: a record's position is its
+    /// slot, the `u32` the appearance postings hold.
+    records: Vec<VertexRecord>,
+    /// Vertex id → slot.
+    slots: BTreeMap<VertexId, u32>,
     out_edges: BTreeMap<VertexId, Vec<SeqEdge>>,
     in_edges: BTreeMap<VertexId, Vec<SeqEdge>>,
-    /// Vertices by detecting camera, ascending by id (push order — ids are
-    /// allocated monotonically under the index lock).
-    by_camera: BTreeMap<CameraId, Vec<VertexId>>,
+    /// Slots by detecting camera, ascending by vertex id (push order —
+    /// ids are allocated monotonically under the index lock).
+    by_camera: BTreeMap<CameraId, Vec<u32>>,
+    appearance: AppearanceIndex,
+}
+
+impl Shard {
+    /// Adds `record` with its camera-list entry and appearance postings:
+    /// the one insert path, so a reader holding the shard lock sees a
+    /// record and its postings together or not at all.
+    fn insert_record(&mut self, record: VertexRecord) {
+        let id = record.id;
+        let slot = u32::try_from(self.records.len()).expect("fewer than 2³² vertices per shard");
+        // Adoption can arrive out of id order; keep the per-camera list
+        // ascending by id (local inserts always append).
+        let records = &self.records;
+        let id_at = |s: u32| records[s as usize].id;
+        let slots = self.by_camera.entry(record.camera).or_default();
+        match slots.last() {
+            Some(&last) if id_at(last) > id => {
+                let pos = slots.partition_point(|&s| id_at(s) < id);
+                slots.insert(pos, slot);
+            }
+            _ => slots.push(slot),
+        }
+        if let Some(sig) = &record.signature {
+            self.appearance.insert(slot, sig);
+        }
+        self.slots.insert(id, slot);
+        self.records.push(record);
+    }
+
+    fn record(&self, id: VertexId) -> Option<&VertexRecord> {
+        self.slots
+            .get(&id)
+            .map(|&slot| &self.records[slot as usize])
+    }
+
+    /// The records in ascending id order.
+    fn records_by_id(&self) -> impl Iterator<Item = &VertexRecord> {
+        self.slots
+            .values()
+            .map(|&slot| &self.records[slot as usize])
+    }
+
+    /// Appends to `out` every vertex of this shard the full scan would
+    /// return: a signature comparable with `query` within `max_distance`.
+    /// With a `bound`, only the postings of its required bins are scored;
+    /// without one, or when the postings would cover the shard anyway,
+    /// every record is.
+    fn score_signatures(
+        &self,
+        query: &ColorHistogram,
+        max_distance: f64,
+        bound: Option<&QueryBound>,
+        out: &mut Vec<(VertexId, f64)>,
+    ) {
+        let mut score = |r: &VertexRecord| {
+            let d = r
+                .signature
+                .as_ref()
+                .and_then(|sig| query.bhattacharyya_distance(sig));
+            if let Some(d) = d.filter(|&d| d <= max_distance) {
+                out.push((r.id, d));
+            }
+        };
+        let candidates = bound.and_then(|b| {
+            let required = b.required(self.appearance.max_mass)?;
+            self.appearance
+                .candidates(query.bins_per_channel(), required, self.records.len())
+        });
+        match candidates {
+            Some(slots) => {
+                for slot in slots {
+                    score(&self.records[slot as usize]);
+                }
+            }
+            None => self.records.iter().for_each(score),
+        }
+    }
+}
+
+/// Relative and absolute slack on the pruning bound. It covers the
+/// rounding of every float step between the exact bound and the computed
+/// distance: sums of up to 2³⁴ terms, a product, two square roots and
+/// `1 − d²`. Far larger than that rounding, far smaller than any gap the
+/// bound is used to close.
+const BOUND_MARGIN: f64 = 1e-5;
+
+/// One shard's appearance index: for each `(bins_per_channel, bin)`, the
+/// slots of the shard's vertices whose signature has that bin non-zero,
+/// ascending. A posting costs four bytes.
+#[derive(Debug, Default)]
+struct AppearanceIndex {
+    postings: HashMap<(usize, usize), Vec<u32>>,
+    /// The largest stored signature mass (sum of its bins). Wire and
+    /// snapshot signatures need not be normalised, so this is tracked,
+    /// not assumed to be 1.
+    max_mass: f64,
+}
+
+impl AppearanceIndex {
+    fn insert(&mut self, slot: u32, sig: &ColorHistogram) {
+        let b = sig.bins_per_channel();
+        let mut mass = 0.0;
+        for &(bin, v) in sig.bins() {
+            self.postings.entry((b, bin)).or_default().push(slot);
+            mass += v;
+        }
+        self.max_mass = self.max_mass.max(mass);
+    }
+
+    /// The ascending, distinct slots posted under `required` bins at
+    /// `bins_per_channel`, or `None` when the postings are at least as
+    /// many as the shard's `records` (a scan is then no dearer).
+    fn candidates(
+        &self,
+        bins_per_channel: usize,
+        required: &[(usize, f64)],
+        records: usize,
+    ) -> Option<Vec<u32>> {
+        let lists: Vec<&Vec<u32>> = required
+            .iter()
+            .filter_map(|&(bin, _)| self.postings.get(&(bins_per_channel, bin)))
+            .collect();
+        let total: usize = lists.iter().map(|l| l.len()).sum();
+        if total >= records {
+            return None;
+        }
+        let mut slots: Vec<u32> = Vec::with_capacity(total);
+        for l in lists {
+            slots.extend_from_slice(l);
+        }
+        if required.len() > 1 {
+            slots.sort_unstable();
+            slots.dedup();
+        }
+        Some(slots)
+    }
+}
+
+/// The query side of the appearance bound.
+///
+/// A stored signature `p` sharing the bins `S` with the query `q` has, by
+/// Cauchy–Schwarz, `BC = Σ_S √(p_i q_i) ≤ √(P · Q(S))` with `P` its total
+/// mass. A result needs `BC ≥ τ = 1 − max_distance²`. So if the query
+/// mass outside a set `R` of its bins satisfies `√(P_max · rest) < τ`, a
+/// vertex sharing no bin of `R` cannot be a result and is never read.
+#[derive(Debug)]
+struct QueryBound {
+    /// The query's bins by descending mass (ties by ascending index).
+    order: Vec<(usize, f64)>,
+    /// `rest[k]`: the query mass outside `order[..k]`, each a fresh sum
+    /// (smallest first), never a difference.
+    rest: Vec<f64>,
+    /// `τ` less the margin.
+    tau: f64,
+}
+
+impl QueryBound {
+    /// The bound for `query` at `max_distance`, or `None` when nothing
+    /// can be pruned: a `max_distance` outside `[0, 1)` (NaN included)
+    /// leaves the scan to answer exactly as it always has.
+    fn new(query: &ColorHistogram, max_distance: f64) -> Option<Self> {
+        if !(0.0..1.0).contains(&max_distance) {
+            return None;
+        }
+        let mut order = query.bins().to_vec();
+        order.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        let mut rest = vec![0.0; order.len() + 1];
+        for k in (0..order.len()).rev() {
+            rest[k] = rest[k + 1] + order[k].1;
+        }
+        Some(Self {
+            order,
+            rest,
+            tau: 1.0 - max_distance * max_distance - BOUND_MARGIN,
+        })
+    }
+
+    /// The shortest prefix `R` of the query's bins that rules out every
+    /// vertex sharing none of them, in a shard whose largest stored mass
+    /// is `max_mass`; `None` when `R` would need every bin.
+    fn required(&self, max_mass: f64) -> Option<&[(usize, f64)]> {
+        (0..self.order.len())
+            .find(|&k| (max_mass * self.rest[k]).sqrt() * (1.0 + BOUND_MARGIN) < self.tau)
+            .map(|k| &self.order[..k])
+    }
 }
 
 /// The store-level vertex directory: event → vertex and vertex → shard.
@@ -326,20 +515,7 @@ impl ShardedTrajectoryGraph {
             Ordering::SeqCst,
         );
         idx.set_shard(id, shard as u16);
-        {
-            let mut s = self.shards[shard].write();
-            s.vertices.insert(id, record);
-            // Adoption can arrive out of id order; keep the per-camera
-            // list ascending (local inserts always append).
-            let ids = s.by_camera.entry(event.camera).or_default();
-            match ids.last() {
-                Some(&last) if last > id => {
-                    let pos = ids.partition_point(|&v| v < id);
-                    ids.insert(pos, id);
-                }
-                _ => ids.push(id),
-            }
-        }
+        self.shards[shard].write().insert_record(record);
         idx.by_event.insert(event, id);
         self.mutations.fetch_add(1, Ordering::SeqCst);
     }
@@ -427,10 +603,7 @@ impl ShardedTrajectoryGraph {
             .shard_of(id)
             .ok_or(GraphError::UnknownVertex(id))?;
         let s = self.shards[shard as usize].read();
-        s.vertices
-            .get(&id)
-            .cloned()
-            .ok_or(GraphError::UnknownVertex(id))
+        s.record(id).cloned().ok_or(GraphError::UnknownVertex(id))
     }
 
     /// The vertex created for `event`, if any.
@@ -525,11 +698,11 @@ impl ShardedTrajectoryGraph {
         let mut out = Vec::new();
         for shard in self.shards_for_window(region, start_ms, end_ms) {
             let s = self.shards[shard].read();
-            if let Some(ids) = s.by_camera.get(&camera) {
-                for id in ids {
-                    let r = &s.vertices[id];
+            if let Some(slots) = s.by_camera.get(&camera) {
+                for &slot in slots {
+                    let r = &s.records[slot as usize];
                     if r.first_seen_ms <= end_ms && r.last_seen_ms >= start_ms {
-                        out.push(*id);
+                        out.push(r.id);
                     }
                 }
             }
@@ -544,9 +717,9 @@ impl ShardedTrajectoryGraph {
         let mut out = Vec::new();
         for shard in &self.shards {
             let s = shard.read();
-            for (id, r) in &s.vertices {
+            for r in &s.records {
                 if r.first_seen_ms <= end_ms && r.last_seen_ms >= start_ms {
-                    out.push(*id);
+                    out.push(r.id);
                 }
             }
         }
@@ -557,24 +730,24 @@ impl ShardedTrajectoryGraph {
     /// The `k` stored detections nearest to `query` (Bhattacharyya
     /// distance) under `max_distance`, best first, ties by id — identical
     /// ranking to the flat graph's stable sort over ascending ids.
+    ///
+    /// Each shard scores only the vertices its appearance index posts
+    /// under the query bins the Cauchy–Schwarz bound requires; the rest
+    /// cannot reach `max_distance`. The scored ones get the same distance
+    /// bits a full scan computes, and a shard the bound cannot prune is
+    /// scanned in full.
     pub fn nearest_by_signature(
         &self,
         query: &ColorHistogram,
         k: usize,
         max_distance: f64,
     ) -> Vec<(VertexId, f64)> {
+        let bound = QueryBound::new(query, max_distance);
         let mut scored: Vec<(VertexId, f64)> = Vec::new();
         for shard in &self.shards {
-            let s = shard.read();
-            for r in s.vertices.values() {
-                let d = r
-                    .signature
-                    .as_ref()
-                    .and_then(|sig| query.bhattacharyya_distance(sig));
-                if let Some(d) = d.filter(|&d| d <= max_distance) {
-                    scored.push((r.id, d));
-                }
-            }
+            shard
+                .read()
+                .score_signatures(query, max_distance, bound.as_ref(), &mut scored);
         }
         scored.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
         scored.truncate(k);
@@ -590,7 +763,7 @@ impl ShardedTrajectoryGraph {
         let guards: Vec<RwLockReadGuard<'_, Shard>> =
             self.shards.iter().map(|s| s.read()).collect();
         let mut records: Vec<&VertexRecord> =
-            guards.iter().flat_map(|g| g.vertices.values()).collect();
+            guards.iter().flat_map(|g| g.records.iter()).collect();
         records.sort_by_key(|r| r.id);
         let mut flat = TrajectoryGraph::new();
         for r in records {
@@ -630,7 +803,7 @@ impl ShardedTrajectoryGraph {
         let shards = guards
             .iter()
             .map(|g| ExportedShard {
-                records: g.vertices.values().cloned().collect(),
+                records: g.records_by_id().cloned().collect(),
                 edges: g
                     .out_edges
                     .values()
@@ -693,16 +866,14 @@ impl ShardedTrajectoryGraph {
         let mut shards: Vec<Shard> = (0..state.shard_count).map(|_| Shard::default()).collect();
         let mut cross = BTreeMap::new();
         let mut all: Vec<(u64, TrajectoryEdge, u16)> = Vec::new();
-        for (si, shard) in state.shards.into_iter().enumerate() {
+        for (si, mut shard) in state.shards.into_iter().enumerate() {
             let g = &mut shards[si];
+            // In id order (file order need not be), so every per-camera
+            // list is built by appending.
+            shard.records.sort_unstable_by_key(|r| r.id);
             for r in shard.records {
                 by_event.insert(r.event, r.id);
-                g.by_camera.entry(r.camera).or_default().push(r.id);
-                g.vertices.insert(r.id, r);
-            }
-            // by_camera must be ascending by id (file order need not be).
-            for ids in g.by_camera.values_mut() {
-                ids.sort_unstable();
+                g.insert_record(r);
             }
             for (edge, seq) in shard.edges {
                 let TrajectoryEdge { from, to, weight } = edge;
@@ -866,7 +1037,7 @@ impl ShardReadTxn<'_> {
             return Some(s);
         }
         for (i, g) in self.guards.iter().enumerate() {
-            if g.vertices.contains_key(&v) {
+            if g.slots.contains_key(&v) {
                 self.locate.insert(v, i as u16);
                 return Some(i as u16);
             }

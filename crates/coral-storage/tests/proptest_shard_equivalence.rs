@@ -31,12 +31,26 @@ fn eid(cam: u32, track: u64) -> EventId {
 
 /// A deterministic appearance signature for event `i` (2 bins/channel =
 /// 8 bins): distinct per vertex so nearest-by-signature has real ordering
-/// to preserve.
+/// to preserve, and sparse (up to four of the eight bins are zero) so the
+/// appearance index has bins to prune on.
 fn sig(i: usize) -> ColorHistogram {
     let bins: Vec<f64> = (0..8)
-        .map(|j| ((i * 7 + j * 13) % 11) as f64 / 11.0 + 0.01)
+        .map(|j| match (i * 7 + j * 13) % 11 {
+            r if r < 4 => 0.0,
+            r => r as f64 / 11.0 + 0.01,
+        })
         .collect();
     ColorHistogram::from_bins(2, bins).expect("8 bins for 2 bins/channel")
+}
+
+/// Appearance thresholds: the pruning range, its edges, and the values
+/// the store answers without pruning.
+const MAX_DISTANCES: [f64; 9] = [0.0, 0.25, 0.5, 0.75, 0.999, 1.0, 1.5, -0.5, f64::NAN];
+const K_AXIS: [usize; 3] = [1, 4, 64];
+
+/// Ids and distance bits, in result order.
+fn bits(hits: &[(VertexId, f64)]) -> Vec<(u64, u64)> {
+    hits.iter().map(|&(v, d)| (v.0, d.to_bits())).collect()
 }
 
 fn config(shard_count: usize) -> StorageConfig {
@@ -130,10 +144,14 @@ fn observe(g: &ShardedTrajectoryGraph, n: usize) -> Vec<String> {
         "window: {:?}",
         g.scan_window(horizon / 4, horizon / 2)
     ));
-    out.push(format!(
-        "nearest: {:?}",
-        g.nearest_by_signature(&sig(1), 4, 1.0)
-    ));
+    for t in MAX_DISTANCES {
+        for k in K_AXIS {
+            out.push(format!(
+                "nearest {t} {k}: {:?}",
+                bits(&g.nearest_by_signature(&sig(1), k, t))
+            ));
+        }
+    }
     out
 }
 
@@ -196,10 +214,15 @@ proptest! {
                 sharded.scan_window(horizon / 4, horizon / 2),
                 flat.scan_window(horizon / 4, horizon / 2)
             );
-            prop_assert_eq!(
-                sharded.nearest_by_signature(&sig(seed_idx), 4, 1.0),
-                flat.nearest_by_signature(&sig(seed_idx), 4, 1.0)
-            );
+            for t in MAX_DISTANCES {
+                for k2 in K_AXIS {
+                    prop_assert_eq!(
+                        bits(&sharded.nearest_by_signature(&sig(seed_idx), k2, t)),
+                        bits(&flat.nearest_by_signature(&sig(seed_idx), k2, t)),
+                        "nearest at max_distance {} k {} at {} shards", t, k2, k
+                    );
+                }
+            }
         }
     }
 

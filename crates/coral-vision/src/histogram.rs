@@ -40,6 +40,10 @@ impl Default for HistogramConfig {
 #[derive(Debug, Clone, Default)]
 pub struct HistogramScratch {
     bins: Vec<f64>,
+    /// Every non-zero bin of `bins`, in first-touch order: a box reaches
+    /// a few bins of `bins³`, so clearing, normalising and accumulating
+    /// visit only these.
+    touched: Vec<usize>,
     /// `dx²` of each column of the box being extracted.
     dx2: Vec<f64>,
     /// The bins of the row span being extracted.
@@ -66,16 +70,20 @@ impl HistogramScratch {
     }
 
     /// Zero-fills the buffer at `cells` length, recycling the existing
-    /// allocation when the length already matches.
+    /// allocation when the length already matches (then only the touched
+    /// bins need clearing).
     fn reset(&mut self, cells: usize) {
         if self.bins.len() == cells {
             self.reuses += 1;
-            self.bins.iter_mut().for_each(|v| *v = 0.0);
+            for &i in &self.touched {
+                self.bins[i] = 0.0;
+            }
         } else {
             self.allocs += 1;
             self.bins.clear();
             self.bins.resize(cells, 0.0);
         }
+        self.touched.clear();
     }
 }
 
@@ -237,7 +245,13 @@ impl ColorHistogram {
             let dx = (f64::from(x) + 0.5 - c.x) / sx;
             dx * dx
         }));
-        let HistogramScratch { bins, dx2, row, .. } = scratch;
+        let HistogramScratch {
+            bins,
+            touched,
+            dx2,
+            row,
+            ..
+        } = scratch;
         let mut total = 0.0;
         for y in y0..y1 {
             let dy = (f64::from(y) + 0.5 - c.y) / sy;
@@ -245,15 +259,24 @@ impl ColorHistogram {
             frame.bin_row_into(y, x0, x1, b, row);
             for (&bin, &dx2) in row.iter().zip(dx2.iter()) {
                 let w = (-(dx2 + dy2) / 2.0).exp();
-                bins[bin as usize] += w;
+                let slot = &mut bins[bin as usize];
+                if *slot == 0.0 && w > 0.0 {
+                    touched.push(bin as usize);
+                }
+                *slot += w;
                 total += w;
             }
         }
+        // An untouched bin is +0.0, which dividing leaves as it is.
         if total <= 0.0 {
             let uniform = 1.0 / bins.len() as f64;
             bins.iter_mut().for_each(|v| *v = uniform);
+            touched.clear();
+            touched.extend(0..bins.len());
         } else {
-            bins.iter_mut().for_each(|v| *v /= total);
+            for &i in touched.iter() {
+                bins[i] /= total;
+            }
         }
     }
 
@@ -437,6 +460,21 @@ impl SignatureAccumulator {
         let sum = self.sum_for(bins.len(), bins_per_channel);
         for (s, v) in sum.iter_mut().zip(bins) {
             *s += v;
+        }
+    }
+
+    /// Adds the histogram a [`HistogramScratch`] holds — identical
+    /// numerics to [`SignatureAccumulator::add_bins`] with its dense bins,
+    /// visiting only the bins the extraction touched: adding an untouched
+    /// (+0.0) bin leaves a sum unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if bin counts differ from previously added histograms.
+    pub fn add_scratch(&mut self, scratch: &HistogramScratch, bins_per_channel: usize) {
+        let sum = self.sum_for(scratch.bins.len(), bins_per_channel);
+        for &i in &scratch.touched {
+            sum[i] += scratch.bins[i];
         }
     }
 

@@ -278,10 +278,9 @@ impl<D: Detector> VehicleIdentification<D> {
                     &self.config.histogram,
                     &mut self.scratch,
                 );
-                entry.signature.add_bins(
-                    self.scratch.bins(),
-                    self.config.histogram.bins_per_channel.max(1),
-                );
+                entry
+                    .signature
+                    .add_scratch(&self.scratch, self.config.histogram.bins_per_channel.max(1));
             }
             entry.last_frame = frame_id;
             entry.last_bbox = st.bbox;
