@@ -273,6 +273,18 @@ if [ "$quick" -eq 0 ]; then
     CORAL_OPS_ADDR=127.0.0.1:0 cargo run -q --release --example threaded_cameras
 fi
 
+# Offline track-break explanation (the README invocation): replays a
+# camera kill through liveness and recovery and must attribute the lost
+# visit to the camera outage. Skipped in --quick (needs the release
+# build).
+if [ "$quick" -eq 0 ]; then
+    echo "==> obs_explain (release)"
+    explain=$(cargo run -q --release --bin obs_explain -- \
+        --vehicle 2 --camera 2 --vehicles 6 --kill 2:40:70)
+    echo "$explain"
+    grep -q "camera outage: cam2 killed" <<<"$explain"
+fi
+
 # The benchmark's own tests: metric arithmetic, argument parsing and a
 # smoke run of every workload, checked against BENCHMARK.json. Skipped in
 # --quick (release build of a separate package).

@@ -8,11 +8,10 @@
 //! onto real-time transports (the in-process router or TCP sockets) for
 //! the threaded runtime. Both build every link with the same stack.
 
+use crate::driver::{build_link, region_endpoint, NodeDriver, ServerDriver};
 use crate::node::{CameraNode, NodeConfig};
 use crate::obs::{default_health_rules, region_health_rules, CoreObs, HANDOFF_DEADLINE_MS};
-use crate::runtime::{
-    build_link, region_endpoint, NodeDriver, ServerDriver, SimLink, SimRuntime, SimWorld,
-};
+use crate::runtime::{SimLink, SimRuntime, SimWorld};
 use crate::threaded::ThreadedRuntime;
 use coral_geo::{GeoPoint, IntersectionId, RoadNetwork};
 use coral_net::{Endpoint, FaultPlan, RetryPolicy, SimNet, Transport};

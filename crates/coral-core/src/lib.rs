@@ -55,6 +55,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod deploy;
+mod driver;
 pub mod node;
 pub mod obs;
 pub mod pool;

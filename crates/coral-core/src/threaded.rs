@@ -28,9 +28,9 @@
 //! tick statistics) have no counterpart here either.
 
 use crate::deploy::SystemConfig;
+use crate::driver::{Link, NodeDriver, ServerDriver};
 use crate::node::CameraNode;
 use crate::obs::CoreObs;
-use crate::runtime::{Link, NodeDriver, ServerDriver};
 use coral_net::Transport;
 use coral_obs::OpsState;
 use coral_sim::{SimTime, TrafficModel};

@@ -40,7 +40,7 @@ pub use faulty::{FaultPlan, FaultPolicy, FaultyTransport};
 pub use message::{DetectionEvent, EventId, Message, VertexId};
 pub use reliable::{ReliableTransport, RetryPolicy};
 pub use socket_group::SocketGroup;
-pub use tcp::{send_to, TcpDirectory, TcpEndpoint, TcpError, TcpTransport};
+pub use tcp::{TcpDirectory, TcpError, TcpTransport};
 pub use transport::{
     Endpoint, Envelope, InProcRouter, InProcTransport, LatencyHook, SendError, SimNet,
     SimTransport, Transport,

@@ -6,8 +6,7 @@
 //! TCP and an accept-loop listener that delivers envelopes into a channel.
 //! [`TcpTransport`] keeps one persistent connection per peer, reconnecting
 //! with exponential backoff when it breaks and holding undeliverable
-//! envelopes in a bounded per-peer queue; the standalone [`send_to`] keeps
-//! the original short-lived connection-per-send (like a ZeroMQ push).
+//! envelopes in a bounded per-peer queue.
 
 use crate::message::Message;
 use crate::transport::{Endpoint, Envelope, SendError, Transport};
@@ -82,7 +81,7 @@ impl From<std::io::Error> for TcpError {
 /// A listening endpoint: accepts connections and delivers every received
 /// envelope into a channel.
 #[derive(Debug)]
-pub struct TcpEndpoint {
+pub(crate) struct TcpEndpoint {
     local_addr: SocketAddr,
     rx: Receiver<Envelope>,
     stop: Arc<AtomicBool>,
@@ -96,7 +95,7 @@ impl TcpEndpoint {
     /// # Errors
     ///
     /// Propagates the bind failure.
-    pub fn bind(addr: &str) -> Result<Self, TcpError> {
+    pub(crate) fn bind(addr: &str) -> Result<Self, TcpError> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let (tx, rx) = unbounded();
@@ -116,17 +115,17 @@ impl TcpEndpoint {
     }
 
     /// The bound address (with the resolved port).
-    pub fn local_addr(&self) -> SocketAddr {
+    pub(crate) fn local_addr(&self) -> SocketAddr {
         self.local_addr
     }
 
     /// The receive side: every accepted envelope appears here.
-    pub fn receiver(&self) -> &Receiver<Envelope> {
+    pub(crate) fn receiver(&self) -> &Receiver<Envelope> {
         &self.rx
     }
 
     /// Stops the accept loop and joins its thread.
-    pub fn shutdown(mut self) {
+    pub(crate) fn shutdown(mut self) {
         self.stop_internal();
     }
 
@@ -218,17 +217,6 @@ fn write_frame(stream: &mut impl Write, envelope: &Envelope) -> Result<(), TcpEr
     stream.write_all(&payload)?;
     stream.flush()?;
     Ok(())
-}
-
-/// Sends one envelope to a remote [`TcpEndpoint`] over a short-lived
-/// connection (like a ZeroMQ push).
-///
-/// # Errors
-///
-/// Propagates connection and write failures.
-pub fn send_to(addr: SocketAddr, envelope: &Envelope) -> Result<(), TcpError> {
-    let mut stream = TcpStream::connect(addr)?;
-    write_frame(&mut stream, envelope)
 }
 
 /// Shared endpoint-to-address directory for a TCP deployment. In a real
@@ -378,18 +366,6 @@ impl TcpTransport {
         self.links.get(&to).map_or(0, |l| l.queue.len())
     }
 
-    /// Starts publishing socket-health counters into `registry`:
-    /// `tcp_send_errors_total` and `tcp_reconnects_total`, labelled with
-    /// this transport's endpoint.
-    pub fn instrument(&mut self, registry: &Registry) {
-        let label = self.endpoint.to_string();
-        let labels = [("endpoint", label.as_str())];
-        self.counters = Some(TcpCounters {
-            send_errors: registry.counter("tcp_send_errors_total", &labels),
-            reconnects: registry.counter("tcp_reconnects_total", &labels),
-        });
-    }
-
     /// Stops the accept loop, joining its thread.
     pub fn shutdown(self) {
         self.listener.shutdown();
@@ -507,6 +483,18 @@ impl Transport for TcpTransport {
     fn queue_depth(&self) -> usize {
         self.listener.receiver().len() + self.links.values().map(|l| l.queue.len()).sum::<usize>()
     }
+
+    /// Starts publishing socket-health counters into `registry`:
+    /// `tcp_send_errors_total` and `tcp_reconnects_total`, labelled with
+    /// this transport's endpoint.
+    fn instrument(&mut self, registry: &Registry) {
+        let label = self.endpoint.to_string();
+        let labels = [("endpoint", label.as_str())];
+        self.counters = Some(TcpCounters {
+            send_errors: registry.counter("tcp_send_errors_total", &labels),
+            reconnects: registry.counter("tcp_reconnects_total", &labels),
+        });
+    }
 }
 
 #[cfg(test)]
@@ -537,6 +525,11 @@ mod tests {
             vertex: None,
             ground_truth: None,
         })
+    }
+
+    /// Writes `envelope` as one frame over a fresh connection to `addr`.
+    fn send_to(addr: SocketAddr, envelope: &Envelope) -> Result<(), TcpError> {
+        write_frame(&mut TcpStream::connect(addr)?, envelope)
     }
 
     fn recv_one(ep: &TcpEndpoint) -> Envelope {

@@ -167,6 +167,15 @@ pub trait Transport {
     fn queue_depth(&self) -> usize {
         0
     }
+
+    /// Starts publishing this transport's own counters into `registry`.
+    /// Only transports with state worth exporting
+    /// ([`crate::TcpTransport`]'s socket health) publish anything; the
+    /// default publishes nothing, so simulated and in-process registries
+    /// gain no series.
+    fn instrument(&mut self, registry: &coral_obs::Registry) {
+        let _ = registry;
+    }
 }
 
 /// Latency hook of a [`SimNet`]: charges each envelope a delivery delay.

@@ -133,3 +133,28 @@ fn server_stamps_heartbeats_on_the_shared_clock() {
         );
     }
 }
+
+/// A TCP deployment exports its socket-health counters with every other
+/// series, so `/metrics` carries them; the in-process router keeps none,
+/// so its registry gains no series.
+#[test]
+fn tcp_socket_counters_reach_metrics() {
+    let directory = TcpDirectory::new();
+    let tcp = run_corridor(|endpoint| {
+        TcpTransport::bind(endpoint, "127.0.0.1:0", &directory).expect("bind loopback")
+    });
+    let metrics = tcp.obs().registry().render_prometheus();
+    for series in ["tcp_send_errors_total", "tcp_reconnects_total"] {
+        for endpoint in ["cloud", "cam0", "cam2"] {
+            let line = format!("{series}{{endpoint=\"{endpoint}\"}}");
+            assert!(metrics.contains(&line), "{line} missing from /metrics");
+        }
+    }
+    let router = InProcRouter::new();
+    let inproc = run_corridor(|endpoint| InProcTransport::attach(&router, endpoint));
+    let metrics = inproc.obs().registry().render_prometheus();
+    assert!(
+        !metrics.contains("tcp_"),
+        "in-process run exported tcp series"
+    );
+}
