@@ -214,3 +214,56 @@ fn replication_to_a_partitioned_store_is_never_acked() {
     assert_eq!(counters(false), [(0, 0); 4]);
     assert_eq!(counters(true), [(0, 0), (8, 1), (21, 3), (21, 3)]);
 }
+
+/// A region fail-back awaits every home camera alive at the heal. One of
+/// them killed before its first post-heal heartbeat leaves the set: the
+/// fail-back closes when the survivor reports in, and is recorded.
+#[test]
+fn home_camera_killed_after_the_heal_leaves_the_fail_back() {
+    let mut sys = two_regions(None);
+    sys.schedule_region_kill(SimTime::from_secs(10), 1);
+    sys.schedule_region_restore(SimTime::from_secs(20), 1);
+    sys.runtime_mut()
+        .schedule_kill(SimTime::from_micros(20_001_000), CameraId(3));
+    sys.run_until(SimTime::from_secs(80));
+    assert_eq!(
+        sys.telemetry().region_recoveries,
+        [RegionRecovery {
+            region: 1,
+            killed_at: SimTime::from_secs(10),
+            restored_at: SimTime::from_secs(20),
+            recovered_at: SimTime::from_micros(20_054_365),
+        }]
+    );
+}
+
+/// A camera recovery awaits the survivors the sweep reconfigured. The
+/// only one of them killed before its topology update arrives leaves the
+/// set empty: the recovery closes at that kill.
+#[test]
+fn awaited_survivor_killed_before_its_update_closes_the_recovery() {
+    let mut sys = two_regions(None);
+    sys.run_until(SimTime::from_secs(4));
+    let rt = sys.runtime_mut();
+    rt.schedule_kill(SimTime::from_secs(5), CameraId(3));
+    // Camera 3 is evicted at the 8.2 s sweep; its update to camera 2
+    // would land about 50 ms later.
+    let second_kill = SimTime::from_micros(8_201_000);
+    rt.schedule_kill(second_kill, CameraId(2));
+    sys.run_until(SimTime::from_secs(30));
+    assert_eq!(
+        sys.telemetry().recoveries,
+        [
+            Recovery {
+                killed: CameraId(3),
+                killed_at: SimTime::from_secs(5),
+                recovered_at: second_kill,
+            },
+            Recovery {
+                killed: CameraId(2),
+                killed_at: second_kill,
+                recovered_at: SimTime::from_micros(12_214_960),
+            },
+        ]
+    );
+}
