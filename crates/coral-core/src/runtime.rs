@@ -333,8 +333,12 @@ impl SimWorld {
             Endpoint::TopologyServer | Endpoint::RegionServer(_) => {
                 let heartbeat = self.regions.receive(endpoint, &self.roster, &self.obs, now);
                 if let Some((region, camera)) = heartbeat {
-                    self.recovery
-                        .note_region_heartbeat(region, camera, now, &mut self.telemetry);
+                    self.recovery.note_region_heartbeat(
+                        Some(region),
+                        camera,
+                        now,
+                        &mut self.telemetry,
+                    );
                 }
             }
         }
@@ -359,7 +363,8 @@ impl SimWorld {
             let slot = self.roster.slot_of(cam);
             self.tick
                 .camera_down(slot, &mut self.roster.drivers[slot], now);
-            self.recovery.note_kill(cam, now);
+            self.recovery
+                .note_kill(cam, now, &mut self.telemetry, &self.obs);
             self.obs.journal().record(
                 JournalKind::NodeKill,
                 Severity::Error,

@@ -59,9 +59,19 @@ pub(super) struct RecoveryPlane {
 }
 
 impl RecoveryPlane {
-    /// Camera `cam` was killed at `now`.
-    pub(super) fn note_kill(&mut self, cam: CameraId, now: SimTime) {
+    /// Camera `cam` was killed at `now`: it awaits eviction, and it
+    /// leaves every open measurement's outstanding set, since a dead
+    /// camera never reports in. A set this empties closes at `now`.
+    pub(super) fn note_kill(
+        &mut self,
+        cam: CameraId,
+        now: SimTime,
+        telemetry: &mut Telemetry,
+        obs: &CoreObs,
+    ) {
         self.pending_kills.push((cam, now));
+        self.note_update_delivered(cam, now, telemetry, obs);
+        self.note_region_heartbeat(None, cam, now, telemetry);
     }
 
     /// Matches evicted cameras against scheduled kills and opens their
@@ -125,17 +135,20 @@ impl RecoveryPlane {
             .extend(self.regions.open(healed, outstanding));
     }
 
-    /// A heartbeat from `camera` landed at region `region`'s server: it
-    /// retires `camera` from that region's open fail-backs, recording
-    /// those it completes.
+    /// A heartbeat from `camera` landed at region `region`'s server (or,
+    /// with `None`, the camera died): it retires `camera` from that
+    /// region's (or every region's) open fail-backs, recording those it
+    /// completes.
     pub(super) fn note_region_heartbeat(
         &mut self,
-        region: u16,
+        region: Option<u16>,
         camera: CameraId,
         now: SimTime,
         telemetry: &mut Telemetry,
     ) {
-        let closed = self.regions.retire(camera, |r| r.region == region);
+        let closed = self
+            .regions
+            .retire(camera, |r| region.is_none_or(|region| r.region == region));
         telemetry
             .region_recoveries
             .extend(closed.into_iter().map(|r| RegionRecovery {
