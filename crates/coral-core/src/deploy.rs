@@ -22,6 +22,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
 
+/// Camera observation range, meters.
+const VIEW_RANGE_M: f64 = 35.0;
+
 /// Whole-system configuration.
 #[derive(Debug, Clone)]
 pub struct SystemConfig {
@@ -42,8 +45,6 @@ pub struct SystemConfig {
     pub links: LinkProfile,
     /// Traffic model parameters.
     pub traffic: TrafficConfig,
-    /// Camera observation range, meters.
-    pub view_range_m: f64,
     /// Camera image width, pixels.
     pub image_width: u32,
     /// Camera image height, pixels.
@@ -111,7 +112,6 @@ impl Default for SystemConfig {
             mdcs: MdcsOptions::default(),
             links: LinkProfile::default(),
             traffic: TrafficConfig::default(),
-            view_range_m: 35.0,
             image_width: 200,
             image_height: 160,
             scene_effects: None,
@@ -238,7 +238,7 @@ impl Deployment {
         let view = CameraView {
             position,
             videoing_angle_deg: angle,
-            range_m: self.config.view_range_m,
+            range_m: VIEW_RANGE_M,
             image_width: self.config.image_width,
             image_height: self.config.image_height,
             effects: self

@@ -16,6 +16,9 @@ use coral_vision::{
     SyntheticSsdDetector, VehicleIdentification, VehicleObservation,
 };
 
+/// Candidate-pool lazy-GC threshold.
+const POOL_GC_SIZE: usize = 256;
+
 /// Per-node configuration.
 #[derive(Debug, Clone)]
 pub struct NodeConfig {
@@ -25,8 +28,6 @@ pub struct NodeConfig {
     pub detector_noise: DetectorNoise,
     /// Re-identification parameters.
     pub reid: ReidConfig,
-    /// Candidate-pool lazy-GC threshold.
-    pub pool_gc_size: usize,
     /// Prune matched pool entries eagerly instead of lazily — the
     /// alternative the paper rejects (§4.1.4); exposed for ablation.
     pub eager_pool_prune: bool,
@@ -45,7 +46,6 @@ impl Default for NodeConfig {
             ident: IdentConfig::default(),
             detector_noise: DetectorNoise::default(),
             reid: ReidConfig::default(),
-            pool_gc_size: 256,
             eager_pool_prune: false,
             coi_inset_frac: 0.05,
             store_frames: false,
@@ -179,9 +179,9 @@ impl CameraNode {
             ident: VehicleIdentification::new(detector, PostProcessor::new(coi), ident_cfg, seed),
             connection: ConnectionManager::new(id, view.position, view.videoing_angle_deg),
             pool: if config.eager_pool_prune {
-                CandidatePool::new_eager(config.pool_gc_size)
+                CandidatePool::new_eager(POOL_GC_SIZE)
             } else {
-                CandidatePool::new(config.pool_gc_size)
+                CandidatePool::new(POOL_GC_SIZE)
             },
             reid: ReIdentifier::new(config.reid),
             storage,

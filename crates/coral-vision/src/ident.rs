@@ -55,7 +55,7 @@ pub struct IdentFrameResult {
     /// Vehicles that completed (left the FOV) this frame.
     pub completed: Vec<VehicleObservation>,
     /// Ground-truth vehicles the detector fired on this frame (a kept
-    /// detection overlapped the actor at IoU ≥ `gt_iou_threshold`),
+    /// detection overlapped the actor at IoU ≥ `GT_IOU_THRESHOLD`),
     /// ascending id. Evaluation only: this is the raw detection evidence
     /// the error-attribution layer uses to separate "never detected" from
     /// "detected but the tracker dropped it".
@@ -69,6 +69,10 @@ impl IdentFrameResult {
     }
 }
 
+/// Minimum IoU between a box and a scene actor for ground-truth
+/// attribution (evaluation only).
+const GT_IOU_THRESHOLD: f64 = 0.3;
+
 /// Identification-element configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IdentConfig {
@@ -80,9 +84,6 @@ pub struct IdentConfig {
     pub renderer: Renderer,
     /// Camera videoing angle, degrees clockwise from north.
     pub videoing_angle_deg: f64,
-    /// Minimum IoU between a track box and a scene actor for ground-truth
-    /// attribution (evaluation only).
-    pub gt_iou_threshold: f64,
     /// Minimum net image-plane displacement, in pixels, between a track's
     /// first centroid and its farthest observed centroid for the track to
     /// emit a [`VehicleObservation`] when it completes. Stationary tracks
@@ -123,7 +124,6 @@ impl Default for IdentConfig {
             histogram: HistogramConfig::default(),
             renderer: Renderer::default(),
             videoing_angle_deg: 0.0,
-            gt_iou_threshold: 0.3,
             min_net_displacement_px: 0.0,
             exit_bearing_window: 0,
             signature_max_overlap: 1.0,
@@ -233,7 +233,7 @@ impl<D: Detector> VehicleIdentification<D> {
                     .iter()
                     .map(|a| (a.gt, d.bbox.iou(&a.bbox)))
                     .max_by(|a, b| a.1.total_cmp(&b.1))
-                    .filter(|&(_, iou)| iou >= self.config.gt_iou_threshold)
+                    .filter(|&(_, iou)| iou >= GT_IOU_THRESHOLD)
                     .map(|(gt, _)| gt)
             })
             .collect();
@@ -291,7 +291,7 @@ impl<D: Detector> VehicleIdentification<D> {
                 .map(|a| (a.gt, st.bbox.iou(&a.bbox)))
                 .max_by(|a, b| a.1.total_cmp(&b.1));
             if let Some((gt, iou)) = best {
-                if iou >= self.config.gt_iou_threshold {
+                if iou >= GT_IOU_THRESHOLD {
                     *entry.gt_votes.entry(gt).or_insert(0) += 1;
                 }
             }
