@@ -1,9 +1,9 @@
 //! Property-based invariants for the communication protocol.
 
 use coral_geo::{generators, GeoPoint, Heading, IntersectionId};
-use coral_net::{ConnectionManager, DetectionEvent, Message};
+use coral_net::{ConnectionManager, DetectionEvent, Message, VertexId};
 use coral_topology::{mdcs_table, CameraId, CameraTopology, MdcsOptions, MdcsUpdate};
-use coral_vision::{ColorHistogram, HistogramError, TrackId};
+use coral_vision::{ColorHistogram, GroundTruthId, HistogramError, TrackId};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -20,9 +20,9 @@ fn event(camera: u32, track: u64, heading: Option<Heading>) -> DetectionEvent {
     }
 }
 
-/// A connection manager wired with the middle camera of a 3-corridor (so
-/// both East and West have a recipient).
-fn middle_manager() -> ConnectionManager {
+/// The middle camera of a 3-corridor (so both East and West have a
+/// recipient): its position and its first topology update.
+fn middle_camera() -> (GeoPoint, MdcsUpdate) {
     let net = generators::corridor(3, 100.0, 10.0);
     let pos = net.intersection(IntersectionId(1)).unwrap().position;
     let mut topo = CameraTopology::new(net);
@@ -30,12 +30,19 @@ fn middle_manager() -> ConnectionManager {
         topo.place_at_intersection(CameraId(i), IntersectionId(i), 0.0)
             .unwrap();
     }
-    let mut cm = ConnectionManager::new(CameraId(1), pos, 0.0);
-    cm.on_topology_update(MdcsUpdate {
+    let update = MdcsUpdate {
         camera: CameraId(1),
         table: mdcs_table(&topo, CameraId(1), MdcsOptions::default()),
         version: 1,
-    });
+    };
+    (pos, update)
+}
+
+/// A connection manager wired with the middle camera of a 3-corridor.
+fn middle_manager() -> ConnectionManager {
+    let (pos, update) = middle_camera();
+    let mut cm = ConnectionManager::new(CameraId(1), pos, 0.0);
+    cm.on_topology_update(update);
     cm
 }
 
@@ -279,5 +286,155 @@ proptest! {
             }
             Err(_) => {}
         }
+    }
+}
+
+/// One valid value of every `Message` variant, with every optional field
+/// present somewhere, so a mutation can reach each field decoder.
+fn every_variant() -> Vec<Message> {
+    let mut inform = event(4, 8, Some(Heading::North));
+    inform.vertex = Some(VertexId(12));
+    inform.ground_truth = Some(GroundTruthId(3));
+    vec![
+        Message::Inform(inform.clone()),
+        Message::Confirm {
+            event: inform.event_id(),
+            reidentified_by: CameraId(2),
+        },
+        Message::Heartbeat {
+            camera: CameraId(7),
+            position: GeoPoint::new(33.77, -84.39),
+            videoing_angle_deg: 45.0,
+        },
+        Message::TopologyUpdate(middle_camera().1),
+        Message::Replicate {
+            from: VertexId(5),
+            event: inform.clone(),
+            first_ms: 1_200,
+            distance: 0.125,
+        },
+        Message::Sequenced {
+            seq: 41,
+            payload: Box::new(Message::Inform(inform)),
+        },
+        Message::Ack { seq: 41 },
+    ]
+}
+
+/// Nesting past the decoder's recursion limit is an error, not a stack
+/// overflow: a frame of a million `[` once aborted the process that read
+/// it. Nesting a message needs no more than a few levels.
+#[test]
+fn deeply_nested_messages_are_rejected() {
+    let sequenced = |depth: usize| {
+        let open = r#"{"Sequenced":{"seq":1,"payload":"#.repeat(depth);
+        format!(r#"{open}{{"Ack":{{"seq":1}}}}{}"#, "}}".repeat(depth))
+    };
+    assert!(serde_json::from_str::<Message>(&sequenced(8)).is_ok());
+    assert!(serde_json::from_str::<Message>(&sequenced(100_000)).is_err());
+    assert!(serde_json::from_str::<Message>(&"[".repeat(1 << 20)).is_err());
+}
+
+/// What a mutation puts in place of a JSON value: every JSON type, and
+/// numbers at the edges of the integer and float ranges the fields use.
+const REPLACEMENTS: [&str; 18] = [
+    "null",
+    "true",
+    r#""x""#,
+    "[]",
+    "[1,2]",
+    "{}",
+    r#"{"x":1}"#,
+    "0",
+    "-1",
+    "1.5",
+    "-0.0",
+    "65536",
+    "4294967296",
+    "9007199254740993",
+    "18446744073709551615",
+    "-9223372036854775808",
+    "1e308",
+    "-1e308",
+];
+
+/// The `k`-th node (pre-order) of `v` that `admits`, if there is one.
+fn nth_node<'a>(
+    v: &'a mut serde_json::Value,
+    k: &mut usize,
+    admits: fn(&serde_json::Value) -> bool,
+) -> Option<&'a mut serde_json::Value> {
+    if admits(v) {
+        if *k == 0 {
+            return Some(v);
+        }
+        *k -= 1;
+    }
+    match v {
+        serde_json::Value::Array(items) => items.iter_mut().find_map(|c| nth_node(c, k, admits)),
+        serde_json::Value::Object(fields) => {
+            fields.values_mut().find_map(|c| nth_node(c, k, admits))
+        }
+        _ => None,
+    }
+}
+
+fn count_nodes(v: &serde_json::Value, admits: fn(&serde_json::Value) -> bool) -> usize {
+    let children = match v {
+        serde_json::Value::Array(items) => items.iter().map(|c| count_nodes(c, admits)).sum(),
+        serde_json::Value::Object(fields) => fields.values().map(|c| count_nodes(c, admits)).sum(),
+        _ => 0,
+    };
+    usize::from(admits(v)) + children
+}
+
+/// Breaks the valid encoding `json` the `kind`-th way at position `at`
+/// (modulo what is there): 0 drops a field, 1 replaces a value with
+/// `REPLACEMENTS[with]` (another JSON type, or a numeric extreme), 2
+/// truncates the text (all of it ASCII) before byte `at`.
+fn mutate_message(json: &str, kind: usize, at: usize, with: usize) -> String {
+    if kind == 2 {
+        return json[..at % json.len()].to_string();
+    }
+    let mut tree: serde_json::Value = serde_json::from_str(json).unwrap();
+    if kind == 0 {
+        let non_empty = |v: &serde_json::Value| v.as_object().is_some_and(|o| !o.is_empty());
+        let mut k = at % count_nodes(&tree, non_empty).max(1);
+        if let Some(serde_json::Value::Object(fields)) = nth_node(&mut tree, &mut k, non_empty) {
+            let key = fields.keys().nth(at % fields.len()).unwrap().clone();
+            fields.remove(&key);
+        }
+    } else {
+        let mut k = at % count_nodes(&tree, |_| true);
+        let node = nth_node(&mut tree, &mut k, |_| true).unwrap();
+        *node = serde_json::from_str(REPLACEMENTS[with]).unwrap();
+    }
+    serde_json::to_string(&tree).unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+    /// Structurally mutated encodings of every variant decode to a
+    /// message or an error, never a panic: dropped fields, values of
+    /// another JSON type, numeric extremes and truncated text all reach
+    /// the field decoders behind `read_frames`.
+    #[test]
+    fn mutated_messages_never_panic_the_decoder(
+        variant in 0usize..7,
+        mutations in proptest::collection::vec(
+            (0usize..3, 0usize..4096, 0usize..REPLACEMENTS.len()),
+            1..4,
+        ),
+    ) {
+        let message = &every_variant()[variant];
+        let mut json = serde_json::to_string(message).unwrap();
+        prop_assert_eq!(&serde_json::from_str::<Message>(&json).unwrap(), message);
+        for (kind, at, with) in mutations {
+            if serde_json::from_str::<serde_json::Value>(&json).is_err() {
+                break;
+            }
+            json = mutate_message(&json, kind, at, with);
+        }
+        let _ = serde_json::from_str::<Message>(&json);
     }
 }
