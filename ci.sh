@@ -130,8 +130,6 @@ cargo test -q -p coral-eval --test smoke -- --ignored
 if [ "$quick" -eq 0 ]; then
     echo "==> hard-suite accuracy gate (release)"
     cargo test -q --release -p coral-eval --test hard_suite -- --ignored
-    echo "==> hard-regimes determinism matrix (release)"
-    cargo test -q --release --test hard_regimes -- --ignored
 fi
 
 # Storage plane gates: shard-vs-flat equivalence and redelivery
@@ -147,15 +145,23 @@ cargo test -q -p coral-storage --test snapshot_roundtrip
 echo "==> storage concurrency stress"
 cargo test -q --test storage_concurrency
 
-# Parallel determinism matrix: every scenario x seed must fingerprint
-# byte-identically at parallelism 1, 2 and 8 (the smoke subset already ran
-# in `cargo test -q`; `--ignored` runs the full 8x3x2 matrix). The release
-# pass guards against optimisation-dependent divergence.
-echo "==> parallel determinism matrix (debug)"
-cargo test -q --test parallel_determinism -- --ignored
+# Stepping-equivalence matrix: every run must fingerprint byte-identically
+# in every stepping mode. The debug step runs the corridor and grid matrix
+# (test names containing "corridor"): 12 scenarios x 3 seeds x 4 modes,
+# dense stepping on 2 workers (the oracle) against sparse stepping on 1, 2
+# and 8 workers, 144 runs. The release step runs every ignored test in the
+# file: that matrix again (144 runs, guarding against
+# optimisation-dependent divergence), the hard-regime seed matrix (4
+# miniature regimes plus the smoke spec x 3 seeds x dense on 1 worker, its
+# repeat and sparse on 1 worker, 45 runs; a second seed must change the
+# run) and the four 10x10 city regimes at seed 42 (12 runs). The tier-1
+# smoke subset (15 corridor and 12 miniature-regime runs) already ran in
+# `cargo test -q`.
+echo "==> stepping equivalence: corridor and grid matrix (debug)"
+cargo test -q --test stepping_equivalence corridor -- --ignored
 if [ "$quick" -eq 0 ]; then
-    echo "==> parallel determinism matrix (release)"
-    cargo test -q --release --test parallel_determinism -- --ignored
+    echo "==> stepping equivalence: every matrix (release)"
+    cargo test -q --release --test stepping_equivalence -- --ignored
 fi
 
 # Incremental MDCS equivalence: the topology server's footprint-selected
@@ -211,16 +217,6 @@ fi
 if [ "$quick" -eq 0 ]; then
     echo "==> health-engine oracle (release, 4096 cases)"
     PROPTEST_CASES=4096 cargo test -q --release -p coral-obs --test health_oracle
-fi
-
-# Sparse-stepping equivalence matrix: the occupancy-index early-out must
-# fingerprint byte-identically to dense stepping on every scenario x seed
-# (the smoke subset already ran in `cargo test -q`).
-echo "==> sparse equivalence matrix (debug)"
-cargo test -q --test sparse_equivalence -- --ignored
-if [ "$quick" -eq 0 ]; then
-    echo "==> sparse equivalence matrix (release)"
-    cargo test -q --release --test sparse_equivalence -- --ignored
 fi
 
 # Scale smoke: the 1000-camera deployment must build, warm past its join

@@ -17,7 +17,8 @@
 //!
 //! Every spec is pure data: the same spec and seed always produce a
 //! byte-identical simulation (the determinism contract is pinned by the
-//! `hard_regimes` fingerprint tests at the workspace root).
+//! regime entries of the `stepping_equivalence` fingerprint tests at the
+//! workspace root).
 
 use crate::lights::TrafficLight;
 use crate::observe::{ClutterBurst, SceneEffects};
